@@ -60,6 +60,7 @@ from .scene import (
     write_grid,
 )
 from .tma import PatternError, check_dm_condition, design_pattern
+from .transforms import signed_bin_index
 
 
 def _fixture_text(name: str) -> str:
@@ -209,7 +210,7 @@ def _export_spectra(prefix, received, data, pattern, cfg, detection) -> None:
                 (l, f"{v:.9e}") for l, v in enumerate(bin_result.range_profile)
             )
         n = cfg.num_ofdm_symbols
-        signed = [(k - n if k >= (n + 1) // 2 else k) for k in range(n)]
+        signed = signed_bin_index(np.arange(n), n)
         for range_bin, spectrum in zip(bin_result.range_bins, bin_result.velocity_spectra):
             with open(f"{tag}.l{int(range_bin)}.velocity.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

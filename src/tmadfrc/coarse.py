@@ -31,12 +31,13 @@ import numpy as np
 from .model import (
     CoarseEstimate,
     SystemConfig,
+    bin_to_angle_deg,
     check_antenna_grid,
     check_symbol_grid,
     derived_resolutions,
 )
 from .tma import SwitchingPattern, scramble_symbols
-from .transforms import dft, idft, signed_bin_index, wrapped_bin_frequency
+from .transforms import dft, idft, signed_bin_index
 
 
 class NoPeaksError(RuntimeError):
@@ -110,13 +111,6 @@ def angle_spectrum(grid: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.
     grid = check_antenna_grid(cfg, grid)
     beams = dft(grid, axis=0)
     return np.abs(beams).sum(axis=(1, 2)), beams
-
-
-def bin_to_angle_deg(angle_bin, cfg: SystemConfig):
-    """Direction (degrees) that beamforming bin(s) steer to."""
-    freq = wrapped_bin_frequency(np.asarray(angle_bin), cfg.num_rx_antennas)
-    sin_theta = -freq / cfg.rx_spacing_wavelengths
-    return np.degrees(np.arcsin(np.where(np.abs(sin_theta) <= 1.0, sin_theta, np.nan)))
 
 
 def bin_to_range_m(range_bin, cfg: SystemConfig):

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .transforms import wrapped_bin_frequency
+
 #: Exact vacuum speed of light (m/s).
 SPEED_OF_LIGHT = 299_792_458.0
 #: Rounded value used by many link-budget style calculations; selected by
@@ -128,23 +130,32 @@ def derived_resolutions(cfg: SystemConfig):
 
     Returns:
         (range_res_m, velocity_res_mps, angle_grid_deg) where angle_grid_deg
-        maps each receive-DFT bin index to its beam angle in degrees (NaN for
-        bins whose spatial frequency falls outside |sin theta| <= 1, which can
-        happen for element spacings below half a wavelength).
+        is :func:`bin_to_angle_deg` of every receive-DFT bin index.
     """
     validate_config(cfg)
     range_res = cfg.c / (2.0 * cfg.num_subcarriers * cfg.subcarrier_spacing_hz)
     velocity_res = cfg.c / (
         2.0 * cfg.carrier_freq_hz * cfg.num_ofdm_symbols * cfg.symbol_duration_s
     )
-    k = np.arange(cfg.num_rx_antennas)
-    freq = k / cfg.num_rx_antennas
-    freq = np.where(freq >= 0.5, freq - 1.0, freq)  # wrap to [-1/2, 1/2)
-    sin_grid = -freq / cfg.rx_spacing_wavelengths
-    angle_grid = np.full(cfg.num_rx_antennas, np.nan)
-    valid = np.abs(sin_grid) <= 1.0 + 1e-12
-    angle_grid[valid] = np.degrees(np.arcsin(np.clip(sin_grid[valid], -1.0, 1.0)))
-    return range_res, velocity_res, angle_grid
+    return range_res, velocity_res, bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg)
+
+
+def bin_to_sine(angle_bin, cfg: SystemConfig):
+    """sin(theta) that receive-DFT bin(s) steer to: -wrap(k / N_r) / spacing."""
+    freq = wrapped_bin_frequency(angle_bin, cfg.num_rx_antennas)
+    return -freq / cfg.rx_spacing_wavelengths
+
+
+def bin_to_angle_deg(angle_bin, cfg: SystemConfig):
+    """Direction (degrees) that receive-DFT bin(s) steer to.
+
+    NaN for bins whose spatial frequency falls outside |sin theta| <= 1, which
+    can happen for element spacings below half a wavelength.  The bound allows
+    1e-12 of rounding, so a bin that lands on endfire maps to +-90 degrees.
+    """
+    sin_theta = bin_to_sine(angle_bin, cfg)
+    visible = np.abs(sin_theta) <= 1.0 + 1e-12
+    return np.where(visible, np.degrees(np.arcsin(np.clip(sin_theta, -1.0, 1.0))), np.nan)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,20 +193,31 @@ def validate_target(target: Target, cfg: SystemConfig, allow_out_of_window: bool
     return target
 
 
-def check_symbol_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
-    """Validate shape of a (subcarrier, symbol) grid and return it as complex."""
+def _checked_grid(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     values = np.asarray(values)
-    if values.shape != cfg.grid_shape:
-        raise ValueError(f"symbol grid shape {values.shape} != expected {cfg.grid_shape}")
-    return values.astype(np.complex128, copy=False)
+    if values.shape != shape:
+        raise ValueError(f"{what} shape {values.shape} != expected {shape}")
+    values = values.astype(np.complex128, copy=False)
+    # A finite sum proves every entry finite (inf and NaN never cancel back to
+    # a finite value), at half the cost of the element-wise test; only a sum
+    # that overflows falls through to that test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not (np.isfinite(total) or np.isfinite(values).all()):
+        raise ValueError(f"{what} contains non-finite values")
+    return values
+
+
+def check_symbol_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
+    """Validate shape and finiteness of a (subcarrier, symbol) grid and return
+    it as complex."""
+    return _checked_grid(values, cfg.grid_shape, "symbol grid")
 
 
 def check_antenna_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
-    """Validate shape of a per-receive-element grid and return it as complex."""
-    values = np.asarray(values)
-    if values.shape != cfg.returns_shape:
-        raise ValueError(f"antenna grid shape {values.shape} != expected {cfg.returns_shape}")
-    return values.astype(np.complex128, copy=False)
+    """Validate shape and finiteness of a per-receive-element grid and return
+    it as complex."""
+    return _checked_grid(values, cfg.returns_shape, "antenna grid")
 
 
 @dataclasses.dataclass(frozen=True)

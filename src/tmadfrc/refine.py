@@ -66,12 +66,13 @@ from .model import (
     EstimateSet,
     RefinedEstimate,
     SystemConfig,
+    bin_to_sine,
     check_antenna_grid,
     check_symbol_grid,
     derived_resolutions,
 )
 from .tma import SwitchingPattern, scramble_symbols
-from .transforms import signed_bin_index, wrapped_bin_frequency
+from .transforms import signed_bin_index
 
 
 class SubspaceError(RuntimeError):
@@ -137,9 +138,8 @@ def estimate_n_sources(eigenvalues, max_sources: int | None = None, min_ratio: f
 def music_search_grid(angle_bin: int, cfg: SystemConfig, step_deg: float = 0.1) -> np.ndarray:
     """Degree grid around a beamforming bin: all multiples of ``step_deg``
     within one coarse bin width either side of the bin center (sine domain)."""
-    spacing = cfg.rx_spacing_wavelengths
-    center = -float(wrapped_bin_frequency(np.asarray(angle_bin), cfg.num_rx_antennas)) / spacing
-    width = 1.0 / (cfg.num_rx_antennas * spacing)
+    center = float(bin_to_sine(angle_bin, cfg))
+    width = 1.0 / (cfg.num_rx_antennas * cfg.rx_spacing_wavelengths)
     lo = np.degrees(np.arcsin(np.clip(center - width, -1.0, 1.0)))
     hi = np.degrees(np.arcsin(np.clip(center + width, -1.0, 1.0)))
     first = int(np.ceil(lo / step_deg - 1e-9))
@@ -167,15 +167,21 @@ def music_pseudospectrum(
     return 1.0 / np.maximum(proj.sum(axis=0), np.finfo(float).tiny)
 
 
+def _local_maxima(v: np.ndarray) -> np.ndarray:
+    """Mask of non-circular local maxima; a plateau counts at its rightmost
+    sample."""
+    left = np.concatenate(([-np.inf], v[:-1]))
+    right = np.concatenate((v[1:], [-np.inf]))
+    return (v >= left) & (v > right)
+
+
 def _top_local_maxima(values: np.ndarray, count: int) -> list:
     """Indices of the ``count`` tallest local maxima, topped up with the
     tallest remaining samples when the landscape has too few bumps."""
     v = np.asarray(values, dtype=float)
     if count > v.size:
         raise SubspaceError(f"cannot pick {count} peaks from {v.size} grid points")
-    left = np.concatenate(([-np.inf], v[:-1]))
-    right = np.concatenate((v[1:], [-np.inf]))
-    peaks = np.flatnonzero((v >= left) & (v > right))
+    peaks = np.flatnonzero(_local_maxima(v))
     chosen = list(peaks[np.argsort(v[peaks])[::-1]][:count])
     for idx in np.argsort(v)[::-1]:
         if len(chosen) == count:
@@ -188,10 +194,7 @@ def _top_local_maxima(values: np.ndarray, count: int) -> list:
 def _peak_count(spectrum: np.ndarray, rel_threshold: float) -> int:
     """Local maxima within ``rel_threshold`` of the tallest spectrum value."""
     v = np.asarray(spectrum, dtype=float)
-    left = np.concatenate(([-np.inf], v[:-1]))
-    right = np.concatenate((v[1:], [-np.inf]))
-    peaks = (v >= left) & (v > right) & (v >= rel_threshold * v.max())
-    return int(np.count_nonzero(peaks))
+    return int(np.count_nonzero(_local_maxima(v) & (v >= rel_threshold * v.max())))
 
 
 def music_angles(
@@ -257,14 +260,9 @@ def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int = 11) 
     return np.unique(np.concatenate(windows))
 
 
-def _combination_residuals(u, gram, energy, max_combinations):
+def _combination_residuals(u, gram, energy):
     """Dense residual tensor over the Q-fold grid product (unit gains)."""
     shape = tuple(len(uq) for uq in u)
-    if np.prod(shape, dtype=float) > max_combinations:
-        raise ValueError(
-            f"{int(np.prod(shape, dtype=float))} grid combinations exceed the "
-            f"limit of {max_combinations}; reduce grid points or sources"
-        )
     n_sources = len(u)
 
     def along(vec, axis):
@@ -312,19 +310,19 @@ def _search_combinations(u, gram, energy, grids, centers, fit_gains, max_combina
     """
     n_sources = len(u)
     shape = tuple(len(uq) for uq in u)
+    if np.prod(shape, dtype=float) > max_combinations:
+        raise ValueError(
+            f"{int(np.prod(shape, dtype=float))} grid combinations exceed the "
+            f"limit of {max_combinations}; reduce grid points or sources"
+        )
     if fit_gains:
-        if np.prod(shape, dtype=float) > max_combinations:
-            raise ValueError(
-                f"{int(np.prod(shape, dtype=float))} grid combinations exceed the "
-                f"limit of {max_combinations}; reduce grid points or sources"
-            )
         best_combo, best_res, best_gains = None, np.inf, None
         for combo in np.ndindex(shape):
             res, gains = _residual_at(combo, u, gram, energy, True)
             if res < best_res:
                 best_combo, best_res, best_gains = combo, res, gains
     else:
-        residuals = _combination_residuals(u, gram, energy, max_combinations)
+        residuals = _combination_residuals(u, gram, energy)
         best_combo = np.unravel_index(np.argmin(residuals), shape)
         best_res = float(residuals[best_combo])
         best_gains = None
@@ -348,6 +346,43 @@ def _search_combinations(u, gram, energy, grids, centers, fit_gains, max_combina
         on_boundary=tuple(best_combo[q] in (0, len(grids[q]) - 1) for q in range(n_sources)),
         gains=best_gains,
     )
+
+
+def _joint_fit(kind, steer, atoms, projections, pair_weight, energy, candidates, centers, options):
+    """Gram blocks, combination search and edge warning of one joint fit.
+
+    Source q's atom at grid point i is ``steer[q]`` times a per-source
+    weighting of column i of ``atoms``, so u_q = atoms^H projections[q] and
+    C_qp = (a_q^H a_p) * atoms^H diag(pair_weight(q, p)) atoms, C_pq = C_qp^H.
+    All sources search ``candidates``, with ``centers`` as coarse baseline.
+    """
+    n_sources = len(steer)
+    u = [atoms.conj().T @ projections[q] for q in range(n_sources)]
+    array_gram = steer.conj() @ steer.T  # (Q, Q)
+    gram = np.empty((n_sources, n_sources), dtype=object)
+    for q in range(n_sources):
+        for p in range(q, n_sources):
+            block = array_gram[q, p] * (atoms.conj().T @ (pair_weight(q, p)[:, None] * atoms))
+            gram[q, p] = block
+            if p != q:
+                gram[p, q] = block.conj().T
+    fit = _search_combinations(
+        u,
+        gram,
+        energy,
+        [candidates] * n_sources,
+        [centers] * n_sources,
+        options.fit_gains,
+        options.max_combinations,
+    )
+    if any(fit.on_boundary):
+        warnings.warn(
+            f"refined {kind} hit the edge of its search window; the optimum "
+            "may lie outside the coarse cell",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return fit
 
 
 def refine_ranges(
@@ -382,34 +417,17 @@ def refine_ranges(
         [scramble_symbols(data[:, 0], pattern, cfg, angle) for angle in angles]
     )  # (Q, N_s)
     beamed = steer.conj() @ snapshot  # (Q, N_s)
-    u = [ramps.conj().T @ (scrambled[q].conj() * beamed[q]) for q in range(len(angles))]
-
-    array_gram = steer.conj() @ steer.T  # (Q, Q)
-    gram = np.empty((len(angles), len(angles)), dtype=object)
-    for q in range(len(angles)):
-        for p in range(q, len(angles)):
-            cross = scrambled[q].conj() * scrambled[p]  # (N_s,)
-            block = array_gram[q, p] * (ramps.conj().T @ (cross[:, None] * ramps))
-            gram[q, p] = block
-            if p != q:
-                gram[p, q] = block.conj().T
-    fit = _search_combinations(
-        u,
-        gram,
+    return _joint_fit(
+        "range",
+        steer,
+        ramps,
+        scrambled.conj() * beamed,
+        lambda q, p: scrambled[q].conj() * scrambled[p],
         energy,
-        [candidates] * len(angles),
-        [centers] * len(angles),
-        options.fit_gains,
-        options.max_combinations,
+        candidates,
+        centers,
+        options,
     )
-    if any(fit.on_boundary):
-        warnings.warn(
-            "refined range hit the edge of its search window; the optimum may "
-            "lie outside the coarse cell",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return fit
 
 
 def refine_velocities(
@@ -438,9 +456,8 @@ def refine_velocities(
     if angles.shape != ranges.shape:
         raise ValueError("need one refined range per angle")
     candidates = candidate_velocity_grid(velocity_bins, cfg, options.velocity_points)
-    grids = [candidates] * len(angles)
     _, res, _ = derived_resolutions(cfg)
-    centers = [np.atleast_1d(velocity_bins) * res] * len(angles)
+    centers = np.atleast_1d(velocity_bins) * res
 
     energy = float(np.sum(np.abs(grid) ** 2))
     s = np.arange(cfg.num_subcarriers)
@@ -463,28 +480,17 @@ def refine_velocities(
 
     beamed = np.einsum("qm,msp->qsp", steer.conj(), grid)  # (Q, N_s, N_p)
     h = np.einsum("qsp,qsp->qp", base.conj(), beamed)  # (Q, N_p)
-    u = [phase.conj().T @ h[q] for q in range(len(angles))]
-
-    array_gram = steer.conj() @ steer.T
-    gram = np.empty((len(angles), len(angles)), dtype=object)
-    for q in range(len(angles)):
-        for p in range(q, len(angles)):
-            slow = np.einsum("sp,sp->p", base[q].conj(), base[p])  # (N_p,)
-            block = array_gram[q, p] * (phase.conj().T @ (slow[:, None] * phase))
-            gram[q, p] = block
-            if p != q:
-                gram[p, q] = block.conj().T
-    fit = _search_combinations(
-        u, gram, energy, grids, centers, options.fit_gains, options.max_combinations
+    return _joint_fit(
+        "velocity",
+        steer,
+        phase,
+        h,
+        lambda q, p: np.einsum("sp,sp->p", base[q].conj(), base[p]),
+        energy,
+        candidates,
+        centers,
+        options,
     )
-    if any(fit.on_boundary):
-        warnings.warn(
-            "refined velocity hit the edge of its search window; the optimum "
-            "may lie outside the coarse cell",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return fit
 
 
 def matched_velocity_bins(

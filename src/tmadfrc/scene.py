@@ -253,4 +253,6 @@ def read_grid(path) -> np.ndarray:
             f"{expected} bytes after byte {_HEADER.size}, found {payload}"
         )
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    if not np.isfinite(data).all():
+        raise GridFormatError("grid payload contains non-finite values")
     return data.reshape(n_rx, n_sub, n_sym).astype(np.complex128)

@@ -1,78 +1,24 @@
-"""Discrete Fourier transforms for the estimation pipeline.
+"""Discrete Fourier transforms and DFT bin conventions for the estimation
+pipeline.
 
-Two in-package routes are provided and must agree to 1e-12:
-
-* ``dft_direct`` — cached-matrix O(N^2) evaluation, valid for any length
-  (the receive array has 24 elements, not a power of two);
-* ``dft_radix2`` — iterative decimation-in-time fast path for power-of-two
-  lengths (subcarrier and slow-time axes).
-
-``dft``/``idft`` pick the route automatically.  Conventions: forward sum
+``dft``/``idft`` are ``np.fft.fft``/``np.fft.ifft`` along ``axis``, one path
+for every length (the 24-element receive axis as well as the power-of-two
+subcarrier and slow-time axes).  Conventions: forward sum
 ``X[k] = sum_n x[n] exp(-2j pi k n / N)`` without normalization, inverse
 carries the 1/N factor, so ``idft(dft(x)) == x``.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 
-@lru_cache(maxsize=64)
-def _dft_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n)
-
-
-@lru_cache(maxsize=64)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def dft_direct(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Forward DFT by explicit matrix product (any length)."""
-    x = np.asarray(x, dtype=np.complex128)
-    x = np.moveaxis(x, axis, -1)
-    y = x @ _dft_matrix(x.shape[-1])  # matrix is symmetric, no transpose needed
-    return np.moveaxis(y, -1, axis)
-
-
-def dft_radix2(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Forward DFT via iterative radix-2 butterflies (power-of-two length)."""
-    x = np.asarray(x, dtype=np.complex128)
-    x = np.moveaxis(x, axis, -1)
-    n = x.shape[-1]
-    if n & (n - 1):
-        raise ValueError(f"radix-2 transform needs a power-of-two length, got {n}")
-    y = x[..., _bit_reversal(n)].copy()
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = y.reshape(y.shape[:-1] + (n // size, size))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * twiddle
-        y = np.concatenate([even + odd, even - odd], axis=-1).reshape(y.shape)
-        size *= 2
-    return np.moveaxis(y, -1, axis)
-
-
 def dft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Forward DFT along ``axis`` (radix-2 fast path when the length allows)."""
-    n = np.asarray(x).shape[axis]
-    if n >= 2 and not (n & (n - 1)):
-        return dft_radix2(x, axis=axis)
-    return dft_direct(x, axis=axis)
+    """Forward DFT along ``axis``, unnormalized."""
+    return np.fft.fft(np.asarray(x, dtype=np.complex128), axis=axis)
 
 
 def idft(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Inverse DFT along ``axis`` with the 1/N normalization."""
-    x = np.asarray(x, dtype=np.complex128)
-    return np.conj(dft(np.conj(x), axis=axis)) / x.shape[axis]
+    return np.fft.ifft(np.asarray(x, dtype=np.complex128), axis=axis)
 
 
 def wrapped_bin_frequency(k, n: int):

@@ -5,14 +5,27 @@ and compared bit for bit, so these tests double as an end-to-end check that
 the CLI applies exactly the library defaults.
 """
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tmadfrc import design_pattern, estimate_targets, modulate, qpsk, radar_returns
+from tmadfrc import (
+    derived_resolutions,
+    design_pattern,
+    estimate_targets,
+    modulate,
+    qpsk,
+    radar_returns,
+)
 from tmadfrc.cli import main
 from tmadfrc.scene import read_grid, write_grid
+from tmadfrc.transforms import signed_bin_index
+
+# a small frame: 8 receive elements, 16 OFDM symbols
+SMALL = ("--set", "num_rx_antennas=8", "--set", "num_ofdm_symbols=16")
 
 
 def run(capsys, *argv):
@@ -134,6 +147,52 @@ def test_estimate_rejects_mismatched_shape(capsys, tmp_path):
     code, _, err = run(capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path))
     assert code == 2
     assert "does not match" in err
+
+
+def simulate_small(capsys, tmp_path):
+    """Receive and transmit grid paths of a one-target small frame."""
+    scene_path = tmp_path / "one.json"
+    target = {"angle_deg": 20.0, "range_m": 50.0, "velocity_mps": 10.0}
+    scene_path.write_text(json.dumps({"targets": [target], "seed": 1, "snr_db": 20.0}))
+    grid_path, data_path = tmp_path / "g.grid", tmp_path / "d.grid"
+    code, _, _ = run(
+        capsys, "simulate", *SMALL, "--scene", str(scene_path),
+        "--out", str(grid_path), "--data", str(data_path),
+    )
+    assert code == 0
+    return grid_path, data_path
+
+
+def test_estimate_rejects_non_finite_grid(capsys, tmp_path):
+    grid_path, data_path = simulate_small(capsys, tmp_path)
+    received = read_grid(str(grid_path))
+    received[0, 1, 2] = np.nan
+    write_grid(str(grid_path), received)
+    code, _, err = run(
+        capsys, "estimate", *SMALL, "--grid", str(grid_path), "--data", str(data_path)
+    )
+    assert code == 2
+    assert "non-finite" in err
+
+
+def test_estimate_export_spectra(capsys, tmp_path, ref_cfg):
+    grid_path, data_path = simulate_small(capsys, tmp_path)
+    prefix = tmp_path / "spec"
+    code, _, _ = run(
+        capsys, "estimate", *SMALL, "--grid", str(grid_path), "--data", str(data_path),
+        "--export-spectra", str(prefix),
+    )
+    assert code == 0
+    cfg = dataclasses.replace(ref_cfg, num_rx_antennas=8, num_ofdm_symbols=16)
+    with open(f"{prefix}.angle.csv", newline="", encoding="utf-8") as fh:
+        angles = [float(row["angle_deg"]) for row in csv.DictReader(fh)]
+    np.testing.assert_allclose(angles, derived_resolutions(cfg)[2], rtol=0, atol=5e-7)
+    velocity_files = sorted(tmp_path.glob("spec.bin*.l*.velocity.csv"))
+    assert velocity_files
+    for path in velocity_files:
+        with open(path, newline="", encoding="utf-8") as fh:
+            signed = [int(row["signed_bin"]) for row in csv.DictReader(fh)]
+        assert signed == signed_bin_index(np.arange(16), 16).tolist()
 
 
 def test_simulate_output_is_reproducible(capsys, tmp_path):

@@ -133,6 +133,22 @@ def test_bin_mapping_nan_outside_visible_region(ref_cfg):
     assert np.isfinite(grid[0])  # boresight always maps
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"rx_spacing_wavelengths": 0.25},
+        # bin 2 of 3 lands on endfire, sin(theta) = 1 up to rounding
+        {"num_rx_antennas": 3, "rx_spacing_wavelengths": 1 / 3},
+    ],
+)
+def test_bin_mapping_matches_derived_angle_grid(ref_cfg, changes):
+    cfg = dataclasses.replace(ref_cfg, **changes)
+    mapped = bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg)
+    np.testing.assert_array_equal(mapped, derived_resolutions(cfg)[2])
+    assert not np.isnan(mapped).all()
+
+
 # ---------------------------------------------------------------------------
 # angle stage
 

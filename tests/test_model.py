@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,3 +218,18 @@ def test_grid_shape_checks(small_cfg):
     assert check_antenna_grid(small_cfg, cube).shape == small_cfg.returns_shape
     with pytest.raises(ValueError):
         check_antenna_grid(small_cfg, cube[:-1])
+
+
+def test_grid_checks_reject_non_finite_entries(small_cfg):
+    # finite entries whose sum overflows are valid and must pass silently
+    huge = np.full(small_cfg.grid_shape, 1e308 + 1e308j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_symbol_grid(small_cfg, huge).shape == small_cfg.grid_shape
+    cube = np.ones(small_cfg.returns_shape, dtype=np.complex128)
+    cube[0, 0, 0], cube[1, 2, 3] = np.inf, -np.inf  # the pair sums to NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        check_antenna_grid(small_cfg, cube)
+    huge[2, 3] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        check_symbol_grid(small_cfg, huge)

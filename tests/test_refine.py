@@ -368,9 +368,10 @@ def test_combination_budget_is_enforced(small_cfg):
     pattern = pattern_for(small_cfg)
     data = qpsk_frame(small_cfg, seed=18)
     grid = np.ones(small_cfg.returns_shape, dtype=complex)
-    options = RefineOptions(range_points=11, max_combinations=10)
-    with pytest.raises(ValueError, match="exceed"):
-        refine_ranges(grid, data, pattern, small_cfg, [0.0, 10.0], [2, 5], options=options)
+    for fit_gains in (False, True):  # dense residual tensor and per-combination solves
+        options = RefineOptions(range_points=11, max_combinations=10, fit_gains=fit_gains)
+        with pytest.raises(ValueError, match="exceed"):
+            refine_ranges(grid, data, pattern, small_cfg, [0.0, 10.0], [2, 5], options=options)
 
 
 def test_matched_velocity_bins_recovers_true_bin(small_cfg):
@@ -422,6 +423,20 @@ def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):
     grid = radar_returns(data, pattern, small_cfg, Scene((), seed=4, snr_db=10.0))
     estimates = estimate_targets(grid, data, pattern, small_cfg)
     assert estimates.coarse == [] and estimates.refined == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_estimate_targets_rejects_non_finite_input(small_cfg, bad):
+    # one bad sample must fail loudly, not read as an empty scene
+    pattern = pattern_for(small_cfg)
+    data = qpsk_frame(small_cfg, seed=20)
+    grid = radar_returns(data, pattern, small_cfg, Scene((), seed=4, snr_db=10.0))
+    bad_grid, bad_data = grid.copy(), data.copy()
+    bad_grid[1, 2, 3] = bad
+    bad_data[2, 3] = bad
+    for received, payload in ((bad_grid, data), (grid, bad_data)):
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_targets(received, payload, pattern, small_cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # forcing one source per

@@ -1,15 +1,10 @@
-"""DFT routes against the numpy.fft oracle and the bin-index conventions."""
+"""The DFT contract against the numpy.fft oracle and the bin-index conventions."""
 
 import numpy as np
 import pytest
 
 from tmadfrc import dft, idft
-from tmadfrc.transforms import (
-    dft_direct,
-    dft_radix2,
-    signed_bin_index,
-    wrapped_bin_frequency,
-)
+from tmadfrc.transforms import signed_bin_index, wrapped_bin_frequency
 
 
 def random_complex(rng, *shape):
@@ -22,21 +17,6 @@ def test_dft_matches_numpy(n):
     reference = np.fft.fft(x)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(dft(x) - reference)) < 1e-12 * scale
-    assert np.max(np.abs(dft_direct(x) - reference)) < 1e-12 * scale
-
-
-@pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
-def test_radix2_agrees_with_direct(n):
-    x = random_complex(np.random.default_rng(n + 1), n)
-    direct = dft_direct(x)
-    fast = dft_radix2(x)
-    assert np.max(np.abs(fast - direct)) < 1e-12 * np.max(np.abs(direct))
-
-
-@pytest.mark.parametrize("n", [3, 6, 12, 24])
-def test_radix2_rejects_other_lengths(n):
-    with pytest.raises(ValueError):
-        dft_radix2(np.zeros(n, dtype=np.complex128))
 
 
 def test_dft_along_leading_axis():
