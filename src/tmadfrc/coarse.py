@@ -261,7 +261,7 @@ def coarse_pipeline(
             BinPipeline(
                 angle_bin=int(angle_bin),
                 angle_deg=angle_deg,
-                rows=beams[angle_bin],
+                rows=beams[angle_bin].copy(),  # a view would pin the whole beam cube
                 descrambled=desc.symbols,
                 masked_fraction=float(desc.masked.mean()),
                 range_response=response,

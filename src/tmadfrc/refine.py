@@ -459,7 +459,7 @@ def refine_velocities(
     _, res, _ = derived_resolutions(cfg)
     centers = np.atleast_1d(velocity_bins) * res
 
-    energy = float(np.sum(np.abs(grid) ** 2))
+    energy = float(np.vdot(grid, grid).real)
     s = np.arange(cfg.num_subcarriers)
     mu = np.arange(cfg.num_ofdm_symbols)
     phase = np.exp(
@@ -478,7 +478,8 @@ def refine_velocities(
     )  # (Q, N_s)
     base = scrambled * range_ramp[:, :, None]  # (Q, N_s, N_p): atoms sans slow-time phase
 
-    beamed = np.einsum("qm,msp->qsp", steer.conj(), grid)  # (Q, N_s, N_p)
+    # Beamform the whole cube with one BLAS product: (Q, N_r) @ (N_r, N_s * N_p).
+    beamed = (steer.conj() @ grid.reshape(cfg.num_rx_antennas, -1)).reshape(base.shape)
     h = np.einsum("qsp,qsp->qp", base.conj(), beamed)  # (Q, N_p)
     return _joint_fit(
         "velocity",

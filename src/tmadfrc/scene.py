@@ -66,9 +66,22 @@ def validate_scene(scene: Scene, cfg: SystemConfig, allow_out_of_window: bool = 
     return scene
 
 
-def _noise(rng: np.random.Generator, shape, sigma2: float) -> np.ndarray:
+def _add_noise(out: np.ndarray, seed: int, sigma2: float) -> None:
+    """Add complex white Gaussian noise of power ``sigma2`` to ``out`` in place.
+
+    Draws the real block, then the imaginary block, from ``default_rng(seed)``
+    into one reused float buffer: the same stream, and so the same bits, as
+    ``sqrt(sigma2 / 2) * (N1 + 1j * N2)`` with two successive
+    ``standard_normal(out.shape)`` draws.
+    """
+    rng = np.random.default_rng(seed)
     scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    buf = rng.standard_normal(out.shape)
+    buf *= scale
+    out.real += buf
+    rng.standard_normal(out=buf)
+    buf *= scale
+    out.imag += buf
 
 
 def radar_returns(
@@ -89,19 +102,22 @@ def radar_returns(
     data = check_symbol_grid(cfg, data)
     validate_scene(scene, cfg, allow_out_of_window=allow_out_of_window)
 
-    m = np.arange(cfg.num_rx_antennas)
-    s = np.arange(cfg.num_subcarriers)
-    mu = np.arange(cfg.num_ofdm_symbols)
-    out = np.zeros(cfg.returns_shape, dtype=np.complex128)
-    for target in scene.targets:
+    n_k = len(scene.targets)
+    n_r, n_s, n_p = cfg.returns_shape
+    m = np.arange(n_r)
+    s = np.arange(n_s)
+    mu = np.arange(n_p)
+    steers = np.empty((n_k, n_r), dtype=np.complex128)
+    slabs = np.empty((n_k, n_s, n_p), dtype=np.complex128)
+    for k, target in enumerate(scene.targets):
         scrambled = scramble_symbols(data, pattern, cfg, target.angle_deg)
         sin_theta = np.sin(np.radians(target.angle_deg))
-        steer = np.exp(-2j * np.pi * m * cfg.rx_spacing_wavelengths * sin_theta)
+        steers[k] = np.exp(-2j * np.pi * m * cfg.rx_spacing_wavelengths * sin_theta)
         range_ramp = np.exp(
             -2j * np.pi * s * cfg.subcarrier_spacing_hz * 2.0 * target.range_m / cfg.c
         )
         if cfg.narrowband_doppler:
-            doppler_hz = np.full(cfg.num_subcarriers, 2.0 * target.velocity_mps * cfg.carrier_freq_hz / cfg.c)
+            doppler_hz = np.full(n_s, 2.0 * target.velocity_mps * cfg.carrier_freq_hz / cfg.c)
         else:
             doppler_hz = (
                 2.0 * target.velocity_mps * (cfg.carrier_freq_hz + s * cfg.subcarrier_spacing_hz) / cfg.c
@@ -109,18 +125,16 @@ def radar_returns(
         slow_time = np.exp(
             2j * np.pi * cfg.symbol_duration_s * np.multiply.outer(doppler_hz, mu)
         )  # (N_s, N_p)
-        out += (
-            target.reflectivity
-            * steer[:, None, None]
-            * (scrambled * range_ramp[:, None] * slow_time)[None, :, :]
-        )
+        slabs[k] = target.reflectivity * (scrambled * range_ramp[:, None] * slow_time)
+    # Superpose all K echoes in one rank-K product: (N_r, K) @ (K, N_s * N_p).
+    out = (steers.T @ slabs.reshape(n_k, n_s * n_p)).reshape(n_r, n_s, n_p)
 
     snr_db = cfg.snr_db if scene.snr_db is None else scene.snr_db
     if np.isfinite(snr_db):
         signal_power = float(np.mean(np.abs(out) ** 2))
         reference = signal_power if signal_power > 0.0 else 1.0
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
-        out += _noise(np.random.default_rng(scene.seed), out.shape, sigma2)
+        _add_noise(out, scene.seed, sigma2)
     return out
 
 
@@ -140,7 +154,7 @@ def one_way_received(
     received = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta_deg)
     if np.isfinite(snr_db):
         sigma2 = float(np.mean(np.abs(received) ** 2)) / 10.0 ** (snr_db / 10.0)
-        received = received + _noise(np.random.default_rng(seed), received.shape, sigma2)
+        _add_noise(received, seed, sigma2)
     return received
 
 
@@ -219,13 +233,17 @@ def write_grid(path, values: np.ndarray) -> None:
     """Store a complex grid as little-endian interleaved float64 re/im.
 
     ``values`` may be 2-D (subcarrier, symbol) — stored with a leading
-    receive-element axis of 1 — or 3-D (element, subcarrier, symbol).
+    receive-element axis of 1 — or 3-D (element, subcarrier, symbol).  A grid
+    that :func:`read_grid` would refuse is rejected before the file is opened,
+    so nothing is created or truncated.
     """
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim == 2:
         values = values[None, :, :]
     if values.ndim != 3:
         raise GridFormatError(f"grid must be 2-D or 3-D, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise GridFormatError("grid contains non-finite values")
     header = _HEADER.pack(GRID_MAGIC, GRID_VERSION, *values.shape, 0)
     with open(path, "wb") as fh:
         fh.write(header)

@@ -165,9 +165,12 @@ def simulate_small(capsys, tmp_path):
 
 def test_estimate_rejects_non_finite_grid(capsys, tmp_path):
     grid_path, data_path = simulate_small(capsys, tmp_path)
+    # write_grid refuses non-finite grids, so patch a NaN into the payload bytes
     received = read_grid(str(grid_path))
-    received[0, 1, 2] = np.nan
-    write_grid(str(grid_path), received)
+    raw = bytearray(grid_path.read_bytes())
+    payload = np.frombuffer(raw, dtype="<c16", offset=len(raw) - received.nbytes)
+    payload.reshape(received.shape)[0, 1, 2] = np.nan
+    grid_path.write_bytes(bytes(raw))
     code, _, err = run(
         capsys, "estimate", *SMALL, "--grid", str(grid_path), "--data", str(data_path)
     )

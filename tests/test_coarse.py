@@ -358,6 +358,17 @@ def test_pipeline_reference_frame_bins(ref_cfg, ref_pattern, ref_frame):
     assert rows == {(20, 3, -4), (20, 3, 4), (6, 6, 9)}
 
 
+def test_pipeline_rows_own_their_data(ref_cfg, ref_pattern, ref_frame):
+    """Each bin keeps a copy of its beamformed rows, not a view that would
+    keep the whole (N_r, N_s, N_p) beam cube alive."""
+    data, received = ref_frame
+    result = coarse_pipeline(received, data, ref_pattern, ref_cfg)
+    _, beams = angle_spectrum(received, ref_cfg)
+    for bin_result in result.bins:
+        assert bin_result.rows.flags.owndata
+        assert np.array_equal(bin_result.rows, beams[bin_result.angle_bin])
+
+
 def test_detection_options_are_plumbed(on_grid):
     # an absurd angle threshold suppresses the only peak
     cfg, pattern, data, grid, _ = on_grid

@@ -120,6 +120,48 @@ def test_empty_scene_noise_calibration(ref_cfg, ref_pattern):
     assert np.mean(np.abs(got) ** 2) == pytest.approx(sigma2, rel=0.05)
 
 
+def test_empty_scene_noise_follows_documented_seed_map(ref_cfg, ref_pattern):
+    # The seed -> noise map, bit for bit: the real block, then the imaginary
+    # block, drawn from default_rng(seed) and scaled by sqrt(sigma^2 / 2).
+    data = qpsk_frame(ref_cfg, seed=24)
+    got = radar_returns(data, ref_pattern, ref_cfg, Scene((), seed=3, snr_db=10.0))
+    sigma2 = 1.0 / 10.0 ** (10.0 / 10.0)
+    rng = np.random.default_rng(3)
+    first = rng.standard_normal(ref_cfg.returns_shape)
+    second = rng.standard_normal(ref_cfg.returns_shape)
+    assert np.array_equal(got, np.sqrt(sigma2 / 2.0) * (first + 1j * second))
+
+
+def test_one_way_noise_follows_documented_seed_map(small_cfg, small_pattern):
+    data = qpsk_frame(small_cfg, seed=30)
+    theta = small_cfg.cu_angle_deg - 25.0
+    clean = one_way_received(data, small_pattern, small_cfg, theta, math.inf)
+    got = one_way_received(data, small_pattern, small_cfg, theta, 6.0, seed=11)
+    sigma2 = float(np.mean(np.abs(clean) ** 2)) / 10.0 ** (6.0 / 10.0)
+    rng = np.random.default_rng(11)
+    first = rng.standard_normal(small_cfg.grid_shape)
+    second = rng.standard_normal(small_cfg.grid_shape)
+    assert np.array_equal(got, clean + np.sqrt(sigma2 / 2.0) * (first + 1j * second))
+
+
+def test_noiseless_empty_scene_is_exact_zeros(small_cfg, small_pattern):
+    data = qpsk_frame(small_cfg, seed=31)
+    got = radar_returns(data, small_pattern, small_cfg, Scene((), snr_db=math.inf))
+    assert got.shape == small_cfg.returns_shape
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, np.zeros(small_cfg.returns_shape, dtype=complex))
+
+
+def test_same_angle_targets_superpose(small_cfg, small_pattern):
+    a = Target(-15.0, 250.0, 30.0, reflectivity=0.7 + 0.4j)
+    b = Target(-15.0, 800.0, -60.0, reflectivity=-1.1j)
+    data = qpsk_frame(small_cfg, seed=32)
+    both = radar_returns(data, small_pattern, small_cfg, Scene((a, b), snr_db=math.inf))
+    only_a = radar_returns(data, small_pattern, small_cfg, Scene((a,), snr_db=math.inf))
+    only_b = radar_returns(data, small_pattern, small_cfg, Scene((b,), snr_db=math.inf))
+    assert np.max(np.abs(both - (only_a + only_b))) < 1e-12
+
+
 def test_snr_definition_relative_to_signal(small_cfg, small_pattern):
     data = qpsk_frame(small_cfg, seed=25)
     scene = Scene((Target(10.0, 400.0, 50.0),), seed=9, snr_db=0.0)
@@ -269,6 +311,23 @@ def test_grid_file_promotes_two_dimensional_input(tmp_path):
 def test_grid_file_rejects_other_ranks(tmp_path):
     with pytest.raises(GridFormatError):
         write_grid(tmp_path / "bad.grid", np.zeros((2, 2, 2, 2), dtype=complex))
+
+
+def test_grid_file_refuses_non_finite_values_before_writing(tmp_path):
+    cube = np.zeros((2, 3, 4), dtype=complex)
+    cube[1, 2, 3] = np.nan
+    path = tmp_path / "nan.grid"
+    with pytest.raises(GridFormatError, match="non-finite"):
+        write_grid(path, cube)
+    assert not path.exists()
+    # an existing file is left as it was, not truncated
+    kept = tmp_path / "kept.grid"
+    write_grid(kept, np.ones((2, 3, 4), dtype=complex))
+    before = kept.read_bytes()
+    cube[1, 2, 3] = np.inf
+    with pytest.raises(GridFormatError, match="non-finite"):
+        write_grid(kept, cube)
+    assert kept.read_bytes() == before
 
 
 def test_truncated_header_names_byte_counts(tmp_path):
