@@ -53,9 +53,11 @@ from .model import (
     config_to_dict,
     derived_resolutions,
     load_config,
+    range_resolution_m,
     save_config,
     validate_config,
     validate_target,
+    velocity_resolution_mps,
 )
 from .refine import (
     CombinationFit,

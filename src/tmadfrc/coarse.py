@@ -34,7 +34,8 @@ from .model import (
     bin_to_angle_deg,
     check_antenna_grid,
     check_symbol_grid,
-    derived_resolutions,
+    range_resolution_m,
+    velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
 from .transforms import dft, idft, signed_bin_index
@@ -114,14 +115,12 @@ def angle_spectrum(grid: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.
 
 
 def bin_to_range_m(range_bin, cfg: SystemConfig):
-    range_res, _, _ = derived_resolutions(cfg)
-    return np.asarray(range_bin, dtype=float) * range_res
+    return np.asarray(range_bin, dtype=float) * range_resolution_m(cfg)
 
 
 def bin_to_velocity_mps(velocity_bin, cfg: SystemConfig):
     """Signed velocity bin to meters per second."""
-    _, velocity_res, _ = derived_resolutions(cfg)
-    return np.asarray(velocity_bin, dtype=float) * velocity_res
+    return np.asarray(velocity_bin, dtype=float) * velocity_resolution_mps(cfg)
 
 
 @dataclasses.dataclass(frozen=True)

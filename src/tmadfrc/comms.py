@@ -2,11 +2,12 @@
 
 The receiver protocol is fixed by the intended user: equalize by the known
 fundamental array gain in the steered direction, then slice to the nearest
-constellation point.  A receiver in the steered direction sees exactly the
-transmitted constellation plus noise; anywhere else the harmonic mixture both
-rotates the fundamental and superimposes inter-subcarrier leakage, neither of
-which the fixed protocol can undo.  :func:`ber_vs_angle` measures the
-resulting bit error rate per direction — the security figure of merit.
+constellation point (rail by rail, which is the same on a square grid).  A
+receiver in the steered direction sees exactly the transmitted constellation
+plus noise; anywhere else the harmonic mixture both rotates the fundamental
+and superimposes inter-subcarrier leakage, neither of which the fixed
+protocol can undo.  :func:`ber_vs_angle` measures the resulting bit error
+rate per direction — the security figure of merit.
 
 SNR is defined per receiver direction (noise scaled to the locally received
 signal power), which models the strongest eavesdropper: perfect gain control
@@ -21,12 +22,39 @@ import numpy as np
 from .model import SystemConfig
 from .tma import SwitchingPattern, harmonic_coefficient, scramble_symbols
 
-_DEMOD_CHUNK = 1 << 16
+
+def _gray_square_grid(bits: int) -> np.ndarray:
+    """Points of the per-rail Gray square grid with ``bits`` bits per symbol,
+    in units of half the rail spacing, indexed by label.
+
+    Each rail carries half the bits: rail position j in [0, L) maps to
+    amplitude (L - 1) - 2j under Gray label j ^ (j >> 1); the label's high
+    half picks the real rail, its low half the imaginary rail.
+    """
+    side = 1 << (bits // 2)
+    j = np.arange(side)
+    amplitude = np.empty(side)
+    amplitude[j ^ (j >> 1)] = (side - 1) - 2 * j  # index by Gray label
+    label = np.arange(1 << bits)
+    return amplitude[label >> (bits // 2)] + 1j * amplitude[label & (side - 1)]
+
+
+def _rail_unit(points: np.ndarray, bits: int) -> float:
+    """Half the rail spacing of a per-rail Gray square grid: label 0 sits at
+    (L - 1)(1 + 1j) units."""
+    return float(points[0].real) / ((1 << (bits // 2)) - 1)
 
 
 @dataclasses.dataclass(frozen=True)
 class Constellation:
-    """Unit-average-power symbol alphabet with per-rail Gray labeling."""
+    """Symbol alphabet with per-rail Gray labeling.
+
+    ``points`` must be the per-rail Gray square grid of ``square_qam`` at some
+    positive scale: the real part indexed by ``label >> (bits_per_symbol / 2)``
+    and the imaginary part by ``label & (side - 1)`` on one shared, evenly
+    spaced rail.  :func:`demodulate` slices each rail on its own and relies on
+    this layout, so any other alphabet raises ``ValueError``.
+    """
 
     name: str
     points: np.ndarray  # (2**bits_per_symbol,) complex, indexed by bit label
@@ -34,10 +62,15 @@ class Constellation:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.complex128)
-        if points.ndim != 1 or points.size != 1 << self.bits_per_symbol:
-            raise ValueError(
-                f"{self.name}: need {1 << self.bits_per_symbol} points, got {points.shape}"
-            )
+        bits = self.bits_per_symbol
+        if points.ndim != 1 or points.size != 1 << bits:
+            raise ValueError(f"{self.name}: need {1 << bits} points, got {points.shape}")
+        unit = _rail_unit(points, bits) if bits >= 2 and bits % 2 == 0 else math.nan
+        if not (
+            0.0 < unit < math.inf
+            and np.allclose(points, unit * _gray_square_grid(bits), rtol=0.0, atol=1e-9 * unit)
+        ):
+            raise ValueError(f"{self.name}: points are not a per-rail Gray square grid")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
 
@@ -45,20 +78,14 @@ class Constellation:
 def square_qam(order: int) -> Constellation:
     """Gray-labeled square QAM normalized to unit average power.
 
-    Each rail carries half the bits: rail position j in [0, L) maps to
-    amplitude (L - 1) - 2j under Gray label j ^ (j >> 1), so horizontally or
-    vertically adjacent points differ in exactly one bit.
+    Horizontally or vertically adjacent points differ in exactly one bit (see
+    :func:`_gray_square_grid` for the labeling).
     """
     side = math.isqrt(order)
     if side * side != order or side < 2 or side & (side - 1):
         raise ValueError(f"order must be an even power of two >= 4, got {order}")
-    j = np.arange(side)
-    amplitude = np.empty(side)
-    amplitude[j ^ (j >> 1)] = (side - 1) - 2 * j  # index by Gray label
     bits = order.bit_length() - 1
-    label = np.arange(order)
-    points = amplitude[label >> (bits // 2)] + 1j * amplitude[label & (side - 1)]
-    points = points / math.sqrt(2.0 * (side * side - 1) / 3.0)
+    points = _gray_square_grid(bits) / math.sqrt(2.0 * (side * side - 1) / 3.0)
     name = "QPSK" if order == 4 else f"{order}-QAM"
     return Constellation(name=name, points=points, bits_per_symbol=bits)
 
@@ -70,28 +97,44 @@ def qpsk() -> Constellation:
 def modulate(bits, constellation: Constellation) -> np.ndarray:
     """Bit stream (multiple of bits_per_symbol long, MSB first) to symbols."""
     bits = np.asarray(bits)
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
     k = constellation.bits_per_symbol
     if bits.size % k:
         raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
-    weights = 1 << np.arange(k - 1, -1, -1)
-    labels = bits.reshape(-1, k) @ weights
+    columns = bits.reshape(-1, k).astype(np.intp, copy=False)
+    labels = columns[:, 0] << (k - 1)
+    for m in range(1, k):
+        labels |= columns[:, m] << (k - 1 - m)
     return constellation.points[labels]
 
 
 def demodulate(symbols, constellation: Constellation) -> np.ndarray:
-    """Nearest-point slicing back to the bit stream (MSB first)."""
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    k = constellation.bits_per_symbol
-    labels = np.empty(symbols.size, dtype=np.intp)
-    for lo in range(0, symbols.size, _DEMOD_CHUNK):
-        chunk = symbols[lo : lo + _DEMOD_CHUNK]
-        labels[lo : lo + _DEMOD_CHUNK] = np.argmin(
-            np.abs(chunk[:, None] - constellation.points[None, :]), axis=1
-        )
-    shifts = np.arange(k - 1, -1, -1)
-    return ((labels[:, None] >> shifts) & 1).ravel().astype(np.uint8)
+    """Nearest-point slicing back to the bit stream (MSB first), rail by rail.
+
+    On a square grid the nearest point is the nearest position on each rail,
+    and a rail's Gray bits follow from folding.  With the rail value y in
+    units of half the rail spacing (positions at +-1, +-3, ..., +-(L - 1)),
+    bit 0 is ``y < 0``; then y becomes |y|, bit m is ``y < L / 2**m`` and y
+    folds to |y - L / 2**m| before the next bit.  The interleaved float view
+    (re, im, re, ...) decides both rails in one pass, in MSB-first order.
+
+    A rail exactly on a decision boundary goes to the lower label, as the
+    first minimum of an argmin over the labels does: for QPSK a rail of +0.0
+    or -0.0 gives bit 0.
+    """
+    rails = np.asarray(symbols, dtype=np.complex128).ravel().view(np.float64)
+    half = constellation.bits_per_symbol // 2
+    bits = np.empty((rails.size, half), dtype=np.uint8)
+    np.less(rails, 0.0, out=bits[:, 0])
+    if half > 1:
+        folded = np.abs(rails) / _rail_unit(constellation.points, constellation.bits_per_symbol)
+        threshold = float(1 << (half - 1))
+        for m in range(1, half):
+            np.less(folded, threshold, out=bits[:, m])
+            folded = np.abs(folded - threshold)
+            threshold /= 2.0
+    return bits.reshape(-1)
 
 
 def ber(sent_bits, received_bits) -> float:
@@ -102,13 +145,30 @@ def ber(sent_bits, received_bits) -> float:
     return float(np.mean(sent != got))
 
 
+def add_noise(out: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
+    """Add complex white Gaussian noise of power ``sigma2`` to ``out`` in place.
+
+    Draws the real block, then the imaginary block, from ``rng`` into one
+    reused float buffer: the same stream, and so the same bits, as
+    ``sqrt(sigma2 / 2) * (N1 + 1j * N2)`` with two successive
+    ``standard_normal(out.shape)`` draws.
+    """
+    scale = np.sqrt(sigma2 / 2.0)
+    buf = rng.standard_normal(out.shape)
+    buf *= scale
+    out.real += buf
+    rng.standard_normal(out=buf)
+    buf *= scale
+    out.imag += buf
+
+
 def awgn(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Add complex white Gaussian noise at the given SNR relative to the
-    mean power of ``signal``."""
-    signal = np.asarray(signal, dtype=np.complex128)
-    sigma2 = float(np.mean(np.abs(signal) ** 2)) / 10.0 ** (snr_db / 10.0)
-    noise = rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
-    return signal + np.sqrt(sigma2 / 2.0) * noise
+    """A noisy copy of ``signal``: complex white Gaussian noise at the given
+    SNR relative to its mean power (see :func:`add_noise`)."""
+    out = np.array(signal, dtype=np.complex128)
+    sigma2 = float(np.mean(np.abs(out) ** 2)) / 10.0 ** (snr_db / 10.0)
+    add_noise(out, sigma2, rng)
+    return out
 
 
 def qpsk_awgn_ber(snr_db: float) -> float:
@@ -147,8 +207,8 @@ def link_ber(
     received = scramble_symbols(grid, pattern, cfg, theta_deg)
     if np.isfinite(snr):
         received = awgn(received, snr, rng)
-    reference = harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
-    return ber(bits, demodulate(received / reference, constellation))
+    received /= harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
+    return ber(bits, demodulate(received, constellation))
 
 
 def ber_vs_angle(

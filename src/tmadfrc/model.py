@@ -130,14 +130,27 @@ def derived_resolutions(cfg: SystemConfig):
 
     Returns:
         (range_res_m, velocity_res_mps, angle_grid_deg) where angle_grid_deg
-        is :func:`bin_to_angle_deg` of every receive-DFT bin index.
+        is :func:`bin_to_angle_deg` of every receive-DFT bin index.  Code that
+        needs one resolution calls :func:`range_resolution_m` or
+        :func:`velocity_resolution_mps`, which skip the angle grid.
     """
-    validate_config(cfg)
-    range_res = cfg.c / (2.0 * cfg.num_subcarriers * cfg.subcarrier_spacing_hz)
-    velocity_res = cfg.c / (
-        2.0 * cfg.carrier_freq_hz * cfg.num_ofdm_symbols * cfg.symbol_duration_s
+    return (
+        range_resolution_m(cfg),
+        velocity_resolution_mps(cfg),
+        bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg),
     )
-    return range_res, velocity_res, bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg)
+
+
+def range_resolution_m(cfg: SystemConfig) -> float:
+    """Range cell of a validated ``cfg``: one bin of the subcarrier IDFT."""
+    validate_config(cfg)
+    return cfg.c / (2.0 * cfg.num_subcarriers * cfg.subcarrier_spacing_hz)
+
+
+def velocity_resolution_mps(cfg: SystemConfig) -> float:
+    """Velocity cell of a validated ``cfg``: one bin of the slow-time DFT."""
+    validate_config(cfg)
+    return cfg.c / (2.0 * cfg.carrier_freq_hz * cfg.num_ofdm_symbols * cfg.symbol_duration_s)
 
 
 def bin_to_sine(angle_bin, cfg: SystemConfig):

@@ -69,7 +69,8 @@ from .model import (
     bin_to_sine,
     check_antenna_grid,
     check_symbol_grid,
-    derived_resolutions,
+    range_resolution_m,
+    velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
 from .transforms import signed_bin_index
@@ -241,7 +242,7 @@ class CombinationFit:
 def candidate_range_grid(range_bins, cfg: SystemConfig, points: int = 101) -> np.ndarray:
     """Union of per-bin windows (bin center +- half a range cell, inclusive);
     negative candidates are dropped."""
-    res, _, _ = derived_resolutions(cfg)
+    res = range_resolution_m(cfg)
     windows = [
         np.linspace(bin_index * res - res / 2.0, bin_index * res + res / 2.0, points)
         for bin_index in np.atleast_1d(range_bins)
@@ -252,7 +253,7 @@ def candidate_range_grid(range_bins, cfg: SystemConfig, points: int = 101) -> np
 
 def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int = 11) -> np.ndarray:
     """Union of per-signed-bin windows (center +- half a velocity cell)."""
-    _, res, _ = derived_resolutions(cfg)
+    res = velocity_resolution_mps(cfg)
     windows = [
         np.linspace(bin_index * res - res / 2.0, bin_index * res + res / 2.0, points)
         for bin_index in np.atleast_1d(velocity_bins)
@@ -402,7 +403,7 @@ def refine_ranges(
     data = check_symbol_grid(cfg, data)
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     candidates = candidate_range_grid(range_bins, cfg, options.range_points)
-    res, _, _ = derived_resolutions(cfg)
+    res = range_resolution_m(cfg)
     centers = np.atleast_1d(range_bins) * res
 
     snapshot = grid[:, :, 0]  # (N_r, N_s)
@@ -456,7 +457,7 @@ def refine_velocities(
     if angles.shape != ranges.shape:
         raise ValueError("need one refined range per angle")
     candidates = candidate_velocity_grid(velocity_bins, cfg, options.velocity_points)
-    _, res, _ = derived_resolutions(cfg)
+    res = velocity_resolution_mps(cfg)
     centers = np.atleast_1d(velocity_bins) * res
 
     energy = float(np.vdot(grid, grid).real)
@@ -519,7 +520,7 @@ def matched_velocity_bins(
     rows = check_symbol_grid(cfg, rows)
     desc = descramble(rows, data, pattern, cfg, float(theta_deg), options=detection)
     response = range_response(desc.symbols, cfg)
-    res, _, _ = derived_resolutions(cfg)
+    res = range_resolution_m(cfg)
     gate = int(np.rint(float(range_m) / res)) % cfg.num_subcarriers
     spectrum = velocity_spectrum(response[gate], cfg)
     tops = _top_local_maxima(spectrum, count)

@@ -27,6 +27,7 @@ import struct
 
 import numpy as np
 
+from .comms import add_noise
 from .model import (
     SceneError,
     SystemConfig,
@@ -64,24 +65,6 @@ def validate_scene(scene: Scene, cfg: SystemConfig, allow_out_of_window: bool = 
             f"{cfg.num_rx_antennas - 1} the receive array can identify"
         )
     return scene
-
-
-def _add_noise(out: np.ndarray, seed: int, sigma2: float) -> None:
-    """Add complex white Gaussian noise of power ``sigma2`` to ``out`` in place.
-
-    Draws the real block, then the imaginary block, from ``default_rng(seed)``
-    into one reused float buffer: the same stream, and so the same bits, as
-    ``sqrt(sigma2 / 2) * (N1 + 1j * N2)`` with two successive
-    ``standard_normal(out.shape)`` draws.
-    """
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(sigma2 / 2.0)
-    buf = rng.standard_normal(out.shape)
-    buf *= scale
-    out.real += buf
-    rng.standard_normal(out=buf)
-    buf *= scale
-    out.imag += buf
 
 
 def radar_returns(
@@ -134,7 +117,7 @@ def radar_returns(
         signal_power = float(np.mean(np.abs(out) ** 2))
         reference = signal_power if signal_power > 0.0 else 1.0
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
-        _add_noise(out, scene.seed, sigma2)
+        add_noise(out, sigma2, np.random.default_rng(scene.seed))
     return out
 
 
@@ -154,7 +137,7 @@ def one_way_received(
     received = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta_deg)
     if np.isfinite(snr_db):
         sigma2 = float(np.mean(np.abs(received) ** 2)) / 10.0 ** (snr_db / 10.0)
-        _add_noise(received, seed, sigma2)
+        add_noise(received, sigma2, np.random.default_rng(seed))
     return received
 
 

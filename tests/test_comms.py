@@ -20,6 +20,7 @@ from tmadfrc import (
     scramble_symbols,
 )
 from tmadfrc.comms import (
+    Constellation,
     awgn,
     ber,
     ber_vs_angle,
@@ -32,6 +33,23 @@ from tmadfrc.comms import (
 def binomial_band(p, n, sigmas=4.0):
     half = sigmas * math.sqrt(p * (1.0 - p) / n)
     return p - half, p + half
+
+
+def argmin_demodulate(symbols, constellation):
+    """Oracle: nearest point over the whole alphabet, first (lowest) label on
+    a tie, expanded to bits MSB first."""
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    labels = np.argmin(np.abs(symbols[:, None] - constellation.points[None, :]), axis=1)
+    shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
+    return ((labels[:, None] >> shifts) & 1).ravel().astype(np.uint8)
+
+
+def integer_qam(order):
+    """``square_qam(order)`` scaled to odd-integer rails, so every midpoint
+    between neighbouring rail positions is an exact float tie."""
+    c = square_qam(order)
+    norm = math.sqrt(2.0 * (order - 1) / 3.0)
+    return Constellation(f"integer {c.name}", np.round(c.points * norm), c.bits_per_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +113,93 @@ def test_modulate_rejects_non_binary_bits():
         modulate([0, 2], qpsk())
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_modulate_rejects_every_non_binary_value(bad):
+    with pytest.raises(ValueError, match="bits"):
+        modulate([1, 0, bad, 1], square_qam(16))
+
+
+@pytest.mark.parametrize("order", [4, 16])
+def test_modulate_accepts_float_and_bool_bits(order):
+    c = square_qam(order)
+    bits = np.random.default_rng(12).integers(0, 2, size=40 * c.bits_per_symbol)
+    expected = modulate(bits, c)
+    np.testing.assert_array_equal(modulate(bits.astype(float), c), expected)
+    np.testing.assert_array_equal(modulate(bits.astype(bool), c), expected)
+    np.testing.assert_array_equal(modulate(bits.tolist(), c), expected)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_demodulate_matches_nearest_point_oracle(order):
+    c = square_qam(order)
+    rng = np.random.default_rng(order)
+    bits = rng.integers(0, 2, size=20_000 * c.bits_per_symbol)
+    for sigma in (0.05, 0.3, 1.5):  # from clean clusters to far outside the grid
+        noise = rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
+        noisy = modulate(bits, c) + sigma * noise
+        np.testing.assert_array_equal(demodulate(noisy, c), argmin_demodulate(noisy, c))
+
+
+def test_demodulate_keeps_grid_shape_order():
+    c = square_qam(16)
+    noisy = np.random.default_rng(13).standard_normal((3, 5, 2)) @ np.array([1.0, 1j])
+    np.testing.assert_array_equal(demodulate(noisy, c), argmin_demodulate(noisy, c))
+    np.testing.assert_array_equal(
+        demodulate(noisy.T, c), argmin_demodulate(np.ascontiguousarray(noisy.T), c)
+    )
+
+
+def test_qpsk_decision_boundary_goes_to_lower_label():
+    c = qpsk()
+    rails = [0.0, -0.0, 0.5, -0.5]
+    symbols = np.array([complex(re, im) for re in rails for im in rails])
+    got = demodulate(symbols, c)
+    np.testing.assert_array_equal(got, argmin_demodulate(symbols, c))
+    # +0.0 and -0.0 both give bit 0 on their rail
+    np.testing.assert_array_equal(got.reshape(-1, 2)[:2], [[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_every_decision_boundary_goes_to_lower_label(order):
+    c = integer_qam(order)
+    side = math.isqrt(order)
+    # every position and every boundary of the rail, plus points beyond both ends
+    rail = np.arange(-side - 2, side + 3, dtype=float)
+    symbols = (rail[:, None] + 1j * rail[None, :]).ravel()
+    np.testing.assert_array_equal(demodulate(symbols, c), argmin_demodulate(symbols, c))
+
+
+def test_demodulate_takes_rail_scale_from_points():
+    base = square_qam(64)
+    scaled = Constellation("64-QAM x 2.5", 2.5 * base.points, base.bits_per_symbol)
+    rng = np.random.default_rng(14)
+    noisy = 2.5 * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
+    np.testing.assert_array_equal(demodulate(noisy, scaled), argmin_demodulate(noisy, scaled))
+
+
+@pytest.mark.parametrize(
+    "points, bits",
+    [
+        (np.array([1.0, -1.0]), 1),  # BPSK: no square grid
+        (square_qam(16).points[::-1], 4),  # labels reversed
+        (square_qam(16).points.conj(), 4),  # imaginary rail mirrored
+        (-square_qam(16).points, 4),  # negative scale
+        (square_qam(16).points.imag + 1j * square_qam(16).points.real, 4),  # rails swapped
+        (np.sign(square_qam(16).points.real) + 1j * square_qam(16).points.imag, 4),
+        (np.zeros(16, dtype=complex), 4),  # zero scale
+        (np.full(16, np.nan + 0j), 4),
+    ],
+)
+def test_constellation_rejects_non_square_gray_grids(points, bits):
+    with pytest.raises(ValueError, match="per-rail Gray square grid"):
+        Constellation("custom", points, bits)
+
+
+def test_constellation_rejects_wrong_point_count():
+    with pytest.raises(ValueError, match="need 16 points"):
+        Constellation("short", square_qam(16).points[:15], 4)
+
+
 def test_modulate_rejects_partial_symbols():
     with pytest.raises(ValueError, match="multiple"):
         modulate([0, 1, 1], qpsk())
@@ -117,6 +222,21 @@ def test_awgn_noise_power_calibration():
     noisy = awgn(signal, 7.0, rng)
     measured = float(np.mean(np.abs(noisy - signal) ** 2))
     assert measured == pytest.approx(10.0 ** (-0.7), rel=0.02)
+
+
+def test_awgn_follows_documented_seed_map():
+    # real block, then imaginary block, from the caller's generator, scaled
+    # by sqrt(sigma^2 / 2) with sigma^2 from the signal's mean power
+    signal = modulate(np.random.default_rng(15).integers(0, 2, size=4 * 3000), square_qam(16))
+    signal = signal.reshape(30, 100)
+    before = signal.copy()
+    got = awgn(signal, 4.0, np.random.default_rng(16))
+    np.testing.assert_array_equal(signal, before)  # the caller's array is untouched
+    sigma2 = float(np.mean(np.abs(signal) ** 2)) / 10.0 ** (4.0 / 10.0)
+    rng = np.random.default_rng(16)
+    first = rng.standard_normal(signal.shape)
+    second = rng.standard_normal(signal.shape)
+    assert np.array_equal(got, signal + np.sqrt(sigma2 / 2.0) * (first + 1j * second))
 
 
 def test_qpsk_awgn_theory_curve():
@@ -166,6 +286,46 @@ def test_link_ber_invariant_to_common_switching_delay(ref_cfg, ref_pattern):
     base = link_ber(ref_cfg, ref_pattern, qpsk(), ref_cfg.cu_angle_deg, snr_db=10.0)
     moved = link_ber(ref_cfg, shifted, qpsk(), ref_cfg.cu_angle_deg, snr_db=10.0)
     assert base == moved
+
+
+def old_link_ber(cfg, pattern, constellation, theta_deg, snr_db, count, rng):
+    """Oracle: the link chain before the per-rail slicer (isin check, label
+    matmul, out-of-place noise and equalization, argmin slicing)."""
+    k = constellation.bits_per_symbol
+    bits = rng.integers(0, 2, size=count * k)
+    assert np.isin(bits, (0, 1)).all()
+    labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+    grid = constellation.points[labels].reshape(cfg.num_subcarriers, -1)
+    received = scramble_symbols(grid, pattern, cfg, theta_deg)
+    if np.isfinite(snr_db):
+        sigma2 = float(np.mean(np.abs(received) ** 2)) / 10.0 ** (snr_db / 10.0)
+        noise = rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
+        received = received + np.sqrt(sigma2 / 2.0) * noise
+    reference = harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
+    return ber(bits, argmin_demodulate(received / reference, constellation))
+
+
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("snr_db", [10.0, np.inf])
+def test_ber_vs_angle_matches_old_chain(ref_cfg, ref_pattern, order, snr_db):
+    c = square_qam(order)
+    angles = np.append(np.linspace(-85.0, 85.0, 19), ref_cfg.cu_angle_deg)
+    got = ber_vs_angle(ref_cfg, ref_pattern, c, angles, snr_db=snr_db, num_symbols=512, seed=6)
+    children = np.random.SeedSequence(6).spawn(angles.size)
+    expected = [
+        old_link_ber(ref_cfg, ref_pattern, c, theta, snr_db, 512, np.random.default_rng(child))
+        for theta, child in zip(angles, children)
+    ]
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_link_ber_leaves_caller_arrays_unchanged(ref_cfg, ref_pattern):
+    c = square_qam(16)
+    before = (ref_pattern.duty.copy(), ref_pattern.tau_on.copy(), c.points.copy())
+    link_ber(ref_cfg, ref_pattern, c, 20.0, snr_db=10.0, num_symbols=512)
+    link_ber(ref_cfg, ref_pattern, c, ref_cfg.cu_angle_deg, snr_db=np.inf, num_symbols=512)
+    for array, copy in zip((ref_pattern.duty, ref_pattern.tau_on, c.points), before):
+        np.testing.assert_array_equal(array, copy)
 
 
 def test_always_on_array_has_no_security(ref_cfg, ref_pattern):

@@ -21,9 +21,11 @@ from tmadfrc import (
     config_to_dict,
     derived_resolutions,
     load_config,
+    range_resolution_m,
     save_config,
     validate_config,
     validate_target,
+    velocity_resolution_mps,
 )
 from tmadfrc.model import (
     ROUNDED_SPEED_OF_LIGHT,
@@ -96,6 +98,18 @@ def test_reference_resolutions(ref_cfg):
     assert angle_grid[20] == pytest.approx(math.degrees(math.asin(1.0 / 3.0)), abs=1e-9)
     assert angle_grid[6] == pytest.approx(-30.0, abs=1e-9)
     assert angle_grid[0] == 0.0
+
+
+def test_single_resolutions_match_derived_resolutions(ref_cfg, small_cfg):
+    for cfg in (ref_cfg, small_cfg, dataclasses.replace(ref_cfg, rounded_speed_of_light=False)):
+        range_res, velocity_res, _ = derived_resolutions(cfg)
+        assert range_resolution_m(cfg) == range_res
+        assert velocity_resolution_mps(cfg) == velocity_res
+        assert range_res == cfg.c / (2.0 * cfg.num_subcarriers * cfg.subcarrier_spacing_hz)
+    bad = dataclasses.replace(ref_cfg, subcarrier_spacing_hz=-1.0)
+    for resolution in (range_resolution_m, velocity_resolution_mps):
+        with pytest.raises(ConfigError, match="subcarrier_spacing_hz"):
+            resolution(bad)
 
 
 def test_windows_are_resolution_times_bin_count(ref_cfg):
