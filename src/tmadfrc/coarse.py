@@ -109,9 +109,19 @@ def angle_spectrum(grid: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.
         subcarriers and symbols per angle bin, ``beams`` the full complex
         DFT cube with the bin axis first.
     """
-    grid = check_antenna_grid(cfg, grid)
+    return _angle_spectrum(check_antenna_grid(cfg, grid))
+
+
+def _angle_spectrum(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`angle_spectrum` of an already validated grid.  The magnitudes
+    are summed one beam at a time through one reused buffer, so no
+    cube-sized ``|beams|`` temporary is allocated."""
     beams = dft(grid, axis=0)
-    return np.abs(beams).sum(axis=(1, 2)), beams
+    spectrum = np.empty(beams.shape[0])
+    magnitude = np.empty(beams.shape[1:])
+    for k, beam in enumerate(beams):
+        spectrum[k] = np.abs(beam, out=magnitude).sum()
+    return spectrum, beams
 
 
 def bin_to_range_m(range_bin, cfg: SystemConfig):
@@ -147,6 +157,14 @@ def descramble(
     """
     rows = check_symbol_grid(cfg, rows)
     reference = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta_deg)
+    return _descramble(rows, reference, theta_deg, options)
+
+
+def _descramble(
+    rows: np.ndarray, reference: np.ndarray, theta_deg: float, options: DetectionOptions
+) -> DescrambleResult:
+    """:func:`descramble` of validated rows by the symbols already scrambled
+    toward ``theta_deg``."""
     magnitude = np.abs(reference)
     epsilon = options.descramble_guard * float(np.median(magnitude))
     masked = magnitude < epsilon
@@ -222,7 +240,21 @@ def coarse_pipeline(
         NoPeaksError: when no angle bin clears the detection threshold.
         DegenerateBinError: when a detected direction cannot be descrambled.
     """
-    spectrum, beams = angle_spectrum(grid, cfg)
+    grid = check_antenna_grid(cfg, grid)
+    data = check_symbol_grid(cfg, data)
+    return _coarse_pipeline(grid, data, pattern, cfg, options)
+
+
+def _coarse_pipeline(
+    grid: np.ndarray,
+    data: np.ndarray,
+    pattern: SwitchingPattern,
+    cfg: SystemConfig,
+    options: DetectionOptions,
+) -> CoarseResult:
+    """:func:`coarse_pipeline` of a validated grid and payload: each bin
+    center is scrambled once, and nothing re-validates the cube."""
+    spectrum, beams = _angle_spectrum(grid)
     angle_bins = detect_peaks(spectrum, options.angle_peaks)
     angle_bins = angle_bins[~np.isnan(bin_to_angle_deg(angle_bins, cfg))]
     if angle_bins.size == 0:
@@ -232,7 +264,8 @@ def coarse_pipeline(
     bin_results = []
     for angle_bin in angle_bins:
         angle_deg = float(bin_to_angle_deg(int(angle_bin), cfg))
-        desc = descramble(beams[angle_bin], data, pattern, cfg, angle_deg, options=options)
+        reference = scramble_symbols(data, pattern, cfg, angle_deg)
+        desc = _descramble(beams[angle_bin], reference, angle_deg, options)
         response = range_response(desc.symbols, cfg)
         profile = np.abs(response).mean(axis=1)
         range_bins = detect_peaks(profile, options.range_peaks)

@@ -145,21 +145,30 @@ def ber(sent_bits, received_bits) -> float:
     return float(np.mean(sent != got))
 
 
+# Floats of noise drawn per block by add_noise: 512 KB, a reused buffer
+# instead of a temporary the size of the grid.
+_NOISE_BLOCK = 65_536
+
+
 def add_noise(out: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
     """Add complex white Gaussian noise of power ``sigma2`` to ``out`` in place.
 
-    Draws the real block, then the imaginary block, from ``rng`` into one
-    reused float buffer: the same stream, and so the same bits, as
-    ``sqrt(sigma2 / 2) * (N1 + 1j * N2)`` with two successive
-    ``standard_normal(out.shape)`` draws.
+    Draws the real block, then the imaginary block, from ``rng``: the same
+    stream, and so the same bits, as ``sqrt(sigma2 / 2) * (N1 + 1j * N2)``
+    with two successive ``standard_normal(out.shape)`` draws.  Each block is
+    drawn 65 536 floats at a time through one reused buffer.
     """
+    if not out.flags.c_contiguous:
+        raise ValueError("add_noise needs a C-contiguous array")
     scale = np.sqrt(sigma2 / 2.0)
-    buf = rng.standard_normal(out.shape)
-    buf *= scale
-    out.real += buf
-    rng.standard_normal(out=buf)
-    buf *= scale
-    out.imag += buf
+    flat = out.reshape(-1)  # a view, since out is contiguous
+    buf = np.empty(min(flat.size, _NOISE_BLOCK))
+    for rail in (flat.real, flat.imag):
+        for start in range(0, flat.size, _NOISE_BLOCK):
+            chunk = buf[: min(_NOISE_BLOCK, flat.size - start)]
+            rng.standard_normal(out=chunk)
+            chunk *= scale
+            rail[start : start + chunk.size] += chunk
 
 
 def awgn(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
@@ -197,6 +206,8 @@ def link_ber(
         rng = np.random.default_rng(0)
     snr = cfg.snr_db if snr_db is None else snr_db
     count = cfg.num_subcarriers * cfg.num_ofdm_symbols if num_symbols is None else num_symbols
+    if count <= 0:
+        raise ValueError(f"num_symbols must be positive, got {count}")
     if count % cfg.num_subcarriers:
         raise ValueError(
             f"num_symbols must fill whole OFDM symbols "

@@ -57,8 +57,8 @@ import numpy as np
 from .coarse import (
     DetectionOptions,
     NoPeaksError,
-    coarse_pipeline,
-    descramble,
+    _coarse_pipeline,
+    _descramble,
     range_response,
     velocity_spectrum,
 )
@@ -381,7 +381,8 @@ def _joint_fit(kind, steer, atoms, projections, pair_weight, energy, candidates,
             f"refined {kind} hit the edge of its search window; the optimum "
             "may lie outside the coarse cell",
             RuntimeWarning,
-            stacklevel=3,
+            # caller of the public function -> public function -> worker -> here
+            stacklevel=4,
         )
     return fit
 
@@ -402,6 +403,18 @@ def refine_ranges(
     grid = check_antenna_grid(cfg, grid)
     data = check_symbol_grid(cfg, data)
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    symbol0 = _scrambled(data[:, 0], pattern, cfg, angles)
+    return _refine_ranges(grid, symbol0, cfg, angles, range_bins, options)
+
+
+def _scrambled(data, pattern, cfg, angles) -> np.ndarray:
+    """Symbols scrambled toward each angle, stacked: (Q, N_s, ...)."""
+    return np.stack([scramble_symbols(data, pattern, cfg, angle) for angle in angles])
+
+
+def _refine_ranges(grid, symbol0, cfg, angles, range_bins, options) -> CombinationFit:
+    """:func:`refine_ranges` of a validated grid, with ``symbol0[q]`` OFDM
+    symbol 0 of the payload scrambled toward ``angles[q]``, (Q, N_s)."""
     candidates = candidate_range_grid(range_bins, cfg, options.range_points)
     res = range_resolution_m(cfg)
     centers = np.atleast_1d(range_bins) * res
@@ -414,16 +427,13 @@ def refine_ranges(
     )  # (N_s, n_grid)
 
     steer = steering_vector(cfg, angles)  # (Q, N_r)
-    scrambled = np.stack(
-        [scramble_symbols(data[:, 0], pattern, cfg, angle) for angle in angles]
-    )  # (Q, N_s)
     beamed = steer.conj() @ snapshot  # (Q, N_s)
     return _joint_fit(
         "range",
         steer,
         ramps,
-        scrambled.conj() * beamed,
-        lambda q, p: scrambled[q].conj() * scrambled[p],
+        symbol0.conj() * beamed,
+        lambda q, p: symbol0[q].conj() * symbol0[p],
         energy,
         candidates,
         centers,
@@ -456,11 +466,21 @@ def refine_velocities(
     ranges = np.atleast_1d(np.asarray(ranges_m, dtype=float))
     if angles.shape != ranges.shape:
         raise ValueError("need one refined range per angle")
+    energy = float(np.vdot(grid, grid).real)
+    scrambled = _scrambled(data, pattern, cfg, angles)
+    return _refine_velocities(grid, energy, scrambled, cfg, angles, ranges, velocity_bins, options)
+
+
+def _refine_velocities(
+    grid, energy, scrambled, cfg, angles, ranges, velocity_bins, options
+) -> CombinationFit:
+    """:func:`refine_velocities` of a validated grid with its energy
+    ``||grid||^2`` and the payload scrambled toward each angle,
+    (Q, N_s, N_p)."""
     candidates = candidate_velocity_grid(velocity_bins, cfg, options.velocity_points)
     res = velocity_resolution_mps(cfg)
     centers = np.atleast_1d(velocity_bins) * res
 
-    energy = float(np.vdot(grid, grid).real)
     s = np.arange(cfg.num_subcarriers)
     mu = np.arange(cfg.num_ofdm_symbols)
     phase = np.exp(
@@ -471,9 +491,6 @@ def refine_velocities(
     )  # (N_p, n_grid)
 
     steer = steering_vector(cfg, angles)  # (Q, N_r)
-    scrambled = np.stack(
-        [scramble_symbols(data, pattern, cfg, angle) for angle in angles]
-    )  # (Q, N_s, N_p)
     range_ramp = np.exp(
         -2j * np.pi * np.multiply.outer(2.0 * ranges / cfg.c, s * cfg.subcarrier_spacing_hz)
     )  # (Q, N_s)
@@ -518,7 +535,15 @@ def matched_velocity_bins(
     joint fit sort out the pairing avoids that coin flip.
     """
     rows = check_symbol_grid(cfg, rows)
-    desc = descramble(rows, data, pattern, cfg, float(theta_deg), options=detection)
+    theta = float(theta_deg)
+    reference = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta)
+    return _matched_velocity_bins(rows, reference, cfg, theta, range_m, count, detection)
+
+
+def _matched_velocity_bins(rows, reference, cfg, theta_deg, range_m, count, detection) -> list:
+    """:func:`matched_velocity_bins` of validated rows, descrambled by the
+    payload already scrambled toward ``theta_deg``."""
+    desc = _descramble(rows, reference, theta_deg, detection)
     response = range_response(desc.symbols, cfg)
     res = range_resolution_m(cfg)
     gate = int(np.rint(float(range_m) / res)) % cfg.num_subcarriers
@@ -548,13 +573,18 @@ def estimate_targets(
     capped at num_rx_antennas - 1.  Each bin then contributes as many refined
     sources as its pseudospectrum window shows qualifying peaks (or exactly
     ``options.num_sources`` when that override is set).
+
+    The grid and payload are validated here, once; the per-bin stages then
+    run unchecked, and each refined angle is scrambled once for the range
+    fit, the matched velocity spectra and the velocity fit together.
     """
     grid = check_antenna_grid(cfg, grid)
     data = check_symbol_grid(cfg, data)
     try:
-        coarse = coarse_pipeline(grid, data, pattern, cfg, detection)
+        coarse = _coarse_pipeline(grid, data, pattern, cfg, detection)
     except NoPeaksError:
         return EstimateSet(coarse=[], refined=[])
+    energy = float(np.vdot(grid, grid).real)
 
     covariance = sample_covariance(grid, options.covariance_symbol)
     max_dim = cfg.num_rx_antennas - 1
@@ -573,27 +603,34 @@ def estimate_targets(
         count = options.num_sources or _peak_count(spectrum, options.peak_rel_threshold)
         count = max(1, min(count, dimension))
         angles = search[_top_local_maxima(spectrum, count)]
-        range_fit = refine_ranges(
-            grid, data, pattern, cfg, angles, bin_result.range_bins, options
+        scrambled = _scrambled(data, pattern, cfg, angles)  # (Q, N_s, N_p)
+        range_fit = _refine_ranges(
+            grid, scrambled[:, :, 0], cfg, angles, bin_result.range_bins, options
         )
         velocity_bins = set()
         for bins in bin_result.velocity_bins:
             velocity_bins.update(int(b) for b in bins)
         for q, angle in enumerate(angles):
             velocity_bins.update(
-                matched_velocity_bins(
+                _matched_velocity_bins(
                     bin_result.rows,
-                    data,
-                    pattern,
+                    scrambled[q],
                     cfg,
-                    angle,
+                    float(angle),
                     range_fit.values[q],
-                    count=len(angles),
-                    detection=detection,
+                    len(angles),
+                    detection,
                 )
             )
-        velocity_fit = refine_velocities(
-            grid, data, pattern, cfg, angles, range_fit.values, sorted(velocity_bins), options
+        velocity_fit = _refine_velocities(
+            grid,
+            energy,
+            scrambled,
+            cfg,
+            angles,
+            range_fit.values,
+            sorted(velocity_bins),
+            options,
         )
         for q, angle in enumerate(angles):
             refined.append(

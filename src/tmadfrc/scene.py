@@ -114,7 +114,7 @@ def radar_returns(
 
     snr_db = cfg.snr_db if scene.snr_db is None else scene.snr_db
     if np.isfinite(snr_db):
-        signal_power = float(np.mean(np.abs(out) ** 2))
+        signal_power = float(np.vdot(out, out).real / out.size)
         reference = signal_power if signal_power > 0.0 else 1.0
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
         add_noise(out, sigma2, np.random.default_rng(scene.seed))

@@ -230,6 +230,14 @@ def test_ber_sweep_range_syntax(capsys):
     assert out.count("BER") == 3
 
 
+@pytest.mark.parametrize("count", ["0", "-64"])
+def test_ber_sweep_refuses_non_positive_symbol_count(capsys, count):
+    code, out, err = run(capsys, "ber-sweep", "--angles", "60", f"--symbols={count}")
+    assert code == 2
+    assert "BER" not in out
+    assert "positive" in err
+
+
 # ---------------------------------------------------------------------------
 # reproduce-table2
 

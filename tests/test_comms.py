@@ -21,6 +21,7 @@ from tmadfrc import (
 )
 from tmadfrc.comms import (
     Constellation,
+    add_noise,
     awgn,
     ber,
     ber_vs_angle,
@@ -224,11 +225,14 @@ def test_awgn_noise_power_calibration():
     assert measured == pytest.approx(10.0 ** (-0.7), rel=0.02)
 
 
-def test_awgn_follows_documented_seed_map():
+# 3 x 50 000 spans more than one noise block and ends on a ragged one
+@pytest.mark.parametrize("shape", [(30, 100), (3, 50_000)], ids=["30x100", "3x50000"])
+def test_awgn_follows_documented_seed_map(shape):
     # real block, then imaginary block, from the caller's generator, scaled
     # by sqrt(sigma^2 / 2) with sigma^2 from the signal's mean power
-    signal = modulate(np.random.default_rng(15).integers(0, 2, size=4 * 3000), square_qam(16))
-    signal = signal.reshape(30, 100)
+    size = math.prod(shape)
+    signal = modulate(np.random.default_rng(15).integers(0, 2, size=4 * size), square_qam(16))
+    signal = signal.reshape(shape)
     before = signal.copy()
     got = awgn(signal, 4.0, np.random.default_rng(16))
     np.testing.assert_array_equal(signal, before)  # the caller's array is untouched
@@ -237,6 +241,22 @@ def test_awgn_follows_documented_seed_map():
     first = rng.standard_normal(signal.shape)
     second = rng.standard_normal(signal.shape)
     assert np.array_equal(got, signal + np.sqrt(sigma2 / 2.0) * (first + 1j * second))
+
+
+def test_add_noise_leaves_empty_array_and_stream_alone():
+    rng = np.random.default_rng(17)
+    empty = np.zeros((0, 4), dtype=complex)
+    add_noise(empty, 1.0, rng)
+    assert empty.shape == (0, 4)
+    assert rng.standard_normal() == np.random.default_rng(17).standard_normal()
+
+
+def test_add_noise_refuses_a_strided_view():
+    # a flat copy of a strided view would take the noise and drop it
+    grid = np.zeros((4, 6), dtype=complex)
+    with pytest.raises(ValueError, match="contiguous"):
+        add_noise(grid.T, 1.0, np.random.default_rng(18))
+    assert not grid.any()
 
 
 def test_qpsk_awgn_theory_curve():
@@ -276,6 +296,15 @@ def test_link_ber_noiseless_at_steer_is_zero(ref_cfg, ref_pattern):
 def test_link_ber_rejects_partial_ofdm_symbols(ref_cfg, ref_pattern):
     with pytest.raises(ValueError, match="multiples"):
         link_ber(ref_cfg, ref_pattern, qpsk(), 60.0, num_symbols=65)
+
+
+@pytest.mark.parametrize("count", [0, -64])
+def test_link_ber_refuses_non_positive_symbol_count(ref_cfg, ref_pattern, count):
+    # zero symbols used to come back as BER nan, negative ones as a NumPy error
+    with pytest.raises(ValueError, match="positive"):
+        link_ber(ref_cfg, ref_pattern, qpsk(), 60.0, num_symbols=count)
+    with pytest.raises(ValueError, match="positive"):
+        ber_vs_angle(ref_cfg, ref_pattern, qpsk(), [60.0, 40.0], num_symbols=count)
 
 
 def test_link_ber_invariant_to_common_switching_delay(ref_cfg, ref_pattern):

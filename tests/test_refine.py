@@ -8,11 +8,13 @@ agree with that direct evaluation combination by combination.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import qpsk_frame
+from tmadfrc import coarse, model, refine
 from tmadfrc import (
     Scene,
     Target,
@@ -21,6 +23,7 @@ from tmadfrc import (
     radar_returns,
     scramble_symbols,
 )
+from tmadfrc.coarse import angle_spectrum, coarse_pipeline, descramble
 from tmadfrc.model import derived_resolutions
 from tmadfrc.refine import (
     RefineOptions,
@@ -437,6 +440,111 @@ def test_estimate_targets_rejects_non_finite_input(small_cfg, bad):
     for received, payload in ((bad_grid, data), (grid, bad_data)):
         with pytest.raises(ValueError, match="non-finite"):
             estimate_targets(received, payload, pattern, small_cfg)
+
+
+def _public_call(name, grid, data, pattern, cfg):
+    """One call of a public stage function on (grid, payload); the rows of
+    the row-based stages are the grid's first receive element."""
+    rows = grid[0]
+    calls = {
+        "angle_spectrum": lambda: angle_spectrum(grid, cfg),
+        "coarse_pipeline": lambda: coarse_pipeline(grid, data, pattern, cfg),
+        "descramble": lambda: descramble(rows, data, pattern, cfg, 10.0),
+        "refine_ranges": lambda: refine_ranges(grid, data, pattern, cfg, [10.0], [2]),
+        "refine_velocities": lambda: refine_velocities(
+            grid, data, pattern, cfg, [10.0], [100.0], [1]
+        ),
+        "matched_velocity_bins": lambda: matched_velocity_bins(
+            rows, data, pattern, cfg, 10.0, 100.0
+        ),
+    }
+    return calls[name]()
+
+
+@pytest.mark.parametrize(
+    "name, where",
+    [
+        ("angle_spectrum", "grid"),
+        *(
+            (name, where)
+            for name in (
+                "coarse_pipeline",
+                "descramble",
+                "refine_ranges",
+                "refine_velocities",
+                "matched_velocity_bins",
+            )
+            for where in ("grid", "payload")
+        ),
+    ],
+)
+def test_public_stages_reject_non_finite_input(small_cfg, name, where):
+    # the estimator validates once and then runs unchecked workers; every
+    # public entry point must still check its own inputs
+    pattern = pattern_for(small_cfg)
+    data = qpsk_frame(small_cfg, seed=22)
+    target = Target(10.0, 100.0, 20.0, reflectivity=1.0)
+    grid = radar_returns(data, pattern, small_cfg, Scene((target,), seed=5, snr_db=20.0))
+    if where == "grid":
+        grid[0, 2, 3] = np.nan
+    else:
+        data[2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _public_call(name, grid, data, pattern, small_cfg)
+
+
+def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
+    monkeypatch, ref_cfg, ref_pattern, ref_frame
+):
+    data, received = ref_frame
+    scrambled_at, cube_checks = [], []
+    scramble, check = refine.scramble_symbols, model.check_antenna_grid
+
+    def counting_scramble(data, pattern, cfg, theta_deg):
+        scrambled_at.append(float(theta_deg))
+        return scramble(data, pattern, cfg, theta_deg)
+
+    def counting_check(cfg, values):
+        cube_checks.append(np.shape(values))
+        return check(cfg, values)
+
+    for module in (coarse, refine):
+        monkeypatch.setattr(module, "scramble_symbols", counting_scramble)
+    for module in (coarse, refine, model):
+        monkeypatch.setattr(module, "check_antenna_grid", counting_check)
+    with pytest.warns(RuntimeWarning, match="velocity hit the edge"):
+        estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
+    # 2 bin centers for the coarse descramble, then 3 refined angles
+    bin_centers = {row.angle_deg for row in estimates.coarse}
+    refined_angles = [row.angle_deg for row in estimates.refined]
+    assert len(bin_centers) == 2 and len(refined_angles) == 3
+    assert len(scrambled_at) == 5
+    assert sorted(scrambled_at) == sorted([*bin_centers, *refined_angles])
+    assert cube_checks == [ref_cfg.returns_shape]
+
+
+# Refined (angle deg, range m, velocity m/s) of the reference scene with
+# payload seed 7 and noise seeds 0-4, default options.  Every value is a
+# search-grid point, so the pins are exact.
+PINNED_REFINED = {
+    0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    1: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    3: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    4: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+}
+
+
+def test_estimate_targets_pinned_reference_estimates(ref_cfg, ref_scene, ref_pattern):
+    data = qpsk_frame(ref_cfg, seed=7)
+    for noise_seed, expected in PINNED_REFINED.items():
+        frame = dataclasses.replace(ref_scene, seed=noise_seed)
+        received = radar_returns(data, ref_pattern, ref_cfg, frame)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the window-edge note
+            estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
+        got = [(row.angle_deg, row.range_m, row.velocity_mps) for row in estimates.refined]
+        assert got == expected, f"noise seed {noise_seed}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # forcing one source per
