@@ -17,12 +17,17 @@ The signal model for Q sources in one angle bin is
 
     D = sum_q g_q * atom_q(parameter_q) + noise,
 
-and the search minimizes ||D - sum_q atom_q||^2 over the Q-fold grid product.
-Expanding the norm turns the scan into table lookups: with
-u_q[i] = <atom_q(i), D> and Gram blocks C_qp[i, j] = <atom_q(i), atom_p(j)>
-the residual is ||D||^2 - 2 Re sum_q u_q[i_q] + sum_qp C_qp[i_q, i_p], so the
-heavy inner products against the data are computed once per grid point rather
-than once per combination.
+and the search minimizes ||D - sum_q g_q atom_q||^2 over the Q-fold grid
+product.  With u_q[i] = <atom_q(i), D> and Gram blocks
+C_qp[i, j] = <atom_q(i), atom_p(j)>, a combination (i_1, ..., i_Q) has
+v_q = u_q[i_q], G_qp = C_qp[i_q, i_p] and the residual
+
+    ||D||^2 - 2 Re sum_q v_q + sum_qp G_qp    unit gains, g_q = 1
+    ||D||^2 - Re(v^H G^-1 v)                  ``fit_gains``: g = G^-1 v (variable projection)
+
+so the inner products against the data are computed once per grid point
+rather than once per combination.  One evaluator scores a whole mesh of
+combinations in either mode, for the search and its coarse-center baseline.
 
 Range atoms live on the antenna-by-subcarrier slice of OFDM symbol 0, where
 the slow-time Doppler phase of every target is exactly 1 (at later symbols a
@@ -49,7 +54,6 @@ worse than the coarse stage on the same objective.
 """
 
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -91,6 +95,16 @@ class RefineOptions:
     fit_gains: bool = False
     max_combinations: int = 1_000_000
     covariance_symbol: int | None = None  # None: average over the whole frame
+
+    def __post_init__(self):
+        for name in ("num_sources", "signal_dimension", "range_points", "velocity_points"):
+            value = getattr(self, name)
+            unset = value is None and name in ("num_sources", "signal_dimension")
+            if not (unset or isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"RefineOptions.{name} must be a positive integer, got {value!r}")
+        if not 0.0 < self.music_step_deg < np.inf:
+            step = self.music_step_deg
+            raise ValueError(f"RefineOptions.music_step_deg must be finite and > 0, got {step!r}")
 
 
 def steering_vector(cfg: SystemConfig, theta_deg) -> np.ndarray:
@@ -261,91 +275,83 @@ def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int = 11) 
     return np.unique(np.concatenate(windows))
 
 
-def _combination_residuals(u, gram, energy):
-    """Dense residual tensor over the Q-fold grid product (unit gains)."""
-    shape = tuple(len(uq) for uq in u)
+# Combinations scored at once: a Q = 3 Gram stack of 10**6 members is 144 MB.
+_SLAB_COMBINATIONS = 65_536
+
+
+def _mesh_residuals(mesh, u, gram, energy, fit_gains):
+    """Residual of every combination of an open index mesh (``np.ix_`` of
+    each source's grid indices), and the fitted gains (..., Q) or None."""
     n_sources = len(u)
-
-    def along(vec, axis):
-        reshaped = [1] * n_sources
-        reshaped[axis] = len(vec)
-        return vec.reshape(reshaped)
-
-    residual = np.full(shape, energy)
-    for q, uq in enumerate(u):
-        residual = residual - 2.0 * along(uq.real, q)
-        residual = residual + along(np.real(np.diagonal(gram[q, q])).copy(), q)
-    for q in range(n_sources):
-        for p in range(q + 1, n_sources):
-            block = 2.0 * gram[q, p].real
-            expand = [None] * n_sources
-            expand[q] = slice(None)
-            expand[p] = slice(None)
-            residual = residual + block[tuple(expand)]
-    return residual
-
-
-def _residual_at(combo, u, gram, energy, fit_gains):
-    """Residual of one combination; fitted complex gains when requested."""
-    n_sources = len(u)
-    v = np.array([u[q][combo[q]] for q in range(n_sources)])
-    g = np.array(
-        [[gram[q, p][combo[q], combo[p]] for p in range(n_sources)] for q in range(n_sources)]
-    )
     if not fit_gains:
-        ones = np.ones(n_sources)
-        return float(energy - 2.0 * v.real.sum() + np.real(ones @ g @ ones)), None
+        residual = energy
+        for q in range(n_sources):
+            residual = residual - 2.0 * u[q].real[mesh[q]]
+            residual = residual + np.diagonal(gram[q, q]).real[mesh[q]]
+        for q in range(n_sources):
+            for p in range(q + 1, n_sources):
+                residual += 2.0 * gram[q, p].real[mesh[q], mesh[p]]  # no extra temporary
+        return residual, None
+
+    v = np.stack(np.broadcast_arrays(*(u[q][mesh[q]] for q in range(n_sources))), axis=-1)
+    g = np.empty((*v.shape, n_sources), dtype=complex)
+    for q in range(n_sources):
+        g[..., q, q] = np.diagonal(gram[q, q])[mesh[q]]
+        for p in range(q + 1, n_sources):
+            g[..., q, p] = gram[q, p][mesh[q], mesh[p]]
+            g[..., p, q] = g[..., q, p].conj()
     try:
-        gains = np.linalg.solve(g, v)
-    except np.linalg.LinAlgError:
-        gains = np.linalg.lstsq(g, v, rcond=None)[0]
-    return float(energy - np.real(v.conj() @ gains)), gains
+        gains = np.linalg.solve(g, v[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # lstsq on every member would flip mirrored ties
+        gains = np.empty_like(v)
+        for idx in np.ndindex(v.shape[:-1]):
+            try:
+                gains[idx] = np.linalg.solve(g[idx], v[idx])
+            except np.linalg.LinAlgError:
+                gains[idx] = np.linalg.lstsq(g[idx], v[idx], rcond=None)[0]
+    residual = energy - (v.conj()[..., None, :] @ gains[..., :, None])[..., 0, 0].real
+    return residual, gains
 
 
-def _search_combinations(u, gram, energy, grids, centers, fit_gains, max_combinations):
-    """Shared tail of the range and velocity fits: pick the best combination,
-    evaluate the coarse-center baseline, flag boundary hits.
+def _mesh_minimum(indices, u, gram, energy, fit_gains):
+    """First minimum, in C order, over the mesh where every source takes one
+    of the grid ``indices``, scored in slabs along the first source:
+    (grid index per source, residual, gains or None)."""
+    rows = max(1, _SLAB_COMBINATIONS // indices.size ** (len(u) - 1))
+    best = None, np.inf, None
+    for start in range(0, indices.size, rows):
+        mesh = np.ix_(indices[start : start + rows], *[indices] * (len(u) - 1))
+        residual, gains = _mesh_residuals(mesh, u, gram, energy, fit_gains)
+        at = np.unravel_index(np.argmin(residual), residual.shape)
+        if residual[at] < best[1]:
+            combo = indices[[start + at[0], *at[1:]]]
+            best = combo, float(residual[at]), None if gains is None else gains[at].copy()
+    return best
 
-    ``grids[q]`` is source q's candidate array; ``centers[q]`` the coarse
-    values that source may be pinned to for the baseline.
-    """
+
+def _search_combinations(u, gram, energy, candidates, centers, fit_gains, max_combinations):
+    """Best combination of ``candidates``, one per source, and the baseline
+    best with every source pinned to one of the coarse ``centers``."""
     n_sources = len(u)
-    shape = tuple(len(uq) for uq in u)
-    if np.prod(shape, dtype=float) > max_combinations:
+    n_combinations = float(len(candidates)) ** n_sources
+    if n_combinations > max_combinations:
         raise ValueError(
-            f"{int(np.prod(shape, dtype=float))} grid combinations exceed the "
+            f"{int(n_combinations)} grid combinations exceed the "
             f"limit of {max_combinations}; reduce grid points or sources"
         )
-    if fit_gains:
-        best_combo, best_res, best_gains = None, np.inf, None
-        for combo in np.ndindex(shape):
-            res, gains = _residual_at(combo, u, gram, energy, True)
-            if res < best_res:
-                best_combo, best_res, best_gains = combo, res, gains
-    else:
-        residuals = _combination_residuals(u, gram, energy)
-        best_combo = np.unravel_index(np.argmin(residuals), shape)
-        best_res = float(residuals[best_combo])
-        best_gains = None
-
-    center_idx = [
-        [int(np.argmin(np.abs(grids[q] - c))) for c in np.atleast_1d(centers[q])]
-        for q in range(n_sources)
-    ]
-    coarse_combo, coarse_res = None, np.inf
-    for combo in itertools.product(*center_idx):
-        res, _ = _residual_at(combo, u, gram, energy, fit_gains)
-        if res < coarse_res:
-            coarse_combo, coarse_res = combo, res
-
+    if not len(candidates):
+        raise ValueError("the candidate grid is empty")
+    best, residual, gains = _mesh_minimum(np.arange(len(candidates)), u, gram, energy, fit_gains)
+    center_idx = np.argmin(np.abs(np.subtract.outer(np.atleast_1d(centers), candidates)), axis=1)
+    coarse, coarse_residual, _ = _mesh_minimum(center_idx, u, gram, energy, fit_gains)
     return CombinationFit(
-        values=np.array([grids[q][best_combo[q]] for q in range(n_sources)]),
-        residual=best_res,
-        coarse_values=np.array([grids[q][coarse_combo[q]] for q in range(n_sources)]),
-        coarse_residual=coarse_res,
-        grids=tuple(np.asarray(g) for g in grids),
-        on_boundary=tuple(best_combo[q] in (0, len(grids[q]) - 1) for q in range(n_sources)),
-        gains=best_gains,
+        values=candidates[best],
+        residual=residual,
+        coarse_values=candidates[coarse],
+        coarse_residual=coarse_residual,
+        grids=(candidates,) * n_sources,
+        on_boundary=tuple(i in (0, len(candidates) - 1) for i in best),
+        gains=gains,
     )
 
 
@@ -354,27 +360,19 @@ def _joint_fit(kind, steer, atoms, projections, pair_weight, energy, candidates,
 
     Source q's atom at grid point i is ``steer[q]`` times a per-source
     weighting of column i of ``atoms``, so u_q = atoms^H projections[q] and
-    C_qp = (a_q^H a_p) * atoms^H diag(pair_weight(q, p)) atoms, C_pq = C_qp^H.
+    C_qp = (a_q^H a_p) * atoms^H diag(pair_weight(q, p)) atoms, kept for q <= p.
     All sources search ``candidates``, with ``centers`` as coarse baseline.
     """
     n_sources = len(steer)
     u = [atoms.conj().T @ projections[q] for q in range(n_sources)]
     array_gram = steer.conj() @ steer.T  # (Q, Q)
-    gram = np.empty((n_sources, n_sources), dtype=object)
-    for q in range(n_sources):
-        for p in range(q, n_sources):
-            block = array_gram[q, p] * (atoms.conj().T @ (pair_weight(q, p)[:, None] * atoms))
-            gram[q, p] = block
-            if p != q:
-                gram[p, q] = block.conj().T
+    gram = {
+        (q, p): array_gram[q, p] * (atoms.conj().T @ (pair_weight(q, p)[:, None] * atoms))
+        for q in range(n_sources)
+        for p in range(q, n_sources)
+    }
     fit = _search_combinations(
-        u,
-        gram,
-        energy,
-        [candidates] * n_sources,
-        [centers] * n_sources,
-        options.fit_gains,
-        options.max_combinations,
+        u, gram, energy, candidates, centers, options.fit_gains, options.max_combinations
     )
     if any(fit.on_boundary):
         warnings.warn(

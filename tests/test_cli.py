@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tmadfrc import (
+    RefineOptions,
     derived_resolutions,
     design_pattern,
     estimate_targets,
@@ -113,6 +114,28 @@ def test_simulate_estimate_roundtrip(capsys, tmp_path, ref_cfg, ref_scene, ref_p
     assert stored["estimates"] == local
 
 
+def test_estimate_fit_gains(capsys, tmp_path, ref_cfg, ref_pattern):
+    grid_path, data_path = tmp_path / "received.grid", tmp_path / "transmit.grid"
+    est_path = tmp_path / "estimates.json"
+    code, _, _ = run(
+        capsys, "simulate", "--out", str(grid_path), "--data", str(data_path), "--seed", "0"
+    )
+    assert code == 0
+    with pytest.warns(RuntimeWarning, match="velocity hit the edge"):
+        code, out, _ = run(
+            capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path),
+            "--fit-gains", "--out", str(est_path),
+        )
+    assert code == 0
+    assert "refined targets: 3" in out
+    received, data = read_grid(str(grid_path)), read_grid(str(data_path))[0]
+    with pytest.warns(RuntimeWarning, match="velocity hit the edge"):
+        local = estimate_targets(
+            received, data, ref_pattern, ref_cfg, options=RefineOptions(fit_gains=True)
+        )
+    assert json.loads(est_path.read_text())["estimates"] == local.to_dict()
+
+
 def test_estimate_empty_scene_exits_one(capsys, tmp_path):
     scene_path = tmp_path / "empty.json"
     scene_path.write_text(json.dumps({"targets": [], "seed": 1, "snr_db": 10.0}))
@@ -176,6 +199,17 @@ def test_estimate_rejects_non_finite_grid(capsys, tmp_path):
     )
     assert code == 2
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_estimate_refuses_non_positive_source_count(capsys, tmp_path, count):
+    grid_path, data_path = simulate_small(capsys, tmp_path)
+    code, _, err = run(
+        capsys, "estimate", *SMALL, "--grid", str(grid_path), "--data", str(data_path),
+        "--sources", count,
+    )
+    assert code == 2
+    assert "num_sources" in err
 
 
 def test_estimate_export_spectra(capsys, tmp_path, ref_cfg):

@@ -53,6 +53,28 @@ def pattern_for(cfg):
 # subspace pieces
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("num_sources", 0),
+        ("num_sources", -2),
+        ("signal_dimension", 0),
+        ("signal_dimension", -1),
+        ("range_points", 0),
+        ("velocity_points", 0),
+        ("music_step_deg", 0.0),
+        ("music_step_deg", -0.1),
+        ("music_step_deg", np.nan),
+        ("music_step_deg", np.inf),
+    ],
+)
+def test_refine_options_refuse_bad_values(name, value):
+    # refused up front, not misread (0 sources as "auto") or failing deep
+    # inside a stage with an unrelated error
+    with pytest.raises(ValueError, match=f"RefineOptions.{name}"):
+        RefineOptions(**{name: value})
+
+
 def test_steering_vector_phase_law(ref_cfg):
     sv = steering_vector(ref_cfg, 20.0)
     assert sv.shape == (ref_cfg.num_rx_antennas,)
@@ -246,20 +268,55 @@ def test_refine_ranges_fitted_gain_recovers_reflectivity(small_cfg):
     assert fit.gains[0] == pytest.approx(beta, abs=1e-9)
 
 
-def test_refine_ranges_matches_enumeration_oracle(small_cfg):
-    """Two sources, 11x11 combination grid: the factorized search must pick
-    the same combination as direct reconstruction of every candidate pair."""
-    res, _, _ = derived_resolutions(small_cfg)
+# complex reflectivities of the two oracle sources when the gains are fitted
+FITTED_BETAS = (0.7 * np.exp(1j), -1.0)
+
+
+def oracle_pair_fit(observed, atom0, atom1, fit_gains):
+    """Residual and gains (None for unit gains) of one candidate pair,
+    reconstructed directly; fitted gains come from ``np.linalg.lstsq`` on
+    the two atoms."""
+    if not fit_gains:
+        return float(np.sum(np.abs(observed - (atom0 + atom1)) ** 2)), None
+    atoms = np.stack([atom0.ravel(), atom1.ravel()], axis=1)
+    gains = np.linalg.lstsq(atoms, observed.ravel(), rcond=None)[0]
+    return float(np.sum(np.abs(observed.ravel() - atoms @ gains) ** 2)), gains
+
+
+def assert_matches_oracle(fit, candidates, best, fit_gains):
+    residual, (i, j), gains = best
+    assert fit.values[0] == candidates[i]
+    assert fit.values[1] == candidates[j]
+    assert fit.residual == pytest.approx(residual, rel=1e-8)
+    if fit_gains:
+        np.testing.assert_allclose(fit.gains, gains, rtol=0, atol=1e-9)
+    else:
+        assert fit.gains is None
+
+
+def two_source_range_frame(cfg, fit_gains):
+    """(angles, pattern, data, grid) of two noise-free sources in bins 2 and
+    7, off the candidate lattice in range."""
+    res, _, _ = derived_resolutions(cfg)
     angles = [math.degrees(math.asin(-0.5)), ON_GRID_ANGLE]  # bins 2 and 7
-    truths = [2.33 * res, 4.77 * res]
+    betas = FITTED_BETAS if fit_gains else (1.0, 1.0)
     targets = (
-        Target(angles[0], truths[0], 40.0, reflectivity=1.0),
-        Target(angles[1], truths[1], -90.0, reflectivity=1.0),
+        Target(angles[0], 2.33 * res, 40.0, reflectivity=betas[0]),
+        Target(angles[1], 4.77 * res, -90.0, reflectivity=betas[1]),
     )
-    pattern = pattern_for(small_cfg)
-    data = qpsk_frame(small_cfg, seed=13)
-    grid = radar_returns(data, pattern, small_cfg, Scene(targets, snr_db=np.inf))
-    options = RefineOptions(range_points=11)
+    pattern = pattern_for(cfg)
+    data = qpsk_frame(cfg, seed=13)
+    grid = radar_returns(data, pattern, cfg, Scene(targets, snr_db=np.inf))
+    return angles, pattern, data, grid
+
+
+@pytest.mark.parametrize("fit_gains", [False, True])
+def test_refine_ranges_matches_enumeration_oracle(small_cfg, fit_gains):
+    """Two sources, 22x22 combination grid: the factorized search must pick
+    the same combination as direct reconstruction of every candidate pair,
+    with unit gains or with each pair's least-squares gains."""
+    angles, pattern, data, grid = two_source_range_frame(small_cfg, fit_gains)
+    options = RefineOptions(range_points=11, fit_gains=fit_gains)
     fit = refine_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
 
     candidates = candidate_range_grid([2, 5], small_cfg, points=11)
@@ -276,34 +333,34 @@ def test_refine_ranges_matches_enumeration_oracle(small_cfg):
             -2j * np.pi * s * small_cfg.subcarrier_spacing_hz * 2.0 * r / small_cfg.c
         )
 
-    best = (np.inf, None)
+    best = (np.inf, None, None)
     for i, r0 in enumerate(candidates):
         atom0 = steer[0][:, None] * (scrambled[0] * ramp(r0))[None, :]
         for j, r1 in enumerate(candidates):
-            recon = atom0 + steer[1][:, None] * (scrambled[1] * ramp(r1))[None, :]
-            residual = float(np.sum(np.abs(snapshot - recon) ** 2))
+            atom1 = steer[1][:, None] * (scrambled[1] * ramp(r1))[None, :]
+            residual, gains = oracle_pair_fit(snapshot, atom0, atom1, fit_gains)
             if residual < best[0]:
-                best = (residual, (i, j))
-    i, j = best[1]
-    assert fit.values[0] == pytest.approx(candidates[i], abs=1e-12)
-    assert fit.values[1] == pytest.approx(candidates[j], abs=1e-12)
-    assert fit.residual == pytest.approx(best[0], rel=1e-8)
+                best = (residual, (i, j), gains)
+    assert_matches_oracle(fit, candidates, best, fit_gains)
 
 
-def test_refine_velocities_matches_enumeration_oracle(small_cfg):
+@pytest.mark.parametrize("fit_gains", [False, True])
+def test_refine_velocities_matches_enumeration_oracle(small_cfg, fit_gains):
     cfg = dataclasses.replace(small_cfg, narrowband_doppler=True)
     res, vres, _ = derived_resolutions(cfg)
     angles = [math.degrees(math.asin(-0.5)), ON_GRID_ANGLE]
     ranges = [2.33 * res, 4.77 * res]
     velocities = [2.17 * vres, -3.38 * vres]
+    betas = FITTED_BETAS if fit_gains else (1.0, 1.0)
     targets = (
-        Target(angles[0], ranges[0], velocities[0], reflectivity=1.0),
-        Target(angles[1], ranges[1], velocities[1], reflectivity=1.0),
+        Target(angles[0], ranges[0], velocities[0], reflectivity=betas[0]),
+        Target(angles[1], ranges[1], velocities[1], reflectivity=betas[1]),
     )
     pattern = pattern_for(cfg)
     data = qpsk_frame(cfg, seed=14)
     grid = radar_returns(data, pattern, cfg, Scene(targets, snr_db=np.inf))
-    fit = refine_velocities(grid, data, pattern, cfg, angles, ranges, [2, -3])
+    options = RefineOptions(fit_gains=fit_gains)
+    fit = refine_velocities(grid, data, pattern, cfg, angles, ranges, [2, -3], options=options)
 
     candidates = candidate_velocity_grid([2, -3], cfg, points=11)
     s = np.arange(cfg.num_subcarriers)
@@ -321,17 +378,76 @@ def test_refine_velocities_matches_enumeration_oracle(small_cfg):
         )
         return steer[q][:, None, None] * (base[q] * slow[None, :])[None, :, :]
 
-    best = (np.inf, None)
+    best = (np.inf, None, None)
     for i, v0 in enumerate(candidates):
         part = recon_one(0, v0)
         for j, v1 in enumerate(candidates):
-            residual = float(np.sum(np.abs(grid - part - recon_one(1, v1)) ** 2))
+            residual, gains = oracle_pair_fit(grid, part, recon_one(1, v1), fit_gains)
             if residual < best[0]:
-                best = (residual, (i, j))
-    i, j = best[1]
-    assert fit.values[0] == pytest.approx(candidates[i], abs=1e-12)
-    assert fit.values[1] == pytest.approx(candidates[j], abs=1e-12)
-    assert fit.residual == pytest.approx(best[0], rel=1e-8)
+                best = (residual, (i, j), gains)
+    assert_matches_oracle(fit, candidates, best, fit_gains)
+
+
+def test_refine_ranges_duplicate_angles_solve_singular_members_one_by_one(
+    monkeypatch, small_cfg
+):
+    """Two sources at the same angle: a combination that puts both on the
+    same grid point has a singular Gram matrix.  The batched search must
+    match a per-combination loop -- solve, lstsq where solve fails, strict
+    first minimum -- bit for bit; lstsq over the whole stack would not."""
+    res, _, _ = derived_resolutions(small_cfg)
+    target = Target(0.0, 0.3 * res, 40.0, reflectivity=0.7 * np.exp(1j))
+    pattern, data, grid = single_target_frame(small_cfg, target, seed=23)
+    captured = {}
+    search = refine._search_combinations
+
+    def capturing_search(u, gram, energy, *rest):
+        captured.update(u=u, gram=gram, energy=energy)
+        return search(u, gram, energy, *rest)
+
+    monkeypatch.setattr(refine, "_search_combinations", capturing_search)
+    options = RefineOptions(range_points=11, fit_gains=True)
+    fit = refine_ranges(grid, data, pattern, small_cfg, [0.0, 0.0], [0, 1], options=options)
+
+    u, gram, energy = captured["u"], captured["gram"], captured["energy"]
+    best, singular = (np.inf, None, None), 0
+    for i, j in np.ndindex(len(u[0]), len(u[1])):
+        v = np.array([u[0][i], u[1][j]])
+        g = np.array(
+            [[gram[0, 0][i, i], gram[0, 1][i, j]], [gram[0, 1][i, j].conj(), gram[1, 1][j, j]]]
+        )
+        try:
+            gains = np.linalg.solve(g, v)
+        except np.linalg.LinAlgError:
+            singular += 1
+            gains = np.linalg.lstsq(g, v, rcond=None)[0]
+        residual = float(energy - np.real(v.conj() @ gains))
+        if residual < best[0]:
+            best = (residual, (i, j), gains)
+    assert singular > 0  # the range-0 pair at least: its Gram entries are exactly real
+    residual, (i, j), gains = best
+    assert fit.values.tolist() == [fit.grids[0][i], fit.grids[1][j]]
+    assert fit.residual == residual
+    np.testing.assert_array_equal(fit.gains, gains)
+
+
+@pytest.mark.parametrize("slab", [1, 70])
+@pytest.mark.parametrize("fit_gains", [False, True])
+def test_combination_search_does_not_depend_on_slab_size(monkeypatch, small_cfg, fit_gains, slab):
+    # 22 x 22 combinations: one row per slab, or 3 rows with a ragged last slab
+    angles, pattern, data, grid = two_source_range_frame(small_cfg, fit_gains)
+    options = RefineOptions(range_points=11, fit_gains=fit_gains)
+    whole = refine_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
+    monkeypatch.setattr(refine, "_SLAB_COMBINATIONS", slab)
+    slabbed = refine_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
+    for name in ("values", "coarse_values", "gains"):
+        np.testing.assert_array_equal(getattr(slabbed, name), getattr(whole, name))
+    assert slabbed.residual == whole.residual
+    assert slabbed.coarse_residual == whole.coarse_residual
+    assert slabbed.on_boundary == whole.on_boundary
+    assert len(slabbed.grids) == len(whole.grids)
+    for got, expected in zip(slabbed.grids, whole.grids):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_refine_ranges_warns_when_optimum_hits_window_edge(small_cfg):
@@ -371,7 +487,7 @@ def test_combination_budget_is_enforced(small_cfg):
     pattern = pattern_for(small_cfg)
     data = qpsk_frame(small_cfg, seed=18)
     grid = np.ones(small_cfg.returns_shape, dtype=complex)
-    for fit_gains in (False, True):  # dense residual tensor and per-combination solves
+    for fit_gains in (False, True):  # the limit holds in both gain modes
         options = RefineOptions(range_points=11, max_combinations=10, fit_gains=fit_gains)
         with pytest.raises(ValueError, match="exceed"):
             refine_ranges(grid, data, pattern, small_cfg, [0.0, 10.0], [2, 5], options=options)
@@ -524,8 +640,8 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
 
 
 # Refined (angle deg, range m, velocity m/s) of the reference scene with
-# payload seed 7 and noise seeds 0-4, default options.  Every value is a
-# search-grid point, so the pins are exact.
+# payload seed 7 and noise seeds 0-4, with default options and with fitted
+# gains.  Every value is a search-grid point, so the pins are exact.
 PINNED_REFINED = {
     0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
     1: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
@@ -533,16 +649,26 @@ PINNED_REFINED = {
     3: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     4: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
 }
+PINNED_REFINED_FIT_GAINS = {
+    0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    1: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.765625, 10.078125)],
+    2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    3: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+    4: [(-30.0, 120.1171875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.5703125, 10.078125)],
+}
 
 
-def test_estimate_targets_pinned_reference_estimates(ref_cfg, ref_scene, ref_pattern):
+@pytest.mark.parametrize("fit_gains", [False, True])
+def test_estimate_targets_pinned_reference_estimates(ref_cfg, ref_scene, ref_pattern, fit_gains):
     data = qpsk_frame(ref_cfg, seed=7)
-    for noise_seed, expected in PINNED_REFINED.items():
+    options = RefineOptions(fit_gains=fit_gains)
+    pinned = PINNED_REFINED_FIT_GAINS if fit_gains else PINNED_REFINED
+    for noise_seed, expected in pinned.items():
         frame = dataclasses.replace(ref_scene, seed=noise_seed)
         received = radar_returns(data, ref_pattern, ref_cfg, frame)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the window-edge note
-            estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
+            estimates = estimate_targets(received, data, ref_pattern, ref_cfg, options=options)
         got = [(row.angle_deg, row.range_m, row.velocity_mps) for row in estimates.refined]
         assert got == expected, f"noise seed {noise_seed}"
 
