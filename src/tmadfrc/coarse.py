@@ -107,21 +107,48 @@ def angle_spectrum(grid: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.
     Returns:
         (spectrum, beams): ``spectrum`` is the magnitude aggregated over all
         subcarriers and symbols per angle bin, ``beams`` the full complex
-        DFT cube with the bin axis first.
+        DFT cube with the bin axis first, each bin's rows computed exactly
+        as :func:`coarse_pipeline` computes them.
     """
-    return _angle_spectrum(check_antenna_grid(cfg, grid))
+    grid = check_antenna_grid(cfg, grid)
+    beams = np.stack([_beam_rows(grid, k) for k in range(cfg.num_rx_antennas)])
+    return _angle_spectrum(grid), beams
 
 
-def _angle_spectrum(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`angle_spectrum` of an already validated grid.  The magnitudes
-    are summed one beam at a time through one reused buffer, so no
-    cube-sized ``|beams|`` temporary is allocated."""
-    beams = dft(grid, axis=0)
-    spectrum = np.empty(beams.shape[0])
-    magnitude = np.empty(beams.shape[1:])
-    for k, beam in enumerate(beams):
-        spectrum[k] = np.abs(beam, out=magnitude).sum()
-    return spectrum, beams
+# Snapshots (subcarrier-symbol pairs) per block of the receive-axis DFT: an
+# (N_r, 2048) block is 768 KB on the 24-element reference array, against the
+# 6 MB of a whole beam cube.
+_SNAPSHOT_BLOCK = 2048
+
+
+def _snapshot_blocks(grid: np.ndarray):
+    """Column blocks of the (N_r, N_s * N_p) receive matrix, one snapshot per
+    column and at most ``_SNAPSHOT_BLOCK`` columns each, as views."""
+    flat = grid.reshape(grid.shape[0], -1)
+    for start in range(0, flat.shape[1], _SNAPSHOT_BLOCK):
+        yield flat[:, start : start + _SNAPSHOT_BLOCK]
+
+
+def _angle_spectrum(grid: np.ndarray) -> np.ndarray:
+    """Spectrum of :func:`angle_spectrum` for an already validated grid.  The
+    receive-axis DFT runs one snapshot block at a time, and the magnitudes go
+    through one reused buffer, so no cube-sized temporary is allocated."""
+    spectrum = np.zeros(grid.shape[0])
+    magnitude = np.empty((grid.shape[0], min(_SNAPSHOT_BLOCK, grid[0].size)))
+    for block in _snapshot_blocks(grid):
+        beams = dft(block, axis=0)
+        spectrum += np.abs(beams, out=magnitude[:, : block.shape[1]]).sum(axis=1)
+    return spectrum
+
+
+def _beam_rows(grid: np.ndarray, angle_bin: int) -> np.ndarray:
+    """Beamformed (N_s, N_p) rows of one DFT angle bin: the bin's DFT weights
+    times the receive cube as one product, in an array of their own."""
+    n_rx = grid.shape[0]
+    weights = np.exp(-2j * np.pi * (angle_bin * np.arange(n_rx) % n_rx) / n_rx)
+    rows = np.empty(grid.shape[1:], dtype=np.complex128)
+    np.matmul(weights, grid.reshape(n_rx, -1), out=rows.reshape(-1))
+    return rows
 
 
 def bin_to_range_m(range_bin, cfg: SystemConfig):
@@ -254,7 +281,7 @@ def _coarse_pipeline(
 ) -> CoarseResult:
     """:func:`coarse_pipeline` of a validated grid and payload: each bin
     center is scrambled once, and nothing re-validates the cube."""
-    spectrum, beams = _angle_spectrum(grid)
+    spectrum = _angle_spectrum(grid)
     angle_bins = detect_peaks(spectrum, options.angle_peaks)
     angle_bins = angle_bins[~np.isnan(bin_to_angle_deg(angle_bins, cfg))]
     if angle_bins.size == 0:
@@ -264,8 +291,9 @@ def _coarse_pipeline(
     bin_results = []
     for angle_bin in angle_bins:
         angle_deg = float(bin_to_angle_deg(int(angle_bin), cfg))
+        rows = _beam_rows(grid, int(angle_bin))
         reference = scramble_symbols(data, pattern, cfg, angle_deg)
-        desc = _descramble(beams[angle_bin], reference, angle_deg, options)
+        desc = _descramble(rows, reference, angle_deg, options)
         response = range_response(desc.symbols, cfg)
         profile = np.abs(response).mean(axis=1)
         range_bins = detect_peaks(profile, options.range_peaks)
@@ -293,7 +321,7 @@ def _coarse_pipeline(
             BinPipeline(
                 angle_bin=int(angle_bin),
                 angle_deg=angle_deg,
-                rows=beams[angle_bin].copy(),  # a view would pin the whole beam cube
+                rows=rows,
                 descrambled=desc.symbols,
                 masked_fraction=float(desc.masked.mean()),
                 range_response=response,

@@ -63,6 +63,7 @@ from .coarse import (
     NoPeaksError,
     _coarse_pipeline,
     _descramble,
+    _snapshot_blocks,
     range_response,
     velocity_spectrum,
 )
@@ -102,6 +103,11 @@ class RefineOptions:
             unset = value is None and name in ("num_sources", "signal_dimension")
             if not (unset or isinstance(value, (int, np.integer)) and value >= 1):
                 raise ValueError(f"RefineOptions.{name} must be a positive integer, got {value!r}")
+            if name.endswith("_points") and value % 2 == 0:
+                raise ValueError(
+                    f"RefineOptions.{name} must be odd so each window contains its "
+                    f"center, got {value!r}"
+                )
         if not 0.0 < self.music_step_deg < np.inf:
             step = self.music_step_deg
             raise ValueError(f"RefineOptions.music_step_deg must be finite and > 0, got {step!r}")
@@ -116,15 +122,30 @@ def steering_vector(cfg: SystemConfig, theta_deg) -> np.ndarray:
 
 def sample_covariance(grid: np.ndarray, symbol: int | None = None) -> np.ndarray:
     """Spatial sample covariance with subcarriers (and optionally all OFDM
-    symbols) as snapshots.
+    symbols) as snapshots, accumulated one snapshot block at a time.
 
     Args:
-        symbol: restrict snapshots to one OFDM symbol; None pools the frame.
+        symbol: restrict snapshots to one OFDM symbol, 0 <= symbol < N_p;
+            None pools the frame.
     """
     grid = np.asarray(grid, dtype=np.complex128)
-    snapshots = grid if symbol is None else grid[:, :, [symbol]]
-    flat = snapshots.reshape(snapshots.shape[0], -1)
-    return flat @ flat.conj().T / flat.shape[1]
+    if symbol is not None:
+        _check_symbol_index(symbol, grid.shape[2])
+        grid = grid[:, :, symbol : symbol + 1]
+    covariance = np.zeros((grid.shape[0], grid.shape[0]), dtype=np.complex128)
+    for block in _snapshot_blocks(grid):
+        covariance += block @ block.conj().T
+    return covariance / (grid.size // grid.shape[0])
+
+
+def _check_symbol_index(symbol, num_symbols: int) -> None:
+    if isinstance(symbol, bool) or not isinstance(symbol, (int, np.integer)):
+        raise ValueError(f"covariance symbol {symbol} is not an integer index")
+    if not 0 <= symbol < num_symbols:
+        raise ValueError(
+            f"covariance symbol {symbol} is outside 0 ... {num_symbols - 1} "
+            f"of the {num_symbols}-symbol frame"
+        )
 
 
 def estimate_n_sources(eigenvalues, max_sources: int | None = None, min_ratio: float = 3.0) -> int:
@@ -253,26 +274,33 @@ class CombinationFit:
     gains: np.ndarray | None
 
 
-def candidate_range_grid(range_bins, cfg: SystemConfig, points: int = 101) -> np.ndarray:
-    """Union of per-bin windows (bin center +- half a range cell, inclusive);
-    negative candidates are dropped."""
-    res = range_resolution_m(cfg)
-    windows = [
+def _centered_windows(bins, res: float, points: int) -> list:
+    """One window of ``points`` values per bin, spanning its center +- half a
+    cell.  ``points`` must be odd, so the middle value is the center (to
+    rounding; a 1-point window is the center itself)."""
+    if not (isinstance(points, (int, np.integer)) and points >= 1 and points % 2 == 1):
+        raise ValueError(f"window points must be a positive odd integer, got {points!r}")
+    return [
         np.linspace(bin_index * res - res / 2.0, bin_index * res + res / 2.0, points)
-        for bin_index in np.atleast_1d(range_bins)
+        if points > 1
+        else np.array([bin_index * res], dtype=float)
+        for bin_index in np.atleast_1d(bins)
     ]
-    grid = np.unique(np.concatenate(windows))
+
+
+def candidate_range_grid(range_bins, cfg: SystemConfig, points: int = 101) -> np.ndarray:
+    """Union of per-bin windows (bin center +- half a range cell, inclusive,
+    ``points`` odd); negative candidates are dropped."""
+    res = range_resolution_m(cfg)
+    grid = np.unique(np.concatenate(_centered_windows(range_bins, res, points)))
     return grid[grid >= 0.0]
 
 
 def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int = 11) -> np.ndarray:
-    """Union of per-signed-bin windows (center +- half a velocity cell)."""
+    """Union of per-signed-bin windows (center +- half a velocity cell,
+    ``points`` odd)."""
     res = velocity_resolution_mps(cfg)
-    windows = [
-        np.linspace(bin_index * res - res / 2.0, bin_index * res + res / 2.0, points)
-        for bin_index in np.atleast_1d(velocity_bins)
-    ]
-    return np.unique(np.concatenate(windows))
+    return np.unique(np.concatenate(_centered_windows(velocity_bins, res, points)))
 
 
 # Combinations scored at once: a Q = 3 Gram stack of 10**6 members is 144 MB.
@@ -578,6 +606,8 @@ def estimate_targets(
     """
     grid = check_antenna_grid(cfg, grid)
     data = check_symbol_grid(cfg, data)
+    if options.covariance_symbol is not None:
+        _check_symbol_index(options.covariance_symbol, cfg.num_ofdm_symbols)
     try:
         coarse = _coarse_pipeline(grid, data, pattern, cfg, detection)
     except NoPeaksError:

@@ -38,6 +38,7 @@ from tmadfrc.coarse import (
     range_response,
     velocity_spectrum,
 )
+from tmadfrc import coarse
 from tmadfrc.model import derived_resolutions
 from tmadfrc.transforms import dft
 
@@ -367,6 +368,44 @@ def test_pipeline_rows_own_their_data(ref_cfg, ref_pattern, ref_frame):
     for bin_result in result.bins:
         assert bin_result.rows.flags.owndata
         assert np.array_equal(bin_result.rows, beams[bin_result.angle_bin])
+
+
+@pytest.fixture()
+def ragged_frame(small_cfg):
+    """(cfg, pattern, data, grid): a noisy two-target frame of 12 receive
+    elements and 48 x 50 = 2400 snapshots, so the default snapshot block
+    leaves a ragged last block."""
+    cfg = dataclasses.replace(
+        small_cfg, num_rx_antennas=12, num_subcarriers=48, num_ofdm_symbols=50
+    )
+    range_res, velocity_res, _ = derived_resolutions(cfg)
+    targets = (
+        Target(20.0, 5.3 * range_res, 2.4 * velocity_res, reflectivity=1.0),
+        Target(40.0, 11.8 * range_res, -6.2 * velocity_res, reflectivity=0.8),
+    )
+    pattern = design_pattern(cfg, cfg.cu_angle_deg)
+    data = qpsk_frame(cfg, seed=3)
+    grid = radar_returns(data, pattern, cfg, Scene(targets, seed=5, snr_db=10.0))
+    assert (cfg.num_subcarriers * cfg.num_ofdm_symbols) % coarse._SNAPSHOT_BLOCK != 0
+    return cfg, pattern, data, grid
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_blocked_angle_stage_matches_full_cube_dft(monkeypatch, ragged_frame, block):
+    """The snapshot-blocked spectrum and the per-bin beamforming product agree
+    with one DFT of the whole cube (only the summation order differs)."""
+    if block is not None:
+        monkeypatch.setattr(coarse, "_SNAPSHOT_BLOCK", block)
+    cfg, pattern, data, grid = ragged_frame
+    full = dft(grid, axis=0)
+    spectrum, beams = angle_spectrum(grid, cfg)
+    np.testing.assert_allclose(spectrum, np.abs(full).sum(axis=(1, 2)), rtol=1e-12)
+    np.testing.assert_allclose(beams, full, rtol=1e-12)
+    result = coarse_pipeline(grid, data, pattern, cfg)
+    assert [b.angle_bin for b in result.bins] == [8, 10]
+    np.testing.assert_array_equal(result.spectrum, spectrum)
+    for bin_result in result.bins:
+        np.testing.assert_allclose(bin_result.rows, full[bin_result.angle_bin], rtol=1e-12)
 
 
 def test_detection_options_are_plumbed(on_grid):

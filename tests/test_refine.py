@@ -8,6 +8,7 @@ agree with that direct evaluation combination by combination.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -62,6 +63,8 @@ def pattern_for(cfg):
         ("signal_dimension", -1),
         ("range_points", 0),
         ("velocity_points", 0),
+        ("range_points", 100),  # even: the window would leave out its center
+        ("velocity_points", 10),
         ("music_step_deg", 0.0),
         ("music_step_deg", -0.1),
         ("music_step_deg", np.nan),
@@ -97,6 +100,32 @@ def test_sample_covariance_matches_manual_average():
     only1 = grid[:, :, 1]
     manual1 = sum(np.outer(only1[:, k], only1[:, k].conj()) for k in range(2)) / 2
     np.testing.assert_allclose(sample_covariance(grid, symbol=1), manual1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("symbol", [4, 9, -1, -4, 1.0])
+def test_sample_covariance_refuses_symbol_outside_frame(symbol):
+    # -1 used to pick the last symbol silently, 9 to raise IndexError
+    grid = np.ones((3, 2, 4), dtype=complex)
+    with pytest.raises(ValueError, match=f"covariance symbol {symbol}"):
+        sample_covariance(grid, symbol)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_sample_covariance_matches_full_cube_product(monkeypatch, block):
+    """Accumulating over snapshot blocks, the last one ragged, agrees with
+    one product of the whole receive matrix."""
+    if block is not None:
+        monkeypatch.setattr(coarse, "_SNAPSHOT_BLOCK", block)
+    rng = np.random.default_rng(3)
+    grid = rng.standard_normal((12, 48, 50)) + 1j * rng.standard_normal((12, 48, 50))
+    assert (48 * 50) % coarse._SNAPSHOT_BLOCK != 0
+    flat = grid.reshape(12, -1)
+    expected = flat @ flat.conj().T / flat.shape[1]
+    np.testing.assert_allclose(sample_covariance(grid), expected, rtol=1e-12)
+    only = grid[:, :, 17]
+    np.testing.assert_allclose(
+        sample_covariance(grid, 17), only @ only.conj().T / only.shape[1], rtol=1e-12
+    )
 
 
 def test_estimate_n_sources_picks_largest_gap():
@@ -218,6 +247,27 @@ def test_candidate_range_grid_merges_touching_windows(small_cfg):
     grid = candidate_range_grid([2, 3], small_cfg, points=5)
     assert grid.size == 9
     assert np.all(np.diff(grid) > 0)
+
+
+@pytest.mark.parametrize("points", [1, 11])
+def test_candidate_windows_contain_their_center(small_cfg, points):
+    res, vres, _ = derived_resolutions(small_cfg)
+    ranges = candidate_range_grid([3], small_cfg, points)
+    velocities = candidate_velocity_grid([-2], small_cfg, points)
+    assert ranges.size == velocities.size == points
+    assert np.min(np.abs(ranges - 3 * res)) <= 1e-12 * res
+    assert np.min(np.abs(velocities + 2 * vres)) <= 1e-12 * vres
+    if points == 1:  # the center itself, not the lower window edge
+        assert ranges.tolist() == [3 * res]
+        assert velocities.tolist() == [-2 * vres]
+
+
+@pytest.mark.parametrize("points", [2, 10, 0])
+def test_candidate_windows_refuse_counts_that_miss_the_center(small_cfg, points):
+    with pytest.raises(ValueError, match="odd"):
+        candidate_range_grid([3], small_cfg, points)
+    with pytest.raises(ValueError, match="odd"):
+        candidate_velocity_grid([3], small_cfg, points)
 
 
 def test_candidate_velocity_grid_keeps_negative_values(small_cfg):
@@ -542,6 +592,33 @@ def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):
     grid = radar_returns(data, pattern, small_cfg, Scene((), seed=4, snr_db=10.0))
     estimates = estimate_targets(grid, data, pattern, small_cfg)
     assert estimates.coarse == [] and estimates.refined == []
+
+
+@pytest.mark.parametrize("symbol", [16, -1])
+def test_estimate_targets_refuses_covariance_symbol_outside_frame(small_cfg, symbol):
+    # refused up front, even on a frame where nothing would be detected
+    pattern = pattern_for(small_cfg)
+    data = qpsk_frame(small_cfg, seed=20)
+    grid = radar_returns(data, pattern, small_cfg, Scene((), seed=4, snr_db=10.0))
+    options = RefineOptions(covariance_symbol=symbol)
+    with pytest.raises(ValueError, match=f"covariance symbol {symbol} is outside 0 ... 15"):
+        estimate_targets(grid, data, pattern, small_cfg, options=options)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the window-edge note
+def test_estimate_targets_allocates_less_than_one_receive_cube(ref_cfg, ref_pattern, ref_frame):
+    """The frame path streams the cube in blocks: no beam cube, no conjugated
+    copy for the covariance, so its traced peak stays below the cube's size."""
+    data, received = ref_frame
+    estimate_targets(received, data, ref_pattern, ref_cfg)  # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_targets(received, data, ref_pattern, ref_cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < received.nbytes, f"peak {peak} B on a {received.nbytes} B cube"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
