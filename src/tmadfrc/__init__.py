@@ -18,9 +18,6 @@ from .coarse import (
     NoPeaksError,
     PeakCriterion,
     angle_spectrum,
-    bin_to_angle_deg,
-    bin_to_range_m,
-    bin_to_velocity_mps,
     coarse_pipeline,
     descramble,
     detect_peaks,
@@ -48,13 +45,19 @@ from .model import (
     SceneError,
     SystemConfig,
     Target,
+    bin_to_angle_deg,
+    bin_to_range_m,
+    bin_to_velocity_mps,
     config_from_dict,
     config_hash,
     config_to_dict,
     derived_resolutions,
     load_config,
+    range_ramp,
     range_resolution_m,
     save_config,
+    slow_time_rotation,
+    steering_vector,
     validate_config,
     validate_target,
     velocity_resolution_mps,
@@ -74,7 +77,6 @@ from .refine import (
     refine_ranges,
     refine_velocities,
     sample_covariance,
-    steering_vector,
 )
 from .scene import (
     GridFormatError,

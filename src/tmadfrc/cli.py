@@ -36,11 +36,13 @@ from .comms import ber_vs_angle, modulate, qpsk
 from .model import (
     ConfigError,
     SceneError,
+    bin_to_angle_deg,
     config_from_dict,
     config_hash,
     config_to_dict,
-    derived_resolutions,
     load_config,
+    range_resolution_m,
+    velocity_resolution_mps,
 )
 from .refine import (
     RefineOptions,
@@ -119,6 +121,12 @@ def _parse_angles(spec: str) -> np.ndarray:
 
 
 def _cmd_dm_check(args) -> int:
+    if args.probes < 1:
+        raise ValueError(f"--probes must be at least 1, got {args.probes}")
+    # Below 1 the accepted sine interval is at least 2 - 2 * offset long, so
+    # the rejection sampler below always terminates.
+    if not 0.0 <= args.min_sin_offset < 1.0:
+        raise ValueError(f"--min-sin-offset must lie in [0, 1), got {args.min_sin_offset}")
     cfg = _load_cfg(args)
     steer = cfg.cu_angle_deg if args.angle is None else args.angle
     pattern = design_pattern(cfg, steer)
@@ -198,7 +206,7 @@ def _export_spectra(prefix, received, data, pattern, cfg, detection) -> None:
     with open(f"{prefix}.angle.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "angle_deg", "magnitude"])
-        _, _, angle_grid = derived_resolutions(cfg)
+        angle_grid = bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg)
         for k, value in enumerate(result.spectrum):
             writer.writerow([k, f"{angle_grid[k]:.6f}", f"{value:.9e}"])
     for bin_result in result.bins:
@@ -302,7 +310,8 @@ def _cmd_reproduce(args) -> int:
     options = RefineOptions()
     estimates = estimate_targets(received, data, pattern, cfg, options=options)
 
-    range_res, velocity_res, _ = derived_resolutions(cfg)
+    range_res = range_resolution_m(cfg)
+    velocity_res = velocity_resolution_mps(cfg)
     range_step = range_res / (options.range_points - 1)
     velocity_step = velocity_res / (options.velocity_points - 1)
 

@@ -32,10 +32,10 @@ from .model import (
     CoarseEstimate,
     SystemConfig,
     bin_to_angle_deg,
+    bin_to_range_m,
+    bin_to_velocity_mps,
     check_antenna_grid,
     check_symbol_grid,
-    range_resolution_m,
-    velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
 from .transforms import dft, idft, signed_bin_index
@@ -151,15 +151,6 @@ def _beam_rows(grid: np.ndarray, angle_bin: int) -> np.ndarray:
     return rows
 
 
-def bin_to_range_m(range_bin, cfg: SystemConfig):
-    return np.asarray(range_bin, dtype=float) * range_resolution_m(cfg)
-
-
-def bin_to_velocity_mps(velocity_bin, cfg: SystemConfig):
-    """Signed velocity bin to meters per second."""
-    return np.asarray(velocity_bin, dtype=float) * velocity_resolution_mps(cfg)
-
-
 @dataclasses.dataclass(frozen=True)
 class DescrambleResult:
     symbols: np.ndarray  # (num_subcarriers, num_ofdm_symbols) quotient grid
@@ -237,9 +228,7 @@ class BinPipeline:
     angle_bin: int
     angle_deg: float
     rows: np.ndarray  # complex beamformed rows at this bin, (N_s, N_p)
-    descrambled: np.ndarray
     masked_fraction: float
-    range_response: np.ndarray  # complex r(l, mu), (N_s, N_p)
     range_profile: np.ndarray
     range_bins: np.ndarray
     velocity_spectra: tuple  # one magnitude spectrum per detected range bin
@@ -322,9 +311,7 @@ def _coarse_pipeline(
                 angle_bin=int(angle_bin),
                 angle_deg=angle_deg,
                 rows=rows,
-                descrambled=desc.symbols,
                 masked_fraction=float(desc.masked.mean()),
-                range_response=response,
                 range_profile=profile,
                 range_bins=range_bins,
                 velocity_spectra=tuple(spectra),

@@ -96,18 +96,20 @@ class SystemConfig:
 # Ordered list of (predicate, message) pairs so the *first* violated invariant
 # is the one reported.
 def _invariants(cfg: SystemConfig):
-    yield cfg.carrier_freq_hz > 0, "carrier_freq_hz must be positive"
-    yield cfg.subcarrier_spacing_hz > 0, "subcarrier_spacing_hz must be positive"
+    # Chained range checks also refuse NaN, which fails every comparison.
+    for name in ("carrier_freq_hz", "subcarrier_spacing_hz"):
+        yield 0 < getattr(cfg, name) < math.inf, f"{name} must be positive and finite"
     yield cfg.num_subcarriers >= 1, "num_subcarriers must be >= 1"
     yield cfg.num_ofdm_symbols >= 1, "num_ofdm_symbols must be >= 1"
     yield cfg.num_tx_antennas >= 1, "num_tx_antennas must be >= 1"
     yield cfg.num_rx_antennas >= 1, "num_rx_antennas must be >= 1"
-    yield cfg.tx_spacing_wavelengths > 0, "tx_spacing_wavelengths must be positive"
-    yield cfg.rx_spacing_wavelengths > 0, "rx_spacing_wavelengths must be positive"
+    for name in ("tx_spacing_wavelengths", "rx_spacing_wavelengths"):
+        yield 0 < getattr(cfg, name) < math.inf, f"{name} must be positive and finite"
     # Allow exact equality (zero cyclic prefix) up to float rounding of 1/f_s.
     yield (
-        cfg.symbol_duration_s >= (1.0 - 1e-12) / cfg.subcarrier_spacing_hz,
-        "symbol_duration_s must be >= 1/subcarrier_spacing_hz (non-negative cyclic prefix)",
+        (1.0 - 1e-12) / cfg.subcarrier_spacing_hz <= cfg.symbol_duration_s < math.inf,
+        "symbol_duration_s must be finite and >= 1/subcarrier_spacing_hz "
+        "(non-negative cyclic prefix)",
     )
     yield abs(cfg.cu_angle_deg) <= 90.0, "cu_angle_deg must lie in [-90, 90]"
     yield not math.isnan(cfg.snr_db), "snr_db must not be NaN"
@@ -171,6 +173,44 @@ def bin_to_angle_deg(angle_bin, cfg: SystemConfig):
     return np.where(visible, np.degrees(np.arcsin(np.clip(sin_theta, -1.0, 1.0))), np.nan)
 
 
+def bin_to_range_m(range_bin, cfg: SystemConfig):
+    """Range (m) of subcarrier-IDFT bin(s): bin times the range cell."""
+    return np.asarray(range_bin, dtype=float) * range_resolution_m(cfg)
+
+
+def bin_to_velocity_mps(velocity_bin, cfg: SystemConfig):
+    """Signed slow-time DFT bin(s) to meters per second."""
+    return np.asarray(velocity_bin, dtype=float) * velocity_resolution_mps(cfg)
+
+
+# --- echo factors: a target at (theta, R, f_D) adds its scrambled symbol times
+# steering_vector[m] * range_ramp[s] * slow_time_rotation[mu] to receive element
+# m, subcarrier s, OFDM symbol mu.  Synthesis and both fits use only these.
+
+
+def steering_vector(cfg: SystemConfig, theta_deg) -> np.ndarray:
+    """Receive-array response exp(-2j pi m d_r sin(theta)), shape
+    (num_rx_antennas,) or (..., num_rx_antennas)."""
+    sin_theta = np.sin(np.radians(np.asarray(theta_deg, dtype=float)))
+    m = np.arange(cfg.num_rx_antennas)
+    return np.exp(-2j * np.pi * np.multiply.outer(sin_theta, m) * cfg.rx_spacing_wavelengths)
+
+
+def range_ramp(cfg: SystemConfig, range_m) -> np.ndarray:
+    """Subcarrier phase ramp exp(-2j pi s f_s 2R/c), shape (num_subcarriers,)
+    or (..., num_subcarriers)."""
+    s = np.arange(cfg.num_subcarriers)
+    delay = 2.0 * np.asarray(range_m, dtype=float) / cfg.c
+    return np.exp(-2j * np.pi * np.multiply.outer(delay, s * cfg.subcarrier_spacing_hz))
+
+
+def slow_time_rotation(cfg: SystemConfig, doppler_hz) -> np.ndarray:
+    """Slow-time Doppler rotation exp(+2j pi mu T_p f_D) for Doppler
+    frequencies in Hz, shape (num_ofdm_symbols,) or (..., num_ofdm_symbols)."""
+    mu = np.arange(cfg.num_ofdm_symbols)
+    return np.exp(2j * np.pi * cfg.symbol_duration_s * np.multiply.outer(doppler_hz, mu))
+
+
 @dataclasses.dataclass(frozen=True)
 class Target:
     """A point scatterer: angle (deg), slant range (m), radial velocity (m/s),
@@ -188,6 +228,9 @@ class SceneError(ValueError):
 
 def validate_target(target: Target, cfg: SystemConfig, allow_out_of_window: bool = False) -> Target:
     """Check a single target against the configured unambiguous windows."""
+    parameters = (target.angle_deg, target.range_m, target.velocity_mps, target.reflectivity)
+    if not np.isfinite(parameters).all():
+        raise SceneError(f"target parameters must be finite, got {target}")
     if abs(target.angle_deg) > 90.0:
         raise SceneError(f"target angle {target.angle_deg} deg outside [-90, 90]")
     if target.range_m < 0.0:

@@ -71,10 +71,15 @@ from .model import (
     EstimateSet,
     RefinedEstimate,
     SystemConfig,
+    bin_to_range_m,
     bin_to_sine,
+    bin_to_velocity_mps,
     check_antenna_grid,
     check_symbol_grid,
+    range_ramp,
     range_resolution_m,
+    slow_time_rotation,
+    steering_vector,
     velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
@@ -111,13 +116,6 @@ class RefineOptions:
         if not 0.0 < self.music_step_deg < np.inf:
             step = self.music_step_deg
             raise ValueError(f"RefineOptions.music_step_deg must be finite and > 0, got {step!r}")
-
-
-def steering_vector(cfg: SystemConfig, theta_deg) -> np.ndarray:
-    """Receive-array response, shape (num_rx_antennas,) or (..., num_rx_antennas)."""
-    sin_theta = np.sin(np.radians(np.asarray(theta_deg, dtype=float)))
-    m = np.arange(cfg.num_rx_antennas)
-    return np.exp(-2j * np.pi * np.multiply.outer(sin_theta, m) * cfg.rx_spacing_wavelengths)
 
 
 def sample_covariance(grid: np.ndarray, symbol: int | None = None) -> np.ndarray:
@@ -274,33 +272,33 @@ class CombinationFit:
     gains: np.ndarray | None
 
 
-def _centered_windows(bins, res: float, points: int) -> list:
-    """One window of ``points`` values per bin, spanning its center +- half a
-    cell.  ``points`` must be odd, so the middle value is the center (to
-    rounding; a 1-point window is the center itself)."""
+def _window_union(centers, res: float, points: int) -> np.ndarray:
+    """Sorted union of one window of ``points`` values per center, spanning it
+    +- half a cell.  ``points`` must be odd, so each window's middle value is
+    its center (to rounding; a 1-point window is the center itself)."""
     if not (isinstance(points, (int, np.integer)) and points >= 1 and points % 2 == 1):
         raise ValueError(f"window points must be a positive odd integer, got {points!r}")
-    return [
-        np.linspace(bin_index * res - res / 2.0, bin_index * res + res / 2.0, points)
+    windows = [
+        np.linspace(center - res / 2.0, center + res / 2.0, points)
         if points > 1
-        else np.array([bin_index * res], dtype=float)
-        for bin_index in np.atleast_1d(bins)
+        else np.array([center])
+        for center in np.atleast_1d(centers)
     ]
+    return np.unique(np.concatenate(windows))
 
 
 def candidate_range_grid(range_bins, cfg: SystemConfig, points: int = 101) -> np.ndarray:
     """Union of per-bin windows (bin center +- half a range cell, inclusive,
     ``points`` odd); negative candidates are dropped."""
-    res = range_resolution_m(cfg)
-    grid = np.unique(np.concatenate(_centered_windows(range_bins, res, points)))
+    grid = _window_union(bin_to_range_m(range_bins, cfg), range_resolution_m(cfg), points)
     return grid[grid >= 0.0]
 
 
 def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int = 11) -> np.ndarray:
     """Union of per-signed-bin windows (center +- half a velocity cell,
     ``points`` odd)."""
-    res = velocity_resolution_mps(cfg)
-    return np.unique(np.concatenate(_centered_windows(velocity_bins, res, points)))
+    centers = bin_to_velocity_mps(velocity_bins, cfg)
+    return _window_union(centers, velocity_resolution_mps(cfg), points)
 
 
 # Combinations scored at once: a Q = 3 Gram stack of 10**6 members is 144 MB.
@@ -442,27 +440,19 @@ def _refine_ranges(grid, symbol0, cfg, angles, range_bins, options) -> Combinati
     """:func:`refine_ranges` of a validated grid, with ``symbol0[q]`` OFDM
     symbol 0 of the payload scrambled toward ``angles[q]``, (Q, N_s)."""
     candidates = candidate_range_grid(range_bins, cfg, options.range_points)
-    res = range_resolution_m(cfg)
-    centers = np.atleast_1d(range_bins) * res
-
     snapshot = grid[:, :, 0]  # (N_r, N_s)
     energy = float(np.sum(np.abs(snapshot) ** 2))
-    s = np.arange(cfg.num_subcarriers)
-    ramps = np.exp(
-        -2j * np.pi * np.multiply.outer(s * cfg.subcarrier_spacing_hz, 2.0 * candidates / cfg.c)
-    )  # (N_s, n_grid)
-
     steer = steering_vector(cfg, angles)  # (Q, N_r)
     beamed = steer.conj() @ snapshot  # (Q, N_s)
     return _joint_fit(
         "range",
         steer,
-        ramps,
+        range_ramp(cfg, candidates).T,  # (N_s, n_grid)
         symbol0.conj() * beamed,
         lambda q, p: symbol0[q].conj() * symbol0[p],
         energy,
         candidates,
-        centers,
+        bin_to_range_m(range_bins, cfg),
         options,
     )
 
@@ -504,23 +494,8 @@ def _refine_velocities(
     ``||grid||^2`` and the payload scrambled toward each angle,
     (Q, N_s, N_p)."""
     candidates = candidate_velocity_grid(velocity_bins, cfg, options.velocity_points)
-    res = velocity_resolution_mps(cfg)
-    centers = np.atleast_1d(velocity_bins) * res
-
-    s = np.arange(cfg.num_subcarriers)
-    mu = np.arange(cfg.num_ofdm_symbols)
-    phase = np.exp(
-        2j
-        * np.pi
-        * cfg.symbol_duration_s
-        * np.multiply.outer(mu, 2.0 * candidates * cfg.carrier_freq_hz / cfg.c)
-    )  # (N_p, n_grid)
-
     steer = steering_vector(cfg, angles)  # (Q, N_r)
-    range_ramp = np.exp(
-        -2j * np.pi * np.multiply.outer(2.0 * ranges / cfg.c, s * cfg.subcarrier_spacing_hz)
-    )  # (Q, N_s)
-    base = scrambled * range_ramp[:, :, None]  # (Q, N_s, N_p): atoms sans slow-time phase
+    base = scrambled * range_ramp(cfg, ranges)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
 
     # Beamform the whole cube with one BLAS product: (Q, N_r) @ (N_r, N_s * N_p).
     beamed = (steer.conj() @ grid.reshape(cfg.num_rx_antennas, -1)).reshape(base.shape)
@@ -528,12 +503,12 @@ def _refine_velocities(
     return _joint_fit(
         "velocity",
         steer,
-        phase,
+        slow_time_rotation(cfg, 2.0 * candidates * cfg.carrier_freq_hz / cfg.c).T,  # (N_p, n_grid)
         h,
         lambda q, p: np.einsum("sp,sp->p", base[q].conj(), base[p]),
         energy,
         candidates,
-        centers,
+        bin_to_velocity_mps(velocity_bins, cfg),
         options,
     )
 

@@ -4,7 +4,8 @@ Monostatic geometry: the transmit array scrambles the OFDM frame per
 direction, each target reflects the mixture arriving at its own angle, and a
 separate uniform linear receive array observes the superposition.  For target
 k at angle theta_k, range R_k, radial velocity v_k and reflectivity beta_k,
-receive element m sees on subcarrier s of OFDM symbol mu:
+receive element m sees on subcarrier s of OFDM symbol mu (the echo factors
+of ``tmadfrc.model``):
 
     beta_k * scrambled(s, mu, theta_k)
            * exp(-2j pi m d_r sin(theta_k) / lambda)
@@ -33,6 +34,9 @@ from .model import (
     SystemConfig,
     Target,
     check_symbol_grid,
+    range_ramp,
+    slow_time_rotation,
+    steering_vector,
     validate_target,
 )
 from .tma import SwitchingPattern, scramble_symbols
@@ -85,32 +89,22 @@ def radar_returns(
     data = check_symbol_grid(cfg, data)
     validate_scene(scene, cfg, allow_out_of_window=allow_out_of_window)
 
-    n_k = len(scene.targets)
+    targets = scene.targets
     n_r, n_s, n_p = cfg.returns_shape
-    m = np.arange(n_r)
-    s = np.arange(n_s)
-    mu = np.arange(n_p)
-    steers = np.empty((n_k, n_r), dtype=np.complex128)
-    slabs = np.empty((n_k, n_s, n_p), dtype=np.complex128)
-    for k, target in enumerate(scene.targets):
+    steers = steering_vector(cfg, [t.angle_deg for t in targets])  # (K, N_r)
+    ramps = range_ramp(cfg, [t.range_m for t in targets])  # (K, N_s)
+    if cfg.narrowband_doppler:
+        carrier_hz = cfg.carrier_freq_hz
+    else:
+        carrier_hz = cfg.carrier_freq_hz + np.arange(n_s) * cfg.subcarrier_spacing_hz
+    slabs = np.empty((len(targets), n_s, n_p), dtype=np.complex128)
+    for k, target in enumerate(targets):
         scrambled = scramble_symbols(data, pattern, cfg, target.angle_deg)
-        sin_theta = np.sin(np.radians(target.angle_deg))
-        steers[k] = np.exp(-2j * np.pi * m * cfg.rx_spacing_wavelengths * sin_theta)
-        range_ramp = np.exp(
-            -2j * np.pi * s * cfg.subcarrier_spacing_hz * 2.0 * target.range_m / cfg.c
-        )
-        if cfg.narrowband_doppler:
-            doppler_hz = np.full(n_s, 2.0 * target.velocity_mps * cfg.carrier_freq_hz / cfg.c)
-        else:
-            doppler_hz = (
-                2.0 * target.velocity_mps * (cfg.carrier_freq_hz + s * cfg.subcarrier_spacing_hz) / cfg.c
-            )
-        slow_time = np.exp(
-            2j * np.pi * cfg.symbol_duration_s * np.multiply.outer(doppler_hz, mu)
-        )  # (N_s, N_p)
-        slabs[k] = target.reflectivity * (scrambled * range_ramp[:, None] * slow_time)
+        doppler_hz = 2.0 * target.velocity_mps * carrier_hz / cfg.c
+        slow_time = slow_time_rotation(cfg, doppler_hz)  # (N_p,) or (N_s, N_p)
+        slabs[k] = target.reflectivity * (scrambled * ramps[k][:, None] * slow_time)
     # Superpose all K echoes in one rank-K product: (N_r, K) @ (K, N_s * N_p).
-    out = (steers.T @ slabs.reshape(n_k, n_s * n_p)).reshape(n_r, n_s, n_p)
+    out = (steers.T @ slabs.reshape(len(targets), n_s * n_p)).reshape(n_r, n_s, n_p)
 
     snr_db = cfg.snr_db if scene.snr_db is None else scene.snr_db
     if np.isfinite(snr_db):

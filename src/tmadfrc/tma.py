@@ -50,10 +50,13 @@ class SwitchingPattern:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=np.complex128))
         if not (tau.shape == duty.shape == weights.shape) or tau.ndim != 1:
             raise PatternError("tau_on, duty and weights must be 1-D and equally long")
-        if np.any((tau < 0.0) | (tau >= 1.0)):
+        # Written so that NaN, which fails every comparison, is refused too.
+        if not np.all((tau >= 0.0) & (tau < 1.0)):
             raise PatternError("tau_on entries must lie in [0, 1)")
-        if np.any((duty <= 0.0) | (duty > 1.0)):
+        if not np.all((duty > 0.0) & (duty <= 1.0)):
             raise PatternError("duty entries must lie in (0, 1]")
+        if not np.isfinite(weights).all():
+            raise PatternError("weights must be finite")
         for arr, name in ((tau, "tau_on"), (duty, "duty"), (weights, "weights")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -202,11 +205,13 @@ def check_dm_condition(
     """Verify the three-clause scrambling condition over the in-band harmonics.
 
     Args:
-        probe_angles_deg: directions probing clause (3); none may share
-            sin(theta) with the steered angle (a co-linear alias would probe
-            the steered direction itself).
+        probe_angles_deg: at least one direction probing clause (3); none
+            may share sin(theta) with the steered angle (a co-linear alias
+            would probe the steered direction itself).
     """
     probes = np.atleast_1d(np.asarray(probe_angles_deg, dtype=float))
+    if probes.size == 0:
+        raise ValueError("clause (3) needs at least one probe angle")
     sin0 = np.sin(np.radians(steer_angle_deg))
     if np.any(np.abs(np.sin(np.radians(probes)) - sin0) < 1e-9):
         raise ValueError("probe angles must not alias the steered direction (same sin theta)")
@@ -222,7 +227,7 @@ def check_dm_condition(
         float(np.max(np.abs(harmonic_coefficients(pattern, cfg, orders[nonzero], angle))))
         for angle in probes
     ]
-    min_off = min(off) if off else np.inf
+    min_off = min(off)
 
     failed = []
     if not fundamental > 1e-12 * pattern.num_elements:

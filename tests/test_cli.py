@@ -63,6 +63,27 @@ def test_dm_check_single_element_is_config_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("--probes", "0"), id="zero_probes"),
+        pytest.param(("--probes", "-3"), id="negative_probes"),
+        # offsets that leave no sine interval to draw from would loop forever
+        pytest.param(("--min-sin-offset", "2"), id="offset_2"),
+        pytest.param(("--min-sin-offset", "1"), id="offset_1"),
+        pytest.param(("--min-sin-offset", "nan"), id="offset_nan"),
+        pytest.param(("--min-sin-offset", "-0.1"), id="negative_offset"),
+        pytest.param(("--duty", "nan"), id="duty_nan"),
+        pytest.param(("--set", "carrier_freq_hz=Infinity"), id="infinite_carrier"),
+    ],
+)
+def test_dm_check_refuses_bad_input(capsys, argv):
+    code, out, err = run(capsys, "dm-check", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_dm_check_report_file(capsys, tmp_path):
     report = tmp_path / "check.json"
     code, _, _ = run(capsys, "dm-check", "--out", str(report))

@@ -1,5 +1,6 @@
 """Configuration validation, derived resolutions, targets, and serialization."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -27,6 +28,8 @@ from tmadfrc import (
     validate_target,
     velocity_resolution_mps,
 )
+import tmadfrc
+from tmadfrc import coarse, model, refine
 from tmadfrc.model import (
     ROUNDED_SPEED_OF_LIGHT,
     SPEED_OF_LIGHT,
@@ -63,12 +66,22 @@ def test_exact_speed_of_light_is_the_default(small_cfg):
         ("tx_spacing_wavelengths", 0.0, "tx_spacing_wavelengths"),
         ("cu_angle_deg", 91.0, "cu_angle_deg"),
         ("snr_db", float("nan"), "snr_db"),
+        ("carrier_freq_hz", math.inf, "carrier_freq_hz"),
+        ("subcarrier_spacing_hz", math.inf, "subcarrier_spacing_hz"),
+        ("symbol_duration_s", math.inf, "symbol_duration_s"),
+        ("tx_spacing_wavelengths", math.inf, "tx_spacing_wavelengths"),
+        ("rx_spacing_wavelengths", math.inf, "rx_spacing_wavelengths"),
     ],
 )
 def test_invalid_configs_name_the_violated_field(small_cfg, field, value, fragment):
     cfg = dataclasses.replace(small_cfg, **{field: value})
     with pytest.raises(ConfigError, match=fragment):
         validate_config(cfg)
+
+
+def test_infinite_snr_stays_valid(small_cfg):
+    # +inf SNR means a noise-free frame, not a broken configuration
+    validate_config(dataclasses.replace(small_cfg, snr_db=math.inf))
 
 
 def test_symbol_duration_below_useful_length_rejected(small_cfg):
@@ -156,6 +169,77 @@ def test_target_validation(small_cfg):
     with pytest.raises(SceneError):
         validate_target(too_fast, small_cfg)
     validate_target(too_fast, small_cfg, allow_out_of_window=True)
+
+
+@pytest.mark.parametrize("allow_out_of_window", [False, True])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("angle_deg", math.nan),
+        ("range_m", math.nan),
+        ("range_m", math.inf),
+        ("velocity_mps", math.nan),
+        ("velocity_mps", math.inf),
+        ("velocity_mps", -math.inf),
+        ("reflectivity", complex(math.nan, 0.0)),
+        ("reflectivity", complex(1.0, math.inf)),
+    ],
+)
+def test_target_validation_refuses_non_finite_parameters(
+    small_cfg, field, value, allow_out_of_window
+):
+    # a NaN fails every range comparison, so it must be refused explicitly
+    target = dataclasses.replace(Target(10.0, 100.0, 5.0), **{field: value})
+    with pytest.raises(SceneError, match="finite"):
+        validate_target(target, small_cfg, allow_out_of_window=allow_out_of_window)
+
+
+# --- echo factors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "factor,values,axis,phase",
+    [
+        pytest.param(
+            model.steering_vector,
+            (20.0, -30.0, 90.0),
+            "num_rx_antennas",
+            lambda cfg, theta, m: -2 * math.pi * m * cfg.rx_spacing_wavelengths
+            * math.sin(math.radians(theta)),
+            id="steering_vector",
+        ),
+        pytest.param(
+            model.range_ramp,
+            (120.0, 0.0, 37.25),
+            "num_subcarriers",
+            lambda cfg, r, s: -2 * math.pi * s * cfg.subcarrier_spacing_hz * 2 * r / cfg.c,
+            id="range_ramp",
+        ),
+        pytest.param(
+            model.slow_time_rotation,
+            (3.2e3, -1.1e3, 0.0),
+            "num_ofdm_symbols",
+            lambda cfg, f_d, mu: 2 * math.pi * mu * cfg.symbol_duration_s * f_d,
+            id="slow_time_rotation",
+        ),
+    ],
+)
+def test_echo_factor_phase_law(ref_cfg, factor, values, axis, phase):
+    n = getattr(ref_cfg, axis)
+    expected = np.array([[cmath.exp(1j * phase(ref_cfg, v, i)) for i in range(n)] for v in values])
+    single = factor(ref_cfg, values[0])
+    assert single.shape == (n,)
+    assert single[0] == 1.0 + 0.0j
+    np.testing.assert_allclose(single, expected[0], rtol=1e-12)
+    stacked = factor(ref_cfg, list(values))
+    assert stacked.shape == (len(values), n)
+    np.testing.assert_allclose(stacked, expected, rtol=1e-12)
+
+
+def test_moved_names_keep_their_old_import_paths():
+    assert refine.steering_vector is model.steering_vector is tmadfrc.steering_vector
+    assert coarse.bin_to_range_m is model.bin_to_range_m is tmadfrc.bin_to_range_m
+    assert coarse.bin_to_velocity_mps is model.bin_to_velocity_mps is tmadfrc.bin_to_velocity_mps
 
 
 def test_config_json_roundtrip_is_bit_exact(ref_cfg):

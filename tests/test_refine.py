@@ -78,18 +78,6 @@ def test_refine_options_refuse_bad_values(name, value):
         RefineOptions(**{name: value})
 
 
-def test_steering_vector_phase_law(ref_cfg):
-    sv = steering_vector(ref_cfg, 20.0)
-    assert sv.shape == (ref_cfg.num_rx_antennas,)
-    assert sv[0] == 1.0 + 0.0j
-    m = np.arange(ref_cfg.num_rx_antennas)
-    expected = np.exp(-2j * np.pi * m * 0.5 * np.sin(np.radians(20.0)))
-    np.testing.assert_allclose(sv, expected, rtol=1e-12)
-    stacked = steering_vector(ref_cfg, [20.0, -30.0])
-    assert stacked.shape == (2, ref_cfg.num_rx_antennas)
-    np.testing.assert_allclose(stacked[0], sv, rtol=1e-12)
-
-
 def test_sample_covariance_matches_manual_average():
     rng = np.random.default_rng(0)
     grid = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))

@@ -241,6 +241,13 @@ def test_out_of_window_target_needs_override(small_cfg, small_pattern):
     radar_returns(data, small_pattern, small_cfg, scene, allow_out_of_window=True)
 
 
+def test_radar_returns_refuses_non_finite_target(small_cfg, small_pattern):
+    data = qpsk_frame(small_cfg, 0)
+    scene = Scene((Target(10.0, math.nan, 0.0),), snr_db=math.inf)
+    with pytest.raises(SceneError, match="finite"):
+        radar_returns(data, small_pattern, small_cfg, scene, allow_out_of_window=True)
+
+
 def test_one_way_link_is_scrambling_plus_noise(small_cfg, small_pattern):
     data = qpsk_frame(small_cfg, seed=29)
     theta = small_cfg.cu_angle_deg + 40.0

@@ -116,6 +116,21 @@ def test_single_element_pattern_rejected(small_cfg):
         design_pattern(cfg, 0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tau_on", [0.0, np.nan]),
+        ("duty", [np.nan, 0.5]),
+        ("weights", [1.0, np.inf]),
+        ("weights", [complex(np.nan, 0.0), 1.0]),
+    ],
+)
+def test_pattern_refuses_non_finite_fields(field, value):
+    fields = {"tau_on": [0.0, 0.5], "duty": [0.5, 0.5], "weights": [1.0, 1.0], field: value}
+    with pytest.raises(PatternError, match=field):
+        SwitchingPattern(**fields)
+
+
 def test_pattern_field_validation():
     with pytest.raises(PatternError):
         SwitchingPattern(tau_on=[1.5], duty=[0.5], weights=[1.0])
@@ -267,6 +282,13 @@ def test_random_onsets_leak_at_the_steer(ref_cfg):
     pattern = dataclasses.replace(base, tau_on=rng.uniform(0.0, 1.0, base.num_elements))
     report = check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0])
     assert 2 in report.failed_clauses
+
+
+def test_condition_needs_a_probe(ref_cfg):
+    # with no probes clause (3) would hold vacuously
+    pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
+    with pytest.raises(ValueError, match="probe"):
+        check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [])
 
 
 def test_aliased_probe_rejected(ref_cfg):
