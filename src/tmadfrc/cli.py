@@ -35,7 +35,6 @@ from .coarse import (
 from .comms import ber_vs_angle, modulate, qpsk
 from .model import (
     ConfigError,
-    SceneError,
     bin_to_angle_deg,
     config_from_dict,
     config_hash,
@@ -43,6 +42,7 @@ from .model import (
     load_config,
     range_resolution_m,
     velocity_resolution_mps,
+    write_document,
 )
 from .refine import (
     RefineOptions,
@@ -53,29 +53,18 @@ from .refine import (
 )
 from .scene import (
     GridFormatError,
-    Scene,
     load_scene,
     radar_returns,
     read_grid,
-    scene_from_dict,
     scene_to_dict,
     write_grid,
 )
-from .tma import PatternError, check_dm_condition, design_pattern
+from .tma import check_dm_condition, design_pattern
 from .transforms import signed_bin_index
 
 
-def _fixture_text(name: str) -> str:
-    return (
-        importlib.resources.files("tmadfrc").joinpath("fixtures").joinpath(name).read_text()
-    )
-
-
 def _load_cfg(args):
-    if args.config is None:
-        data = json.loads(_fixture_text("reference_config.json"))
-    else:
-        data = config_to_dict(load_config(args.config))
+    data = config_to_dict(load_config(args.config))
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
@@ -87,22 +76,49 @@ def _load_cfg(args):
     return config_from_dict(data)
 
 
-def _load_scene_arg(args) -> Scene:
-    if args.scene is None:
-        return scene_from_dict(json.loads(_fixture_text("reference_scene.json")))
-    return load_scene(args.scene)
+def _stamped(cfg, fields: dict) -> dict:
+    return {"version": __version__, "config_hash": config_hash(cfg), **fields}
 
 
 def _write_meta(path, cfg, **extra) -> None:
-    meta = {
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-    }
-    meta.update(extra)
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write the ``.meta.json`` sidecar of an output file: the only place
+    wall-clock time goes."""
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    write_document(_stamped(cfg, {"created_at": now, **extra}), f"{path}.meta.json")
+
+
+def _write_report(path, cfg, report: dict, **meta) -> None:
+    """Write a JSON report (version, config hash, ``report``) and its sidecar."""
+    write_document(_stamped(cfg, report), path)
+    _write_meta(path, cfg, **meta)
+
+
+def _qpsk_payload(cfg, seed) -> np.ndarray:
+    """A frame of QPSK symbols, shape ``cfg.grid_shape``, bits drawn from ``seed``."""
+    constellation = qpsk()
+    count = cfg.num_subcarriers * cfg.num_ofdm_symbols * constellation.bits_per_symbol
+    bits = np.random.default_rng(seed).integers(0, 2, size=count)
+    return modulate(bits, constellation).reshape(cfg.grid_shape)
+
+
+def _print_estimates(estimates, refined_heading="refined targets:") -> None:
+    print(f"coarse detections: {len(estimates.coarse)}")
+    for row in estimates.coarse:
+        print(
+            f"  bin ({row.angle_bin:3d},{row.range_bin:3d},{row.velocity_bin:4d})"
+            f" -> {row.angle_deg:8.3f} deg {row.range_m:10.3f} m {row.velocity_mps:9.3f} m/s"
+        )
+    print(f"{refined_heading} {len(estimates.refined)}")
+    for row in estimates.refined:
+        print(
+            f"  from bin {row.angle_bin:3d}"
+            f" -> {row.angle_deg:8.3f} deg {row.range_m:10.4f} m {row.velocity_mps:9.4f} m/s"
+        )
+
+
+def _triple(row) -> dict:
+    """The angle, range and velocity of a target or an estimate, for a report."""
+    return {"angle_deg": row.angle_deg, "range_m": row.range_m, "velocity_mps": row.velocity_mps}
 
 
 def _parse_angles(spec: str) -> np.ndarray:
@@ -149,18 +165,13 @@ def _cmd_dm_check(args) -> int:
     print(f"largest harmonic there   : {report.max_harmonic_at_steer:.3e}")
     print(f"weakest off-steer leakage: {report.min_off_steer_harmonic:.6f} over {args.probes} probes")
     if args.out:
-        payload = {
-            "version": __version__,
-            "config_hash": config_hash(cfg),
+        fields = {
             "seed": args.seed,
             "steer_angle_deg": steer,
             "probe_angles_deg": probes,
             "report": dataclasses.asdict(report),
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_meta(args.out, cfg, seed=args.seed, role="dm-check")
+        _write_report(args.out, cfg, fields, seed=args.seed, role="dm-check")
     if report.ok:
         print("condition: satisfied")
         return 0
@@ -170,12 +181,9 @@ def _cmd_dm_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    scene = _load_scene_arg(args)
+    scene = load_scene(args.scene)
     pattern = design_pattern(cfg, cfg.cu_angle_deg)
-    constellation = qpsk()
-    rng = np.random.default_rng(args.seed)
-    bits = rng.integers(0, 2, size=cfg.num_subcarriers * cfg.num_ofdm_symbols * constellation.bits_per_symbol)
-    data = modulate(bits, constellation).reshape(cfg.grid_shape)
+    data = _qpsk_payload(cfg, args.seed)
     received = radar_returns(data, pattern, cfg, scene)
     write_grid(args.out, received)
     _write_meta(args.out, cfg, scene=scene_to_dict(scene), payload_seed=args.seed, role="received")
@@ -185,20 +193,6 @@ def _cmd_simulate(args) -> int:
         _write_meta(args.data, cfg, payload_seed=args.seed, role="transmitted")
         print(f"wrote transmit grid {data.shape} to {args.data}")
     return 0
-
-
-def _format_coarse(row) -> str:
-    return (
-        f"bin ({row.angle_bin:3d},{row.range_bin:3d},{row.velocity_bin:4d})"
-        f" -> {row.angle_deg:8.3f} deg {row.range_m:10.3f} m {row.velocity_mps:9.3f} m/s"
-    )
-
-
-def _format_refined(row) -> str:
-    return (
-        f"from bin {row.angle_bin:3d}"
-        f" -> {row.angle_deg:8.3f} deg {row.range_m:10.4f} m {row.velocity_mps:9.4f} m/s"
-    )
 
 
 def _export_spectra(prefix, received, data, pattern, cfg, detection) -> None:
@@ -248,23 +242,9 @@ def _cmd_estimate(args) -> int:
     options = RefineOptions(fit_gains=args.fit_gains, num_sources=args.sources)
     estimates = estimate_targets(received, data, pattern, cfg, detection, options)
 
-    print(f"coarse detections: {len(estimates.coarse)}")
-    for row in estimates.coarse:
-        print("  " + _format_coarse(row))
-    print(f"refined targets: {len(estimates.refined)}")
-    for row in estimates.refined:
-        print("  " + _format_refined(row))
-
+    _print_estimates(estimates)
     if args.out:
-        payload = {
-            "version": __version__,
-            "config_hash": config_hash(cfg),
-            "estimates": estimates.to_dict(),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_meta(args.out, cfg, role="estimates")
+        _write_report(args.out, cfg, {"estimates": estimates.to_dict()}, role="estimates")
     if args.export_spectra:
         _export_spectra(args.export_spectra, received, data, pattern, cfg, detection)
     return 0 if estimates.refined else 1
@@ -296,16 +276,11 @@ def _cmd_ber_sweep(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
-    scene = _load_scene_arg(args)
+    scene = load_scene(args.scene)
     if args.seed is not None:
         scene = dataclasses.replace(scene, seed=args.seed)
     pattern = design_pattern(cfg, cfg.cu_angle_deg)
-    payload_rng = np.random.default_rng(scene.seed)
-    constellation = qpsk()
-    bits = payload_rng.integers(
-        0, 2, size=cfg.num_subcarriers * cfg.num_ofdm_symbols * constellation.bits_per_symbol
-    )
-    data = modulate(bits, constellation).reshape(cfg.grid_shape)
+    data = _qpsk_payload(cfg, scene.seed)
     received = radar_returns(data, pattern, cfg, scene)
     options = RefineOptions()
     estimates = estimate_targets(received, data, pattern, cfg, options=options)
@@ -316,12 +291,7 @@ def _cmd_reproduce(args) -> int:
     velocity_step = velocity_res / (options.velocity_points - 1)
 
     print(f"configuration hash {config_hash(cfg)[:16]}, noise/payload seed {scene.seed}")
-    print(f"coarse detections: {len(estimates.coarse)}")
-    for row in estimates.coarse:
-        print("  " + _format_coarse(row))
-    print(f"refined targets:   {len(estimates.refined)}")
-    for row in estimates.refined:
-        print("  " + _format_refined(row))
+    _print_estimates(estimates, refined_heading="refined targets:  ")
     print()
 
     ok = len(estimates.refined) == len(scene.targets)
@@ -371,23 +341,13 @@ def _cmd_reproduce(args) -> int:
         )
         report_rows.append(
             {
-                "truth": {
-                    "angle_deg": target.angle_deg,
-                    "range_m": target.range_m,
-                    "velocity_mps": target.velocity_mps,
-                },
+                "truth": _triple(target),
                 "expected": {
                     "angle_deg": expected_angle,
                     "range_m": expected_range,
                     "velocity_mps": expected_velocity,
                 },
-                "refined": None
-                if row is None
-                else {
-                    "angle_deg": row.angle_deg,
-                    "range_m": row.range_m,
-                    "velocity_mps": row.velocity_mps,
-                },
+                "refined": None if row is None else _triple(row),
                 "status": status,
             }
         )
@@ -399,18 +359,13 @@ def _cmd_reproduce(args) -> int:
     )
     print("reproduction:", "PASS" if ok else "FAIL")
     if args.out:
-        payload = {
-            "version": __version__,
-            "config_hash": config_hash(cfg),
+        fields = {
             "seed": scene.seed,
             "estimates": estimates.to_dict(),
             "targets": report_rows,
             "ok": ok,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_meta(args.out, cfg, role="reproduction")
+        _write_report(args.out, cfg, fields, role="reproduction")
     return 0 if ok else 1
 
 
@@ -424,9 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    fixtures = importlib.resources.files("tmadfrc").joinpath("fixtures")
+    reference_scene = fixtures.joinpath("reference_scene.json")
 
     def add_config(p):
-        p.add_argument("--config", help="config JSON (default: packaged reference)")
+        p.add_argument(
+            "--config",
+            default=fixtures.joinpath("reference_config.json"),
+            help="config JSON (default: packaged reference)",
+        )
         p.add_argument(
             "--set",
             action="append",
@@ -459,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize a frame and write grids")
     add_config(p)
-    p.add_argument("--scene", help="scene JSON (default: packaged reference)")
+    p.add_argument("--scene", default=reference_scene, help="scene JSON (default: packaged reference)")
     p.add_argument("--out", required=True, help="receive grid output path")
     p.add_argument("--data", help="also store the transmitted symbol grid here")
     p.add_argument("--seed", type=int, default=0, help="payload bit seed")
@@ -493,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the packaged reference scenario and check the recovered targets",
     )
     add_config(p)
-    p.add_argument("--scene", help="scene JSON (default: packaged reference)")
+    p.add_argument("--scene", default=reference_scene, help="scene JSON (default: packaged reference)")
     p.add_argument("--seed", type=int, help="override the reference noise/payload seed")
     p.add_argument("--out", help="write the reproduction report JSON here")
     p.set_defaults(handler=_cmd_reproduce)
@@ -507,15 +468,9 @@ def main(argv=None) -> int:
     except (DegenerateBinError, SubspaceError, NoPeaksError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return 1
-    except (
-        ConfigError,
-        SceneError,
-        PatternError,
-        GridFormatError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    # ConfigError, SceneError, PatternError, GridFormatError and a malformed
+    # JSON document are all ValueErrors.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

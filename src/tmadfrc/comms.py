@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .model import SystemConfig
+from .model import SystemConfig, snr_adds_noise
 from .tma import SwitchingPattern, harmonic_coefficient, scramble_symbols
 
 
@@ -173,10 +173,12 @@ def add_noise(out: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
 
 def awgn(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """A noisy copy of ``signal``: complex white Gaussian noise at the given
-    SNR relative to its mean power (see :func:`add_noise`)."""
+    SNR relative to its mean power (see :func:`add_noise`).  At +inf the copy
+    is noise-free; NaN and -inf raise ``ValueError``."""
     out = np.array(signal, dtype=np.complex128)
-    sigma2 = float(np.mean(np.abs(out) ** 2)) / 10.0 ** (snr_db / 10.0)
-    add_noise(out, sigma2, rng)
+    if snr_adds_noise(snr_db):
+        sigma2 = float(np.mean(np.abs(out) ** 2)) / 10.0 ** (snr_db / 10.0)
+        add_noise(out, sigma2, rng)
     return out
 
 
@@ -215,9 +217,7 @@ def link_ber(
         )
     bits = rng.integers(0, 2, size=count * constellation.bits_per_symbol)
     grid = modulate(bits, constellation).reshape(cfg.num_subcarriers, -1)
-    received = scramble_symbols(grid, pattern, cfg, theta_deg)
-    if np.isfinite(snr):
-        received = awgn(received, snr, rng)
+    received = awgn(scramble_symbols(grid, pattern, cfg, theta_deg), snr, rng)
     received /= harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
     return ber(bits, demodulate(received, constellation))
 

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 
 import numpy as np
 
@@ -112,7 +113,6 @@ def _invariants(cfg: SystemConfig):
         "(non-negative cyclic prefix)",
     )
     yield abs(cfg.cu_angle_deg) <= 90.0, "cu_angle_deg must lie in [-90, 90]"
-    yield not math.isnan(cfg.snr_db), "snr_db must not be NaN"
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -124,7 +124,19 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     for ok, message in _invariants(cfg):
         if not ok:
             raise ConfigError(message)
+    snr_adds_noise(cfg.snr_db, ConfigError)
     return cfg
+
+
+def snr_adds_noise(snr_db: float, error=ValueError) -> bool:
+    """Whether an SNR in dB asks for noise: only +inf means a noise-free signal.
+
+    Raises:
+        error: for NaN or -inf, which name no noise level.
+    """
+    if not -math.inf < snr_db:  # also refuses NaN
+        raise error(f"snr_db must be a number above -inf (+inf means noise-free), got {snr_db}")
+    return snr_db < math.inf
 
 
 def derived_resolutions(cfg: SystemConfig):
@@ -327,16 +339,117 @@ class EstimateSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EstimateSet":
-        return cls(
-            coarse=[CoarseEstimate(**row) for row in data.get("coarse", [])],
-            refined=[RefinedEstimate(**row) for row in data.get("refined", [])],
-        ).validate()
+        def rows(kind):
+            return lambda value: decode_list(
+                value, lambda row: decode_object(kind, row, ValueError)
+            )
+
+        convert = {"coarse": rows(CoarseEstimate), "refined": rows(RefinedEstimate)}
+        return decode_object(cls, data, ValueError, convert).validate()
+
+
+# --- JSON documents ------------------------------------------------------------
+# Config, scene, pattern and report files all share one format: written by
+# write_document, read by read_document, turned into a dataclass by
+# decode_object.
+
+
+def document_text(data) -> str:
+    """``data`` as JSON document text: 2-space indents and sorted keys, with
+    repr-based floats that round-trip bit-exactly."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def write_document(data, path) -> None:
+    """Write ``data`` to ``path`` as a JSON document with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(document_text(data) + "\n")
+
+
+def read_document(path):
+    """The JSON value stored in the document file at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_PLAIN = {bool: ("a boolean", bool), int: ("an integer", int), float: ("a number", (int, float))}
+
+
+def decode_number(value, kind=float):
+    """A JSON value under the config type rule for a ``kind`` (bool, int,
+    float, or ``X | None``) field: a bool is no number, a fraction no integer
+    and a string neither; an int is stored as float in a float field.
+
+    Raises:
+        TypeError: when ``value`` does not have that type.
+    """
+    options = set(typing.get_args(kind))
+    if type(None) in options:
+        if value is None:
+            return None
+        (kind,) = options - {type(None)}
+    name, accepted = _PLAIN[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise TypeError(f"must be {name}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def decode_list(value, item) -> list:
+    """The elements of the JSON array ``value``, each decoded by ``item``."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be an array, got {value!r}")
+    return [item(element) for element in value]
+
+
+def decode_complex(value) -> complex:
+    """A complex number stored as its JSON pair ``[re, im]``."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise TypeError(f"must be an [re, im] pair, got {value!r}")
+    return complex(decode_number(value[0]), decode_number(value[1]))
+
+
+def decode_object(cls, data, error, convert=None, keys=None):
+    """Build the dataclass ``cls`` from the JSON object ``data``.
+
+    Refuses a non-object, unknown keys and missing required keys.  Each field
+    decodes by :func:`decode_number` with the field's own type, or, for a
+    field that is not a plain number, by its converter ``convert[key]``.
+    ``keys`` maps a field name to its JSON key where the two differ.
+
+    Raises:
+        error: naming the document and the key when a value does not convert.
+    """
+    convert, keys, name = convert or {}, keys or {}, cls.__name__
+    if not isinstance(data, dict):
+        raise error(f"{name} must be a JSON object, got {data!r}")
+    fields = {keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise error(f"unknown {name} keys: {', '.join(unknown)}")
+    missing = sorted(
+        key
+        for key, f in fields.items()
+        if key not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    )
+    if missing:
+        raise error(f"missing {name} keys: {', '.join(missing)}")
+    types = typing.get_type_hints(cls)
+    values = {}
+    for key, value in data.items():
+        field = fields[key].name
+        try:
+            if key in convert:
+                values[field] = convert[key](value)
+            else:
+                values[field] = decode_number(value, types[field])
+        except (TypeError, ValueError, OverflowError) as exc:  # 10**400 overflows a float
+            raise error(f"{name} key {key}: {exc}") from None
+    return cls(**values)
 
 
 # --- configuration serialization -------------------------------------------
-
-_INT_FIELDS = {"num_subcarriers", "num_ofdm_symbols", "num_tx_antennas", "num_rx_antennas"}
-_BOOL_FIELDS = {"rounded_speed_of_light", "narrowband_doppler"}
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
@@ -345,51 +458,23 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build and validate a config from a plain dict; unknown keys are an error."""
-    known = {f.name for f in dataclasses.fields(SystemConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    coerced = {}
-    for key, value in data.items():
-        if key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {key} must be an integer, got {value!r}")
-            coerced[key] = value
-        elif key in _BOOL_FIELDS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {key} must be a boolean, got {value!r}")
-            coerced[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key} must be a number, got {value!r}")
-            coerced[key] = float(value)
-    try:
-        cfg = SystemConfig(**coerced)
-    except TypeError as exc:  # missing required field
-        raise ConfigError(str(exc)) from None
-    return validate_config(cfg)
+    return validate_config(decode_object(SystemConfig, data, ConfigError))
 
 
 def config_to_json(cfg: SystemConfig) -> str:
-    # repr-based float serialization round-trips bit-exactly through json
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    return document_text(config_to_dict(cfg))
 
 
 def config_from_json(text: str) -> SystemConfig:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ConfigError("config JSON must be an object")
-    return config_from_dict(data)
+    return config_from_dict(json.loads(text))
 
 
 def load_config(path) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(fh.read())
+    return config_from_dict(read_document(path))
 
 
 def save_config(cfg: SystemConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_json(cfg) + "\n")
+    write_document(config_to_dict(cfg), path)
 
 
 def config_hash(cfg: SystemConfig) -> str:

@@ -23,21 +23,26 @@ bit-reproducible for a given seed.
 """
 
 import dataclasses
-import json
 import struct
 
 import numpy as np
 
-from .comms import add_noise
+from .comms import add_noise, awgn
 from .model import (
     SceneError,
     SystemConfig,
     Target,
     check_symbol_grid,
+    decode_complex,
+    decode_list,
+    decode_object,
     range_ramp,
+    read_document,
     slow_time_rotation,
+    snr_adds_noise,
     steering_vector,
     validate_target,
+    write_document,
 )
 from .tma import SwitchingPattern, scramble_symbols
 
@@ -46,8 +51,8 @@ from .tma import SwitchingPattern, scramble_symbols
 class Scene:
     """Targets plus the noise realization parameters.
 
-    ``snr_db`` of None defers to ``cfg.snr_db``; an infinite value disables
-    noise entirely.
+    ``snr_db`` of None defers to ``cfg.snr_db``; +inf disables noise
+    entirely, and NaN or -inf is refused.
     """
 
     targets: tuple
@@ -59,7 +64,9 @@ class Scene:
 
 
 def validate_scene(scene: Scene, cfg: SystemConfig, allow_out_of_window: bool = False) -> Scene:
-    """Check every target and the angle-identifiability bound."""
+    """Check the SNR, every target and the angle-identifiability bound."""
+    if scene.snr_db is not None:
+        snr_adds_noise(scene.snr_db, SceneError)
     for target in scene.targets:
         validate_target(target, cfg, allow_out_of_window=allow_out_of_window)
     distinct = {float(np.sin(np.radians(t.angle_deg))) for t in scene.targets}
@@ -107,7 +114,7 @@ def radar_returns(
     out = (steers.T @ slabs.reshape(len(targets), n_s * n_p)).reshape(n_r, n_s, n_p)
 
     snr_db = cfg.snr_db if scene.snr_db is None else scene.snr_db
-    if np.isfinite(snr_db):
+    if snr_adds_noise(snr_db):
         signal_power = float(np.vdot(out, out).real / out.size)
         reference = signal_power if signal_power > 0.0 else 1.0
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
@@ -129,10 +136,7 @@ def one_way_received(
     angle, so detection statistics are comparable across directions.
     """
     received = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta_deg)
-    if np.isfinite(snr_db):
-        sigma2 = float(np.mean(np.abs(received) ** 2)) / 10.0 ** (snr_db / 10.0)
-        add_noise(received, sigma2, np.random.default_rng(seed))
-    return received
+    return awgn(received, snr_db, np.random.default_rng(seed))
 
 
 # --- scene serialization -----------------------------------------------------
@@ -150,49 +154,29 @@ def scene_to_dict(scene: Scene) -> dict:
             for t in scene.targets
         ],
         "seed": scene.seed,
-        "snr_db": None if scene.snr_db is None else scene.snr_db,
+        "snr_db": scene.snr_db,
     }
 
 
-def _target_from_dict(data: dict) -> Target:
-    known = {"angle_deg", "range_m", "velocity_mps", "beta"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SceneError(f"unknown target keys: {', '.join(unknown)}")
-    beta = data.get("beta", [1.0, 0.0])
-    return Target(
-        angle_deg=float(data["angle_deg"]),
-        range_m=float(data["range_m"]),
-        velocity_mps=float(data["velocity_mps"]),
-        reflectivity=complex(beta[0], beta[1]),
-    )
+def _target_from_dict(data) -> Target:
+    convert = {"beta": decode_complex}
+    return decode_object(Target, data, SceneError, convert, keys={"reflectivity": "beta"})
 
 
 def scene_from_dict(data) -> Scene:
     """Accept either a bare target list or a {targets, seed, snr_db} object."""
     if isinstance(data, list):
-        return Scene(targets=tuple(_target_from_dict(t) for t in data))
-    known = {"targets", "seed", "snr_db"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SceneError(f"unknown scene keys: {', '.join(unknown)}")
-    snr = data.get("snr_db")
-    return Scene(
-        targets=tuple(_target_from_dict(t) for t in data.get("targets", [])),
-        seed=int(data.get("seed") or 0),
-        snr_db=None if snr is None else float(snr),
-    )
+        data = {"targets": data}
+    convert = {"targets": lambda value: decode_list(value, _target_from_dict)}
+    return decode_object(Scene, data, SceneError, convert)
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_dict(json.load(fh))
+    return scene_from_dict(read_document(path))
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(scene_to_dict(scene), path)
 
 
 # --- binary grid storage -------------------------------------------------------

@@ -18,11 +18,20 @@ so turn-on instants are always reduced modulo 1.
 """
 
 import dataclasses
-import json
+import math
 
 import numpy as np
 
-from .model import SystemConfig, check_symbol_grid
+from .model import (
+    SystemConfig,
+    check_symbol_grid,
+    decode_complex,
+    decode_list,
+    decode_number,
+    decode_object,
+    read_document,
+    write_document,
+)
 
 
 class PatternError(ValueError):
@@ -209,6 +218,12 @@ def check_dm_condition(
             may share sin(theta) with the steered angle (a co-linear alias
             would probe the steered direction itself).
     """
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not (0.0 <= rel_tol < math.inf and 0.0 <= off_steer_floor < math.inf):
+        raise ValueError(
+            f"rel_tol and off_steer_floor must be finite and non-negative, "
+            f"got {rel_tol} and {off_steer_floor}"
+        )
     probes = np.atleast_1d(np.asarray(probe_angles_deg, dtype=float))
     if probes.size == 0:
         raise ValueError("clause (3) needs at least one probe angle")
@@ -344,27 +359,17 @@ def pattern_to_dict(pattern: SwitchingPattern) -> dict:
 
 
 def pattern_from_dict(data: dict) -> SwitchingPattern:
-    known = {"tau_on", "duty", "weights"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise PatternError(f"unknown pattern keys: {', '.join(unknown)}")
-    try:
-        weights = np.array([complex(re, im) for re, im in data["weights"]])
-    except (TypeError, ValueError) as exc:
-        raise PatternError(f"weights must be [re, im] pairs: {exc}") from None
-    return SwitchingPattern(
-        tau_on=np.asarray(data["tau_on"], dtype=float),
-        duty=np.asarray(data["duty"], dtype=float),
-        weights=weights,
-    )
+    convert = {
+        "tau_on": lambda value: decode_list(value, decode_number),
+        "duty": lambda value: decode_list(value, decode_number),
+        "weights": lambda value: decode_list(value, decode_complex),
+    }
+    return decode_object(SwitchingPattern, data, PatternError, convert)
 
 
 def save_pattern(pattern: SwitchingPattern, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pattern_to_dict(pattern), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(pattern_to_dict(pattern), path)
 
 
 def load_pattern(path) -> SwitchingPattern:
-    with open(path, "r", encoding="utf-8") as fh:
-        return pattern_from_dict(json.load(fh))
+    return pattern_from_dict(read_document(path))

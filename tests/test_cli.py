@@ -75,6 +75,10 @@ def test_dm_check_single_element_is_config_error(capsys):
         pytest.param(("--min-sin-offset", "-0.1"), id="negative_offset"),
         pytest.param(("--duty", "nan"), id="duty_nan"),
         pytest.param(("--set", "carrier_freq_hz=Infinity"), id="infinite_carrier"),
+        # NaN tolerances fail every comparison and used to read as "VIOLATED"
+        pytest.param(("--rel-tol", "nan"), id="rel_tol_nan"),
+        pytest.param(("--floor", "nan"), id="floor_nan"),
+        pytest.param(("--floor", "-1"), id="negative_floor"),
     ],
 )
 def test_dm_check_refuses_bad_input(capsys, argv):
@@ -260,6 +264,30 @@ def test_simulate_output_is_reproducible(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+BAD_SCENES = {
+    "target_without_angle": {"targets": [{"range_m": 50.0, "velocity_mps": 0.0}]},
+    "null_angle": {"targets": [{"angle_deg": None, "range_m": 50.0, "velocity_mps": 0.0}]},
+    "short_beta": {
+        "targets": [{"angle_deg": 20.0, "range_m": 50.0, "velocity_mps": 0.0, "beta": [1]}]
+    },
+    "number": 42,
+    "targets_number": {"targets": 5},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce-table2"])
+@pytest.mark.parametrize("document", BAD_SCENES.values(), ids=BAD_SCENES)
+def test_bad_scene_file_exits_two(capsys, tmp_path, command, document):
+    scene_path = tmp_path / "bad.json"
+    scene_path.write_text(json.dumps(document))
+    outputs = ("--out", str(tmp_path / "g.grid")) if command == "simulate" else ()
+    code, out, err = run(capsys, command, "--scene", str(scene_path), *outputs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Scene") and err.count("\n") == 1
+    assert not list(tmp_path.glob("g.grid*"))
+
+
 # ---------------------------------------------------------------------------
 # ber-sweep
 
@@ -283,6 +311,15 @@ def test_ber_sweep_range_syntax(capsys):
     code, out, _ = run(capsys, "ber-sweep", "--angles", "50:52:1", "--symbols", "512")
     assert code == 0
     assert out.count("BER") == 3
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_ber_sweep_refuses_snr_without_a_noise_level(capsys, snr):
+    # both used to report BER 0 at the steer, as if noise-free
+    code, out, err = run(capsys, "ber-sweep", "--angles", "60", f"--snr={snr}")
+    assert code == 2
+    assert out == ""
+    assert "snr_db" in err
 
 
 @pytest.mark.parametrize("count", ["0", "-64"])
@@ -321,6 +358,14 @@ def test_reproduce_degrades_gracefully_in_heavy_noise(capsys):
     code, out, err = run(capsys, "reproduce-table2", "--set", "snr_db=-20")
     assert code == 1
     assert ("reproduction: FAIL" in out) or err.startswith("analysis failed:")
+
+
+def test_reproduce_refuses_minus_infinite_snr(capsys):
+    # used to run noise-free and print "reproduction: PASS"
+    code, out, err = run(capsys, "reproduce-table2", "--set", "snr_db=-Infinity")
+    assert code == 2
+    assert out == ""
+    assert "snr_db" in err
 
 
 # ---------------------------------------------------------------------------

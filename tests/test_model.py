@@ -66,6 +66,7 @@ def test_exact_speed_of_light_is_the_default(small_cfg):
         ("tx_spacing_wavelengths", 0.0, "tx_spacing_wavelengths"),
         ("cu_angle_deg", 91.0, "cu_angle_deg"),
         ("snr_db", float("nan"), "snr_db"),
+        ("snr_db", -math.inf, "snr_db"),
         ("carrier_freq_hz", math.inf, "carrier_freq_hz"),
         ("subcarrier_spacing_hz", math.inf, "subcarrier_spacing_hz"),
         ("symbol_duration_s", math.inf, "symbol_duration_s"),

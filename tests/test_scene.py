@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 
 from tmadfrc import (
+    ConfigError,
     GridFormatError,
     Scene,
     SceneError,
     Target,
+    awgn,
     design_pattern,
+    link_ber,
+    qpsk,
     one_way_received,
     radar_returns,
     read_grid,
@@ -27,6 +31,7 @@ from tmadfrc import (
     load_scene,
     scene_from_dict,
     scene_to_dict,
+    validate_config,
     validate_scene,
     write_grid,
 )
@@ -256,6 +261,67 @@ def test_one_way_link_is_scrambling_plus_noise(small_cfg, small_pattern):
     noisy = one_way_received(data, small_pattern, small_cfg, theta, 0.0, seed=5)
     noise_power = np.mean(np.abs(noisy - clean) ** 2)
     assert noise_power == pytest.approx(np.mean(np.abs(clean) ** 2), rel=0.2)
+
+
+# --- the SNR rule: +inf is noise-free, NaN and -inf name no noise level -------
+
+
+def _noisy_frame(cfg, pattern, scene):
+    return radar_returns(qpsk_frame(cfg, seed=40), pattern, cfg, scene)
+
+
+ONE_TARGET = (Target(10.0, 30.0, 5.0),)
+SNR_SITES = {
+    "config": (
+        ConfigError,
+        lambda cfg, pattern, snr, seed: _noisy_frame(
+            validate_config(dataclasses.replace(cfg, snr_db=snr)), pattern, Scene(ONE_TARGET, seed)
+        ),
+    ),
+    "scene": (
+        SceneError,
+        lambda cfg, pattern, snr, seed: _noisy_frame(cfg, pattern, Scene(ONE_TARGET, seed, snr)),
+    ),
+    "awgn": (
+        ValueError,
+        lambda cfg, pattern, snr, seed: awgn(
+            qpsk_frame(cfg, seed=41), snr, np.random.default_rng(seed)
+        ),
+    ),
+    "link_ber": (
+        ValueError,
+        lambda cfg, pattern, snr, seed: link_ber(
+            cfg, pattern, qpsk(), cfg.cu_angle_deg, snr, rng=np.random.default_rng(seed)
+        ),
+    ),
+    "one_way_received": (
+        ValueError,
+        lambda cfg, pattern, snr, seed: one_way_received(
+            qpsk_frame(cfg, seed=42), pattern, cfg, cfg.cu_angle_deg + 10.0, snr, seed
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("snr", [math.nan, -math.inf], ids=["nan", "minus_inf"])
+@pytest.mark.parametrize("site", SNR_SITES)
+def test_snr_without_a_noise_level_is_refused(small_cfg, small_pattern, site, snr):
+    error, run = SNR_SITES[site]
+    with pytest.raises(error, match="snr_db"):
+        run(small_cfg, small_pattern, snr, 1)
+
+
+@pytest.mark.parametrize("site", SNR_SITES)
+def test_infinite_snr_is_noise_free(small_cfg, small_pattern, site):
+    _, run = SNR_SITES[site]
+
+    def seeds_agree(snr):
+        first, second = (run(small_cfg, small_pattern, snr, seed) for seed in (1, 2))
+        return np.array_equal(first, second)
+
+    # the seed changes the result at a finite SNR, and nothing at +inf
+    assert not seeds_agree(0.0)
+    assert seeds_agree(math.inf)
 
 
 # --- scene serialization -----------------------------------------------------

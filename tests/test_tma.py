@@ -291,6 +291,21 @@ def test_condition_needs_a_probe(ref_cfg):
         check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [])
 
 
+@pytest.mark.parametrize(
+    "tolerances",
+    [
+        {"rel_tol": math.nan},
+        {"off_steer_floor": math.nan},
+        {"rel_tol": -1e-10},
+        {"off_steer_floor": math.inf},
+    ],
+)
+def test_condition_refuses_bad_tolerances(ref_cfg, tolerances):
+    pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
+    with pytest.raises(ValueError, match=next(iter(tolerances))):
+        check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0], **tolerances)
+
+
 def test_aliased_probe_rejected(ref_cfg):
     pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
     alias = 180.0 - ref_cfg.cu_angle_deg  # same sine, different angle
