@@ -97,6 +97,7 @@ from .tma import (
     SwitchingPattern,
     check_dm_condition,
     design_pattern,
+    element_gains,
     harmonic_coefficient,
     harmonic_coefficients,
     load_pattern,

@@ -129,7 +129,9 @@ def _parse_angles(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("angle step must be positive")
-        return np.arange(start, stop + step * 1e-9, step)
+        # arange accumulates rounding (-90:90:0.2 ends at 90.0000000000026),
+        # which must not push the last probe past STOP and out of [-90, 90]
+        return np.minimum(np.arange(start, stop + step * 1e-9, step), stop)
     return np.array([float(p) for p in spec.split(",")])
 
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .model import SystemConfig, snr_adds_noise
-from .tma import SwitchingPattern, harmonic_coefficient, scramble_symbols
+from .tma import SwitchingPattern, element_gains, scramble_symbols
 
 
 def _gray_square_grid(bits: int) -> np.ndarray:
@@ -171,14 +171,27 @@ def add_noise(out: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
             rail[start : start + chunk.size] += chunk
 
 
+def _mean_power(x: np.ndarray) -> float:
+    """``np.mean(np.abs(x) ** 2)``, squared in place in the one array of
+    magnitudes, which is freed on return."""
+    power = np.abs(x)
+    return float(np.mean(np.square(power, out=power)))
+
+
+def _add_noise_at_snr(out: np.ndarray, snr_db: float, rng: np.random.Generator) -> None:
+    """Add noise to the C-contiguous complex ``out`` in place at ``snr_db``
+    relative to its own mean power (see :func:`add_noise`).  At +inf nothing
+    is added; NaN and -inf raise ``ValueError``."""
+    if snr_adds_noise(snr_db):
+        add_noise(out, _mean_power(out) / 10.0 ** (snr_db / 10.0), rng)
+
+
 def awgn(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """A noisy copy of ``signal``: complex white Gaussian noise at the given
     SNR relative to its mean power (see :func:`add_noise`).  At +inf the copy
     is noise-free; NaN and -inf raise ``ValueError``."""
     out = np.array(signal, dtype=np.complex128)
-    if snr_adds_noise(snr_db):
-        sigma2 = float(np.mean(np.abs(out) ** 2)) / 10.0 ** (snr_db / 10.0)
-        add_noise(out, sigma2, rng)
+    _add_noise_at_snr(out, snr_db, rng)
     return out
 
 
@@ -202,7 +215,12 @@ def link_ber(
 
     Random payload bits are scrambled toward ``theta_deg``, noise is added at
     the per-direction SNR, and the result is equalized by the fundamental
-    gain of the steered direction before slicing.
+    gain of the steered direction before slicing.  The probe is one array:
+    the scrambled frame takes the noise and the equalization in place.
+
+    Raises:
+        ValueError: for a direction that is not finite or lies outside
+            [-90, 90] deg, or an SNR of NaN or -inf.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -216,9 +234,12 @@ def link_ber(
             f"(multiples of {cfg.num_subcarriers}), got {count}"
         )
     bits = rng.integers(0, 2, size=count * constellation.bits_per_symbol)
-    grid = modulate(bits, constellation).reshape(cfg.num_subcarriers, -1)
-    received = awgn(scramble_symbols(grid, pattern, cfg, theta_deg), snr, rng)
-    received /= harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
+    # the payload grid dies inside scramble_symbols, which returns a fresh array
+    received = scramble_symbols(
+        modulate(bits, constellation).reshape(cfg.num_subcarriers, -1), pattern, cfg, theta_deg
+    )
+    _add_noise_at_snr(received, snr, rng)
+    received /= element_gains(pattern, cfg, cfg.cu_angle_deg).sum()
     return ber(bits, demodulate(received, constellation))
 
 

@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from .comms import add_noise, awgn
+from .comms import _add_noise_at_snr, add_noise
 from .model import (
     SceneError,
     SystemConfig,
@@ -136,7 +136,8 @@ def one_way_received(
     angle, so detection statistics are comparable across directions.
     """
     received = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta_deg)
-    return awgn(received, snr_db, np.random.default_rng(seed))
+    _add_noise_at_snr(received, snr_db, np.random.default_rng(seed))
+    return received
 
 
 # --- scene serialization -----------------------------------------------------

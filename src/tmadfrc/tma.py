@@ -101,6 +101,33 @@ def design_pattern(cfg: SystemConfig, steer_angle_deg: float) -> SwitchingPatter
     return SwitchingPattern(tau_on=tau_on, duty=duty, weights=weights)
 
 
+def _check_direction(theta_deg: float) -> None:
+    """Refuse a direction that is not finite or lies outside [-90, 90] deg,
+    the rule :func:`model.validate_target` applies to a target's angle."""
+    if not -90.0 <= theta_deg <= 90.0:  # also refuses NaN
+        raise ValueError(f"direction must be finite and inside [-90, 90] deg, got {theta_deg}")
+
+
+def element_gains(pattern: SwitchingPattern, cfg: SystemConfig, theta_deg: float) -> np.ndarray:
+    """Per-element gains toward ``theta_deg``: steering x weight x duty.
+
+    Their sum is the fundamental (order-0) coefficient, since the m = 0 gate
+    of :func:`harmonic_coefficients` is exactly 1.
+
+    Raises:
+        ValueError: for a direction that is not finite or lies outside
+            [-90, 90] deg.
+    """
+    _check_direction(theta_deg)
+    sin_theta = np.sin(np.radians(theta_deg))
+    n = np.arange(pattern.num_elements)
+    return (
+        np.exp(-2j * np.pi * n * cfg.tx_spacing_wavelengths * sin_theta)
+        * pattern.weights
+        * pattern.duty
+    )
+
+
 def harmonic_coefficients(
     pattern: SwitchingPattern, cfg: SystemConfig, m, theta_deg: float
 ) -> np.ndarray:
@@ -118,23 +145,16 @@ def harmonic_coefficients(
 
     Args:
         m: scalar or 1-D array of integer harmonic orders.
-        theta_deg: observation direction.
+        theta_deg: observation direction, finite and inside [-90, 90].
 
     Returns:
         Complex coefficients with the shape of ``m``.
     """
     m_arr = np.atleast_1d(np.asarray(m))
-    sin_theta = np.sin(np.radians(theta_deg))
-    n = np.arange(pattern.num_elements)
-    element = (
-        np.exp(-2j * np.pi * n * cfg.tx_spacing_wavelengths * sin_theta)
-        * pattern.weights
-        * pattern.duty
-    )
     gate = np.sinc(np.multiply.outer(m_arr, pattern.duty)) * np.exp(
         -1j * np.pi * np.multiply.outer(m_arr, 2.0 * pattern.tau_on + pattern.duty)
     )
-    coeffs = gate @ element
+    coeffs = gate @ element_gains(pattern, cfg, theta_deg)
     return coeffs if np.ndim(m) else complex(coeffs[0])
 
 
@@ -155,9 +175,15 @@ def scramble_matrix(pattern: SwitchingPattern, cfg: SystemConfig, theta_deg: flo
     """
     ns = cfg.num_subcarriers
     orders = np.arange(-(ns - 1), ns)
-    coeffs = harmonic_coefficients(pattern, cfg, orders, theta_deg)
-    idx = np.subtract.outer(np.arange(ns), np.arange(ns)) + ns - 1
-    return coeffs[idx]
+    return _toeplitz(harmonic_coefficients(pattern, cfg, orders, theta_deg))
+
+
+def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
+    """The N x N matrix T[s, i] = coeffs[s - i + N - 1] of 2N - 1 coefficients
+    for the orders -(N-1) .. N-1, copied from a window view: window w of the
+    reversed coefficients holds coeffs[2N - 2 - w - i], i.e. row N - 1 - w."""
+    ns = (coeffs.size + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(coeffs[::-1], ns)[::-1].copy()
 
 
 def scramble_symbols(
@@ -170,15 +196,21 @@ def scramble_symbols(
             (num_subcarriers, num_ofdm_symbols).
 
     Returns:
-        Grid of the same shape; at the steered angle it is the input scaled
-        by the fundamental coefficient, elsewhere a harmonic mixture.
+        A new C-contiguous grid of the same shape (callers may add to it in
+        place); at the steered angle it is the input scaled by the
+        fundamental coefficient, elsewhere a harmonic mixture.
+
+    Raises:
+        ValueError: for a direction that is not finite or lies outside
+            [-90, 90] deg.
     """
     data = np.asarray(data, dtype=np.complex128)
     if data.shape[0] != cfg.num_subcarriers:
         raise ValueError(
             f"first axis must hold {cfg.num_subcarriers} subcarriers, got {data.shape}"
         )
-    return np.tensordot(scramble_matrix(pattern, cfg, theta_deg), data, axes=1)
+    matrix = scramble_matrix(pattern, cfg, theta_deg)
+    return (matrix @ data.reshape(data.shape[0], -1)).reshape(data.shape)
 
 
 # --- steered-direction condition --------------------------------------------
@@ -319,6 +351,7 @@ def time_domain_demod(
     The cyclic prefix drops out: the demodulation window spans exactly one
     switching period and every integrand is periodic over it.
     """
+    _check_direction(theta_deg)
     data = check_symbol_grid(cfg, data)
     ns = cfg.num_subcarriers
     n = ns * int(oversample)
@@ -343,8 +376,7 @@ def time_domain_demod(
     width[~nonzero] = 1.0 / n
     coeffs = combined_gate @ (phase * width)  # (2*ns-1,)
 
-    mix = coeffs[np.subtract.outer(np.arange(ns), np.arange(ns)) + ns - 1]
-    return mix @ data
+    return _toeplitz(coeffs) @ data
 
 
 # --- serialization ------------------------------------------------------------

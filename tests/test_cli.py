@@ -313,6 +313,14 @@ def test_ber_sweep_range_syntax(capsys):
     assert out.count("BER") == 3
 
 
+def test_ber_sweep_range_ends_on_its_stop(capsys):
+    # arange alone ends this range at 90.00000000000014, outside [-90, 90]
+    code, out, _ = run(capsys, "ber-sweep", "--angles", "80:90:0.2", "--symbols", "64")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 51 and lines[-1].startswith("   90.000 deg")
+
+
 @pytest.mark.parametrize("snr", ["nan", "-inf"])
 def test_ber_sweep_refuses_snr_without_a_noise_level(capsys, snr):
     # both used to report BER 0 at the steer, as if noise-free
@@ -320,6 +328,15 @@ def test_ber_sweep_refuses_snr_without_a_noise_level(capsys, snr):
     assert code == 2
     assert out == ""
     assert "snr_db" in err
+
+
+@pytest.mark.parametrize("angles", ["nan", "inf", "-inf", "90.5", "200", "60,nan"])
+def test_ber_sweep_refuses_a_direction_outside_the_half_space(capsys, angles):
+    # "nan" used to print "nan deg  BER 0.515625" and "200" a BER, both exit 0
+    code, out, err = run(capsys, "ber-sweep", f"--angles={angles}", "--symbols", "64")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "direction" in err
 
 
 @pytest.mark.parametrize("count", ["0", "-64"])

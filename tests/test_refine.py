@@ -7,6 +7,7 @@ agree with that direct evaluation combination by combination.
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -736,6 +737,43 @@ def test_estimate_targets_pinned_reference_estimates(ref_cfg, ref_scene, ref_pat
             estimates = estimate_targets(received, data, ref_pattern, ref_cfg, options=options)
         got = [(row.angle_deg, row.range_m, row.velocity_mps) for row in estimates.refined]
         assert got == expected, f"noise seed {noise_seed}"
+
+
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+def test_target_order_and_fit_residuals_on_reference_frames(
+    monkeypatch, ref_cfg, ref_scene, ref_pattern
+):
+    """Permuting the scene's targets leaves the refined set unchanged (sorted,
+    to 1e-9), and no joint fit ends above its coarse residual, in either gain
+    mode, on payload seed 7 with noise seeds 0-4."""
+    fits = []
+    joint_fit = refine._joint_fit
+
+    def recording_fit(*args):
+        fits.append(joint_fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(refine, "_joint_fit", recording_fit)
+    data = qpsk_frame(ref_cfg, seed=7)
+
+    def refined(targets, noise_seed, options=RefineOptions()):
+        scene = dataclasses.replace(ref_scene, targets=tuple(targets), seed=noise_seed)
+        received = radar_returns(data, ref_pattern, ref_cfg, scene)
+        rows = estimate_targets(received, data, ref_pattern, ref_cfg, options=options).refined
+        return sorted((row.angle_deg, row.range_m, row.velocity_mps) for row in rows)
+
+    for noise_seed in range(5):
+        expected = refined(ref_scene.targets, noise_seed)
+        assert len(expected) == len(ref_scene.targets)
+        for order in list(itertools.permutations(ref_scene.targets))[1:]:
+            got = refined(order, noise_seed)
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
+        refined(ref_scene.targets, noise_seed, RefineOptions(fit_gains=True))  # for its fits
+
+    # a range and a velocity fit per occupied bin, 2 bins, 7 frames per seed
+    assert len(fits) == 5 * 7 * 2 * 2
+    for fit in fits:
+        assert fit.residual <= fit.coarse_residual
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # forcing one source per

@@ -149,6 +149,16 @@ def test_one_way_noise_follows_documented_seed_map(small_cfg, small_pattern):
     assert np.array_equal(got, clean + np.sqrt(sigma2 / 2.0) * (first + 1j * second))
 
 
+@pytest.mark.parametrize("snr_db", [6.0, -3.0, math.inf])
+def test_one_way_link_is_awgn_of_the_scrambled_grid(small_cfg, small_pattern, snr_db):
+    data = qpsk_frame(small_cfg, seed=31)
+    for theta in (small_cfg.cu_angle_deg, -62.0):
+        got = one_way_received(data, small_pattern, small_cfg, theta, snr_db, seed=12)
+        scrambled = scramble_symbols(data, small_pattern, small_cfg, theta)
+        expected = awgn(scrambled, snr_db, np.random.default_rng(12))
+        assert np.array_equal(got, expected)
+
+
 def test_noiseless_empty_scene_is_exact_zeros(small_cfg, small_pattern):
     data = qpsk_frame(small_cfg, seed=31)
     got = radar_returns(data, small_pattern, small_cfg, Scene((), snr_db=math.inf))
@@ -322,6 +332,37 @@ def test_infinite_snr_is_noise_free(small_cfg, small_pattern, site):
     # the seed changes the result at a finite SNR, and nothing at +inf
     assert not seeds_agree(0.0)
     assert seeds_agree(math.inf)
+
+
+# --- the direction rule: finite and inside [-90, 90] deg -----------------------
+
+DIRECTION_SITES = {
+    "scramble_symbols": lambda cfg, pattern, theta: scramble_symbols(
+        qpsk_frame(cfg, seed=43), pattern, cfg, theta
+    ),
+    "link_ber": lambda cfg, pattern, theta: link_ber(cfg, pattern, qpsk(), theta, 10.0),
+    "one_way_received": lambda cfg, pattern, theta: one_way_received(
+        qpsk_frame(cfg, seed=44), pattern, cfg, theta, 10.0
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [math.nan, math.inf, -math.inf, 90.5, 200.0],
+    ids=["nan", "inf", "minus_inf", "90.5", "200"],
+)
+@pytest.mark.parametrize("site", DIRECTION_SITES)
+def test_direction_outside_the_half_space_is_refused(small_cfg, small_pattern, site, theta):
+    # NaN used to give an all-NaN grid (and BER 0.5), 200 a result for 200 deg
+    with pytest.raises(ValueError, match="direction"):
+        DIRECTION_SITES[site](small_cfg, small_pattern, theta)
+
+
+@pytest.mark.parametrize("site", DIRECTION_SITES)
+def test_endfire_direction_is_a_direction(small_cfg, small_pattern, site):
+    for theta in (-90.0, 90.0):
+        assert np.isfinite(DIRECTION_SITES[site](small_cfg, small_pattern, theta)).all()
 
 
 # --- scene serialization -----------------------------------------------------

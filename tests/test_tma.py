@@ -18,6 +18,7 @@ from tmadfrc import (
     SwitchingPattern,
     check_dm_condition,
     design_pattern,
+    element_gains,
     harmonic_coefficient,
     harmonic_coefficients,
     load_pattern,
@@ -229,6 +230,48 @@ def test_scrambling_matches_dense_matrix_oracle(small_cfg):
     assert np.max(np.abs(scramble_matrix(pattern, cfg, theta) - mix)) < 1e-13
 
 
+@pytest.mark.parametrize("ns", [1, 2, 64])
+def test_scramble_matrix_is_its_definition(ref_cfg, ns):
+    # M[s, i] = coefficient of order s - i, taken from one call over all the
+    # in-band orders (exact) and from one scalar call per entry (to rounding)
+    cfg = dataclasses.replace(ref_cfg, num_subcarriers=ns)
+    pattern = design_pattern(cfg, cfg.cu_angle_deg)
+    orders = np.arange(-(ns - 1), ns)
+    for theta in (-90.0, -41.3, cfg.cu_angle_deg, 90.0):
+        coeffs = dict(zip(orders, harmonic_coefficients(pattern, cfg, orders, theta)))
+        expected = np.array([[coeffs[s - i] for i in range(ns)] for s in range(ns)])
+        got = scramble_matrix(pattern, cfg, theta)
+        assert got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_array_equal(got, expected)
+        scalar = [
+            [harmonic_coefficient(pattern, cfg, s - i, theta) for i in range(ns)]
+            for s in range(ns)
+        ]
+        np.testing.assert_allclose(got, scalar, rtol=0.0, atol=1e-15 * cfg.num_tx_antennas)
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 16), (64, 4, 3)], ids=["1-D", "2-D", "3-D"])
+def test_scramble_symbols_is_the_tensordot_of_its_matrix(ref_cfg, ref_pattern, shape):
+    rng = np.random.default_rng(19)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    before = data.copy()
+    for theta in (-73.0, ref_cfg.cu_angle_deg, 12.5):
+        got = scramble_symbols(data, ref_pattern, ref_cfg, theta)
+        oracle = np.tensordot(scramble_matrix(ref_pattern, ref_cfg, theta), data, axes=1)
+        assert np.array_equal(got, oracle)
+        # a fresh array that callers may add noise to in place
+        assert got.flags.c_contiguous and not np.shares_memory(got, data)
+    np.testing.assert_array_equal(data, before)
+
+
+def test_fundamental_is_the_sum_of_the_element_gains(ref_cfg, ref_pattern):
+    # the m = 0 gate is exactly 1, so the order-0 coefficient needs no gate
+    for theta in np.linspace(-90.0, 90.0, 37):
+        total = element_gains(ref_pattern, ref_cfg, theta).sum()
+        reference = harmonic_coefficient(ref_pattern, ref_cfg, 0, theta)
+        assert abs(total - reference) <= 1e-15 * ref_cfg.num_tx_antennas
+
+
 def test_scrambling_is_linear(small_cfg):
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
     a = qpsk_frame(small_cfg, seed=6)
@@ -240,6 +283,32 @@ def test_scrambling_is_linear(small_cfg):
         b, pattern, small_cfg, theta
     )
     assert np.max(np.abs(combined - separate)) < 1e-12
+
+
+BAD_DIRECTIONS = [math.nan, math.inf, -math.inf, 90.5, -90.5, 200.0]
+
+
+@pytest.mark.parametrize("theta", BAD_DIRECTIONS)
+def test_direction_outside_the_visible_half_space_is_refused(small_cfg, theta):
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    data = qpsk_frame(small_cfg, seed=8)
+    calls = (
+        lambda: harmonic_coefficients(pattern, small_cfg, np.arange(-2, 3), theta),
+        lambda: harmonic_coefficient(pattern, small_cfg, 0, theta),
+        lambda: element_gains(pattern, small_cfg, theta),
+        lambda: scramble_matrix(pattern, small_cfg, theta),
+        lambda: time_domain_demod(data, pattern, small_cfg, theta),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="direction"):
+            call()
+
+
+def test_time_domain_route_accepts_endfire(small_cfg):
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    data = qpsk_frame(small_cfg, seed=9)
+    for theta in (-90.0, 90.0):
+        assert np.isfinite(time_domain_demod(data, pattern, small_cfg, theta)).all()
 
 
 def test_wrong_grid_shape_rejected(small_cfg):
