@@ -304,7 +304,7 @@ def _cmd_reproduce(args) -> int:
     rows = list(estimates.refined)
     report_rows = []
     for target in scene.targets:
-        expected_angle = round(target.angle_deg / 0.1) * 0.1
+        expected_angle = round(target.angle_deg / options.music_step_deg) * options.music_step_deg
         range_bin = int(np.rint(target.range_m / range_res))
         velocity_bin = int(np.rint(target.velocity_mps / velocity_res))
         range_grid = candidate_range_grid([range_bin], cfg, options.range_points)

@@ -87,6 +87,17 @@ def peak_threshold(profile: np.ndarray, criterion: PeakCriterion = PeakCriterion
     return min(threshold, top) if criterion.keep_tallest else threshold
 
 
+def _local_maxima(values, wrap: bool) -> np.ndarray:
+    """Mask of local maxima, a plateau counting at its rightmost sample.  With
+    ``wrap`` the values are circular, as a DFT profile is; otherwise, and for
+    a single value, both ends face -inf."""
+    v = np.asarray(values, dtype=float)
+    if wrap and v.size > 1:
+        return (v >= np.roll(v, 1)) & (v > np.roll(v, -1))
+    padded = np.concatenate(([-np.inf], v, [-np.inf]))
+    return (v >= padded[:-2]) & (v > padded[2:])
+
+
 def detect_peaks(profile: np.ndarray, criterion: PeakCriterion = PeakCriterion()) -> np.ndarray:
     """Indices of circular local maxima at or above the stage threshold.
 
@@ -94,11 +105,7 @@ def detect_peaks(profile: np.ndarray, criterion: PeakCriterion = PeakCriterion()
     """
     profile = np.asarray(profile, dtype=float)
     threshold = peak_threshold(profile, criterion)
-    if profile.size == 1:
-        return np.flatnonzero(profile >= threshold)
-    left = np.roll(profile, 1)
-    right = np.roll(profile, -1)
-    return np.flatnonzero((profile >= threshold) & (profile >= left) & (profile > right))
+    return np.flatnonzero((profile >= threshold) & _local_maxima(profile, wrap=True))
 
 
 def angle_spectrum(grid: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -268,20 +275,20 @@ def _coarse_pipeline(
     cfg: SystemConfig,
     options: DetectionOptions,
 ) -> CoarseResult:
-    """:func:`coarse_pipeline` of a validated grid and payload: each bin
-    center is scrambled once, and nothing re-validates the cube."""
+    """:func:`coarse_pipeline` of a validated grid and payload: every bin
+    center is scrambled in one call, and nothing re-validates the cube."""
     spectrum = _angle_spectrum(grid)
     angle_bins = detect_peaks(spectrum, options.angle_peaks)
-    angle_bins = angle_bins[~np.isnan(bin_to_angle_deg(angle_bins, cfg))]
+    angles = bin_to_angle_deg(angle_bins, cfg)
+    angle_bins, angles = angle_bins[~np.isnan(angles)], angles[~np.isnan(angles)]
     if angle_bins.size == 0:
         raise NoPeaksError("no angle bin rises above the detection threshold")
 
     estimates = []
     bin_results = []
-    for angle_bin in angle_bins:
-        angle_deg = float(bin_to_angle_deg(int(angle_bin), cfg))
+    references = scramble_symbols(data, pattern, cfg, angles)  # (bins, N_s, N_p)
+    for angle_bin, angle_deg, reference in zip(angle_bins, angles.tolist(), references):
         rows = _beam_rows(grid, int(angle_bin))
-        reference = scramble_symbols(data, pattern, cfg, angle_deg)
         desc = _descramble(rows, reference, angle_deg, options)
         response = range_response(desc.symbols, cfg)
         profile = np.abs(response).mean(axis=1)

@@ -63,6 +63,7 @@ from .coarse import (
     NoPeaksError,
     _coarse_pipeline,
     _descramble,
+    _local_maxima,
     _snapshot_blocks,
     range_response,
     velocity_spectrum,
@@ -201,21 +202,13 @@ def music_pseudospectrum(
     return 1.0 / np.maximum(proj.sum(axis=0), np.finfo(float).tiny)
 
 
-def _local_maxima(v: np.ndarray) -> np.ndarray:
-    """Mask of non-circular local maxima; a plateau counts at its rightmost
-    sample."""
-    left = np.concatenate(([-np.inf], v[:-1]))
-    right = np.concatenate((v[1:], [-np.inf]))
-    return (v >= left) & (v > right)
-
-
-def _top_local_maxima(values: np.ndarray, count: int) -> list:
-    """Indices of the ``count`` tallest local maxima, topped up with the
-    tallest remaining samples when the landscape has too few bumps."""
+def _top_local_maxima(values: np.ndarray, count: int, wrap: bool = False) -> list:
+    """Indices of the ``count`` tallest local maxima (circular with ``wrap``), topped up
+    with the tallest remaining samples when the landscape has too few bumps."""
     v = np.asarray(values, dtype=float)
     if count > v.size:
         raise SubspaceError(f"cannot pick {count} peaks from {v.size} grid points")
-    peaks = np.flatnonzero(_local_maxima(v))
+    peaks = np.flatnonzero(_local_maxima(v, wrap))
     chosen = list(peaks[np.argsort(v[peaks])[::-1]][:count])
     for idx in np.argsort(v)[::-1]:
         if len(chosen) == count:
@@ -228,7 +221,12 @@ def _top_local_maxima(values: np.ndarray, count: int) -> list:
 def _peak_count(spectrum: np.ndarray, rel_threshold: float) -> int:
     """Local maxima within ``rel_threshold`` of the tallest spectrum value."""
     v = np.asarray(spectrum, dtype=float)
-    return int(np.count_nonzero(_local_maxima(v) & (v >= rel_threshold * v.max())))
+    return int(np.count_nonzero(_local_maxima(v, wrap=False) & (v >= rel_threshold * v.max())))
+
+
+def _pick_angles(spectrum: np.ndarray, grid_deg, count: int) -> np.ndarray:
+    """The ``count`` tallest pseudospectrum peaks over ``grid_deg``, ascending."""
+    return np.asarray(grid_deg)[_top_local_maxima(spectrum, count)]
 
 
 def music_angles(
@@ -247,7 +245,7 @@ def music_angles(
     """
     dim = n_sources if signal_dimension is None else signal_dimension
     spectrum = music_pseudospectrum(covariance, dim, cfg, grid_deg)
-    return np.asarray(grid_deg)[_top_local_maxima(spectrum, n_sources)]
+    return _pick_angles(spectrum, grid_deg, n_sources)
 
 
 # --- least-squares grid search -------------------------------------------------
@@ -427,13 +425,8 @@ def refine_ranges(
     grid = check_antenna_grid(cfg, grid)
     data = check_symbol_grid(cfg, data)
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    symbol0 = _scrambled(data[:, 0], pattern, cfg, angles)
+    symbol0 = scramble_symbols(data, pattern, cfg, angles)[:, :, 0]
     return _refine_ranges(grid, symbol0, cfg, angles, range_bins, options)
-
-
-def _scrambled(data, pattern, cfg, angles) -> np.ndarray:
-    """Symbols scrambled toward each angle, stacked: (Q, N_s, ...)."""
-    return np.stack([scramble_symbols(data, pattern, cfg, angle) for angle in angles])
 
 
 def _refine_ranges(grid, symbol0, cfg, angles, range_bins, options) -> CombinationFit:
@@ -483,7 +476,7 @@ def refine_velocities(
     if angles.shape != ranges.shape:
         raise ValueError("need one refined range per angle")
     energy = float(np.vdot(grid, grid).real)
-    scrambled = _scrambled(data, pattern, cfg, angles)
+    scrambled = scramble_symbols(data, pattern, cfg, angles)
     return _refine_velocities(grid, energy, scrambled, cfg, angles, ranges, velocity_bins, options)
 
 
@@ -549,7 +542,7 @@ def _matched_velocity_bins(rows, reference, cfg, theta_deg, range_m, count, dete
     res = range_resolution_m(cfg)
     gate = int(np.rint(float(range_m) / res)) % cfg.num_subcarriers
     spectrum = velocity_spectrum(response[gate], cfg)
-    tops = _top_local_maxima(spectrum, count)
+    tops = _top_local_maxima(spectrum, count, wrap=True)
     return [int(signed_bin_index(int(i), cfg.num_ofdm_symbols)) for i in tops]
 
 
@@ -576,8 +569,8 @@ def estimate_targets(
     ``options.num_sources`` when that override is set).
 
     The grid and payload are validated here, once; the per-bin stages then
-    run unchecked, and each refined angle is scrambled once for the range
-    fit, the matched velocity spectra and the velocity fit together.
+    run unchecked, and a bin's refined angles are scrambled in one call for
+    the range fit, the matched velocity spectra and the velocity fit.
     """
     grid = check_antenna_grid(cfg, grid)
     data = check_symbol_grid(cfg, data)
@@ -605,24 +598,16 @@ def estimate_targets(
         spectrum = music_pseudospectrum(covariance, dimension, cfg, search)
         count = options.num_sources or _peak_count(spectrum, options.peak_rel_threshold)
         count = max(1, min(count, dimension))
-        angles = search[_top_local_maxima(spectrum, count)]
-        scrambled = _scrambled(data, pattern, cfg, angles)  # (Q, N_s, N_p)
+        angles = _pick_angles(spectrum, search, count)
+        scrambled = scramble_symbols(data, pattern, cfg, angles)  # (Q, N_s, N_p)
         range_fit = _refine_ranges(
             grid, scrambled[:, :, 0], cfg, angles, bin_result.range_bins, options
         )
-        velocity_bins = set()
-        for bins in bin_result.velocity_bins:
-            velocity_bins.update(int(b) for b in bins)
-        for q, angle in enumerate(angles):
+        velocity_bins = {int(b) for bins in bin_result.velocity_bins for b in bins}
+        for reference, angle, range_m in zip(scrambled, angles.tolist(), range_fit.values):
             velocity_bins.update(
                 _matched_velocity_bins(
-                    bin_result.rows,
-                    scrambled[q],
-                    cfg,
-                    float(angle),
-                    range_fit.values[q],
-                    len(angles),
-                    detection,
+                    bin_result.rows, reference, cfg, angle, range_m, len(angles), detection
                 )
             )
         velocity_fit = _refine_velocities(

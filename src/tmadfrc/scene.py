@@ -99,17 +99,17 @@ def radar_returns(
     targets = scene.targets
     n_r, n_s, n_p = cfg.returns_shape
     steers = steering_vector(cfg, [t.angle_deg for t in targets])  # (K, N_r)
-    ramps = range_ramp(cfg, [t.range_m for t in targets])  # (K, N_s)
     if cfg.narrowband_doppler:
         carrier_hz = cfg.carrier_freq_hz
     else:
         carrier_hz = cfg.carrier_freq_hz + np.arange(n_s) * cfg.subcarrier_spacing_hz
-    slabs = np.empty((len(targets), n_s, n_p), dtype=np.complex128)
-    for k, target in enumerate(targets):
-        scrambled = scramble_symbols(data, pattern, cfg, target.angle_deg)
-        doppler_hz = 2.0 * target.velocity_mps * carrier_hz / cfg.c
-        slow_time = slow_time_rotation(cfg, doppler_hz)  # (N_p,) or (N_s, N_p)
-        slabs[k] = target.reflectivity * (scrambled * ramps[k][:, None] * slow_time)
+    velocities = np.array([t.velocity_mps for t in targets], dtype=float)
+    doppler_hz = 2.0 * velocities[:, None] * carrier_hz / cfg.c  # (K, 1) or (K, N_s)
+    # One (K, N_s, N_p) slab scrambled toward every target; the echo factors multiply in place.
+    slabs = scramble_symbols(data, pattern, cfg, [t.angle_deg for t in targets])
+    slabs *= range_ramp(cfg, [t.range_m for t in targets])[:, :, None]
+    slabs *= slow_time_rotation(cfg, doppler_hz)
+    slabs *= np.array([t.reflectivity for t in targets], dtype=np.complex128)[:, None, None]
     # Superpose all K echoes in one rank-K product: (N_r, K) @ (K, N_s * N_p).
     out = (steers.T @ slabs.reshape(len(targets), n_s * n_p)).reshape(n_r, n_s, n_p)
 

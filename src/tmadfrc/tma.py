@@ -101,36 +101,34 @@ def design_pattern(cfg: SystemConfig, steer_angle_deg: float) -> SwitchingPatter
     return SwitchingPattern(tau_on=tau_on, duty=duty, weights=weights)
 
 
-def _check_direction(theta_deg: float) -> None:
-    """Refuse a direction that is not finite or lies outside [-90, 90] deg,
-    the rule :func:`model.validate_target` applies to a target's angle."""
-    if not -90.0 <= theta_deg <= 90.0:  # also refuses NaN
-        raise ValueError(f"direction must be finite and inside [-90, 90] deg, got {theta_deg}")
+def _check_direction(theta_deg) -> np.ndarray:
+    """Direction(s) as floats; refuse any that is not finite or lies outside
+    [-90, 90] deg, the rule :func:`model.validate_target` applies to a target's angle."""
+    theta = np.asarray(theta_deg, dtype=float)
+    outside = [x for x in theta.ravel().tolist() if not -90.0 <= x <= 90.0]  # NaN too
+    if outside:
+        raise ValueError(f"direction must be finite and inside [-90, 90] deg, got {outside[0]}")
+    return theta
 
 
-def element_gains(pattern: SwitchingPattern, cfg: SystemConfig, theta_deg: float) -> np.ndarray:
+def element_gains(pattern: SwitchingPattern, cfg: SystemConfig, theta_deg) -> np.ndarray:
     """Per-element gains toward ``theta_deg``: steering x weight x duty.
 
     Their sum is the fundamental (order-0) coefficient, since the m = 0 gate
-    of :func:`harmonic_coefficients` is exactly 1.
+    of :func:`harmonic_coefficients` is exactly 1.  A scalar direction gives
+    shape (num_elements,), a 1-D array of Q directions (Q, num_elements).
 
     Raises:
         ValueError: for a direction that is not finite or lies outside
             [-90, 90] deg.
     """
-    _check_direction(theta_deg)
-    sin_theta = np.sin(np.radians(theta_deg))
+    sin_theta = np.sin(np.radians(_check_direction(theta_deg)))
     n = np.arange(pattern.num_elements)
-    return (
-        np.exp(-2j * np.pi * n * cfg.tx_spacing_wavelengths * sin_theta)
-        * pattern.weights
-        * pattern.duty
-    )
+    phase = -2j * np.pi * n * cfg.tx_spacing_wavelengths
+    return np.exp(np.multiply.outer(sin_theta, phase)) * pattern.weights * pattern.duty
 
 
-def harmonic_coefficients(
-    pattern: SwitchingPattern, cfg: SystemConfig, m, theta_deg: float
-) -> np.ndarray:
+def harmonic_coefficients(pattern: SwitchingPattern, cfg: SystemConfig, m, theta_deg):
     """Array-combined Fourier coefficients of the switched transmission.
 
     For harmonic order m and direction theta the coefficient is
@@ -145,17 +143,20 @@ def harmonic_coefficients(
 
     Args:
         m: scalar or 1-D array of integer harmonic orders.
-        theta_deg: observation direction, finite and inside [-90, 90].
+        theta_deg: a direction inside [-90, 90], or a 1-D array of Q of them.
 
     Returns:
-        Complex coefficients with the shape of ``m``.
+        Complex coefficients shaped like ``m``, after a leading axis of Q for
+        an array of directions (a Python complex if both are scalars); the
+        direction-free gate is built once for all directions.
     """
     m_arr = np.atleast_1d(np.asarray(m))
     gate = np.sinc(np.multiply.outer(m_arr, pattern.duty)) * np.exp(
         -1j * np.pi * np.multiply.outer(m_arr, 2.0 * pattern.tau_on + pattern.duty)
     )
-    coeffs = gate @ element_gains(pattern, cfg, theta_deg)
-    return coeffs if np.ndim(m) else complex(coeffs[0])
+    gains = element_gains(pattern, cfg, theta_deg)[..., None]  # (..., N_t, 1)
+    coeffs = np.matmul(gate, gains)[..., 0].reshape(gains.shape[:-2] + np.shape(m))
+    return coeffs if coeffs.ndim else complex(coeffs)
 
 
 def harmonic_coefficient(
@@ -187,18 +188,21 @@ def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
 
 
 def scramble_symbols(
-    data: np.ndarray, pattern: SwitchingPattern, cfg: SystemConfig, theta_deg: float
+    data: np.ndarray, pattern: SwitchingPattern, cfg: SystemConfig, theta_deg
 ) -> np.ndarray:
     """Symbols observed in direction ``theta_deg`` after the switched array.
 
     Args:
         data: transmitted grid, shape (num_subcarriers, ...) — typically
             (num_subcarriers, num_ofdm_symbols).
+        theta_deg: a direction, or a 1-D array of Q directions.
 
     Returns:
-        A new C-contiguous grid of the same shape (callers may add to it in
-        place); at the steered angle it is the input scaled by the
-        fundamental coefficient, elsewhere a harmonic mixture.
+        A new C-contiguous grid shaped like ``data``, after a leading axis of
+        Q for an array of directions (callers may work on it in place); at
+        the steered angle the input scaled by the fundamental coefficient,
+        elsewhere a harmonic mixture.  Each direction's product is written
+        straight into it, so one N_s x N_s matrix is alive at a time.
 
     Raises:
         ValueError: for a direction that is not finite or lies outside
@@ -209,8 +213,13 @@ def scramble_symbols(
         raise ValueError(
             f"first axis must hold {cfg.num_subcarriers} subcarriers, got {data.shape}"
         )
-    matrix = scramble_matrix(pattern, cfg, theta_deg)
-    return (matrix @ data.reshape(data.shape[0], -1)).reshape(data.shape)
+    ns = cfg.num_subcarriers
+    coeffs = harmonic_coefficients(pattern, cfg, np.arange(-(ns - 1), ns), theta_deg)
+    rows = np.atleast_2d(coeffs)  # (Q, 2 N_s - 1); Q = 1 for a scalar direction
+    out = np.empty((len(rows), ns, data[0].size), dtype=np.complex128)
+    for row, dest in zip(rows, out):
+        np.matmul(_toeplitz(row), data.reshape(ns, -1), out=dest)
+    return out.reshape(*coeffs.shape[:-1], *data.shape)
 
 
 # --- steered-direction condition --------------------------------------------
@@ -270,11 +279,8 @@ def check_dm_condition(
     fundamental = abs(at_steer[~nonzero][0])
     max_at_steer = float(np.max(np.abs(at_steer[nonzero]))) if nonzero.any() else 0.0
 
-    off = [
-        float(np.max(np.abs(harmonic_coefficients(pattern, cfg, orders[nonzero], angle))))
-        for angle in probes
-    ]
-    min_off = min(off)
+    off = np.abs(harmonic_coefficients(pattern, cfg, orders[nonzero], probes))  # (P, M)
+    min_off = float(off.max(axis=1).min())
 
     failed = []
     if not fundamental > 1e-12 * pattern.num_elements:

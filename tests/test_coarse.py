@@ -100,6 +100,9 @@ def test_detect_peaks_wraps_circularly():
     # bin 0 must see bin -1 as its left neighbour
     profile = np.array([5.0, 1.0, 0.0, 1.0, 1.0])
     assert detect_peaks(profile).tolist() == [0]
+    # a tall shoulder at either end is no peak when its far neighbour is taller
+    assert detect_peaks(np.array([5.0, 1.0, 0.0, 1.0, 4.0])).tolist() == [0]
+    assert detect_peaks(np.array([4.0, 1.0, 0.0, 1.0, 5.0])).tolist() == [4]
 
 
 def test_detect_peaks_plateau_counts_rightmost_bin():

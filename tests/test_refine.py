@@ -546,6 +546,20 @@ def test_matched_velocity_bins_recovers_true_bin(small_cfg):
     assert bins == [3]
 
 
+def test_matched_velocity_peak_straddling_bin_zero_counts_once(small_cfg):
+    # The velocity spectrum is a DFT, so bins -1 and 0 are neighbours: the
+    # peak of a target at -0.4 cells must not count twice and push out the
+    # weaker source four cells away.
+    cfg = dataclasses.replace(small_cfg, narrowband_doppler=True)
+    res, vres, _ = derived_resolutions(cfg)
+    targets = (Target(0.0, 2 * res, -0.4 * vres, 1.0), Target(0.0, 2 * res, 4 * vres, 0.4))
+    pattern = pattern_for(cfg)
+    data = qpsk_frame(cfg, seed=0)
+    grid = radar_returns(data, pattern, cfg, Scene(targets, snr_db=np.inf))
+    rows = grid.sum(axis=0)  # beamformed at 0 deg
+    assert matched_velocity_bins(rows, data, pattern, cfg, 0.0, 2 * res, count=2) == [0, 4]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end estimation
 
@@ -683,7 +697,8 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     scramble, check = refine.scramble_symbols, model.check_antenna_grid
 
     def counting_scramble(data, pattern, cfg, theta_deg):
-        scrambled_at.append(float(theta_deg))
+        # one entry per direction: a call may scramble a whole array of them
+        scrambled_at.extend(np.atleast_1d(theta_deg).tolist())
         return scramble(data, pattern, cfg, theta_deg)
 
     def counting_check(cfg, values):
@@ -703,6 +718,34 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     assert len(scrambled_at) == 5
     assert sorted(scrambled_at) == sorted([*bin_centers, *refined_angles])
     assert cube_checks == [ref_cfg.returns_shape]
+
+
+def test_public_range_fit_matches_the_frame_path(monkeypatch, ref_cfg, ref_pattern, ref_frame):
+    data, received = ref_frame
+    calls = []
+    frame_fit = refine._refine_ranges
+
+    def recording_fit(grid, symbol0, cfg, angles, range_bins, options):
+        fit = frame_fit(grid, symbol0, cfg, angles, range_bins, options)
+        calls.append((angles.copy(), range_bins, fit))
+        return fit
+
+    monkeypatch.setattr(refine, "_refine_ranges", recording_fit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the window-edge note
+        estimate_targets(received, data, ref_pattern, ref_cfg)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    for angles, range_bins, expected in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit = refine_ranges(received, data, ref_pattern, ref_cfg, angles, range_bins)
+        for field in dataclasses.fields(expected):
+            got, want = getattr(fit, field.name), getattr(expected, field.name)
+            if field.name == "grids":
+                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+            else:
+                assert np.array_equal(got, want), field.name
 
 
 # Refined (angle deg, range m, velocity m/s) of the reference scene with

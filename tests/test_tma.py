@@ -195,6 +195,53 @@ def test_shape_follows_order_argument(small_cfg):
     assert vector[2] == pytest.approx(scalar)
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_direction_axis_stacks_the_per_direction_calls(small_cfg, count):
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    data = qpsk_frame(small_cfg, seed=12)
+    orders = np.arange(-3, 4)
+    angles = np.array([-61.5, 7.25, 30.0][:count])
+    gains = element_gains(pattern, small_cfg, angles)
+    coeffs = harmonic_coefficients(pattern, small_cfg, orders, angles)
+    order_two = harmonic_coefficients(pattern, small_cfg, 2, angles)
+    scrambled = scramble_symbols(data, pattern, small_cfg, angles)
+    assert gains.shape == (count, pattern.num_elements)
+    assert coeffs.shape == (count, orders.size)
+    assert order_two.shape == (count,)
+    assert scrambled.shape == (count, *data.shape) and scrambled.flags.c_contiguous
+    for q, angle in enumerate(angles):
+        assert np.array_equal(gains[q], element_gains(pattern, small_cfg, angle))
+        assert np.array_equal(coeffs[q], harmonic_coefficients(pattern, small_cfg, orders, angle))
+        assert order_two[q] == harmonic_coefficients(pattern, small_cfg, 2, angle)
+        assert np.array_equal(scrambled[q], scramble_symbols(data, pattern, small_cfg, angle))
+
+
+def test_scalar_direction_keeps_its_shapes_and_types(small_cfg):
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    data = qpsk_frame(small_cfg, seed=13)
+    for theta in (10.0, np.float64(10.0), 10):
+        assert element_gains(pattern, small_cfg, theta).shape == (pattern.num_elements,)
+        assert type(harmonic_coefficients(pattern, small_cfg, 1, theta)) is complex
+        assert harmonic_coefficients(pattern, small_cfg, np.arange(3), theta).shape == (3,)
+        assert scramble_symbols(data, pattern, small_cfg, theta).shape == data.shape
+        assert scramble_symbols(data[:, 0], pattern, small_cfg, theta).shape == data[:, 0].shape
+
+
+@pytest.mark.parametrize("bad", [math.nan, 90.5, -200.0])
+def test_one_bad_direction_in_an_array_is_refused(small_cfg, bad):
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    data = qpsk_frame(small_cfg, seed=14)
+    angles = np.array([10.0, bad, -20.0])
+    calls = (
+        lambda: element_gains(pattern, small_cfg, angles),
+        lambda: harmonic_coefficients(pattern, small_cfg, np.arange(-2, 3), angles),
+        lambda: scramble_symbols(data, pattern, small_cfg, angles),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="direction must be finite"):
+            call()
+
+
 # --- scrambling ------------------------------------------------------------------
 
 
