@@ -25,6 +25,7 @@ peaks and the tallest local maximum is always kept.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -77,11 +78,28 @@ class DetectionOptions:
     max_masked_fraction: float = 0.10
 
 
+def median(values) -> float:
+    """``float(np.median(values))`` over all entries, bit for bit, from a
+    partition at the one index n // 2: the larger middle value sits there and
+    the smaller is the maximum of the part below it.  np.median partitions at
+    two indices (and probes for NaN), several times slower on a profile of
+    16 384 magnitudes."""
+    flat = np.asarray(values, dtype=float).ravel()
+    n = flat.size
+    if n == 0:
+        return float(np.median(flat))
+    part = np.partition(flat, n // 2)
+    upper = part[n // 2]
+    if np.isnan(part[n // 2 :].max()):  # NaN partitions to the end
+        return math.nan
+    return float(upper if n % 2 else (part[: n // 2].max() + upper) / 2.0)
+
+
 def peak_threshold(profile: np.ndarray, criterion: PeakCriterion = PeakCriterion()) -> float:
     profile = np.asarray(profile, dtype=float)
     top = float(np.max(profile, initial=0.0))
     threshold = max(
-        criterion.median_factor * float(np.median(profile)),
+        criterion.median_factor * median(profile),
         criterion.max_factor * top,
     )
     return min(threshold, top) if criterion.keep_tallest else threshold
@@ -191,7 +209,7 @@ def _descramble(
     """:func:`descramble` of validated rows by the symbols already scrambled
     toward ``theta_deg``."""
     magnitude = np.abs(reference)
-    epsilon = options.descramble_guard * float(np.median(magnitude))
+    epsilon = options.descramble_guard * median(magnitude)
     masked = magnitude < epsilon
     fraction = float(masked.mean())
     if fraction > options.max_masked_fraction:

@@ -102,11 +102,12 @@ def modulate(bits, constellation: Constellation) -> np.ndarray:
     k = constellation.bits_per_symbol
     if bits.size % k:
         raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
-    columns = bits.reshape(-1, k).astype(np.intp, copy=False)
+    # labels in the smallest unsigned dtype that holds k bits: uint8 up to 256-QAM
+    columns = bits.reshape(-1, k).astype(np.min_scalar_type((1 << k) - 1), copy=False)
     labels = columns[:, 0] << (k - 1)
     for m in range(1, k):
         labels |= columns[:, m] << (k - 1 - m)
-    return constellation.points[labels]
+    return constellation.points.take(labels)  # faster than indexing by a uint8 array
 
 
 def demodulate(symbols, constellation: Constellation) -> np.ndarray:
@@ -138,11 +139,15 @@ def demodulate(symbols, constellation: Constellation) -> np.ndarray:
 
 
 def ber(sent_bits, received_bits) -> float:
+    """Share of differing bits: the exact count over the length, which is
+    ``np.mean(sent != got)`` bit for bit without its float pass."""
     sent = np.asarray(sent_bits).ravel()
     got = np.asarray(received_bits).ravel()
     if sent.shape != got.shape:
         raise ValueError(f"bit streams differ in length: {sent.size} vs {got.size}")
-    return float(np.mean(sent != got))
+    if not sent.size:
+        raise ValueError("bit streams are empty")
+    return np.count_nonzero(sent != got) / sent.size
 
 
 # Floats of noise drawn per block by add_noise: 512 KB, a reused buffer
@@ -218,10 +223,15 @@ def link_ber(
     gain of the steered direction before slicing.  The probe is one array:
     the scrambled frame takes the noise and the equalization in place.
 
+    The payload is the int64 ``rng.integers(0, 2, ...)`` draw, narrowed to
+    uint8 at once, so the int64 array is gone before the symbol grid exists.
+
     Raises:
-        ValueError: for a direction that is not finite or lies outside
-            [-90, 90] deg, or an SNR of NaN or -inf.
+        ValueError: for a direction that is not finite, lies outside
+            [-90, 90] deg or is not a scalar, or an SNR of NaN or -inf.
     """
+    if np.ndim(theta_deg):
+        raise ValueError(f"link_ber probes one direction, got shape {np.shape(theta_deg)}")
     if rng is None:
         rng = np.random.default_rng(0)
     snr = cfg.snr_db if snr_db is None else snr_db
@@ -233,7 +243,7 @@ def link_ber(
             f"num_symbols must fill whole OFDM symbols "
             f"(multiples of {cfg.num_subcarriers}), got {count}"
         )
-    bits = rng.integers(0, 2, size=count * constellation.bits_per_symbol)
+    bits = rng.integers(0, 2, size=count * constellation.bits_per_symbol).astype(np.uint8)
     # the payload grid dies inside scramble_symbols, which returns a fresh array
     received = scramble_symbols(
         modulate(bits, constellation).reshape(cfg.num_subcarriers, -1), pattern, cfg, theta_deg
@@ -257,8 +267,14 @@ def ber_vs_angle(
     Every position in ``angles_deg`` gets an independent child RNG stream
     spawned from ``seed``, so appending probes never changes the payload or
     noise of the probes already in the list.
+
+    Raises:
+        ValueError: for angles with more than one axis, or whatever
+            :func:`link_ber` refuses.
     """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    if angles.ndim > 1:
+        raise ValueError(f"angles must be a scalar or a 1-D array, got shape {angles.shape}")
     children = np.random.SeedSequence(seed).spawn(angles.size)
     return np.array(
         [

@@ -18,6 +18,7 @@ so turn-on instants are always reduced modulo 1.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -102,9 +103,12 @@ def design_pattern(cfg: SystemConfig, steer_angle_deg: float) -> SwitchingPatter
 
 
 def _check_direction(theta_deg) -> np.ndarray:
-    """Direction(s) as floats; refuse any that is not finite or lies outside
-    [-90, 90] deg, the rule :func:`model.validate_target` applies to a target's angle."""
+    """Direction(s) as floats: a scalar or a 1-D array.  Refuse more axes, and
+    any direction that is not finite or lies outside [-90, 90] deg, the rule
+    :func:`model.validate_target` applies to a target's angle."""
     theta = np.asarray(theta_deg, dtype=float)
+    if theta.ndim > 1:
+        raise ValueError(f"directions must be a scalar or a 1-D array, got shape {theta.shape}")
     outside = [x for x in theta.ravel().tolist() if not -90.0 <= x <= 90.0]  # NaN too
     if outside:
         raise ValueError(f"direction must be finite and inside [-90, 90] deg, got {outside[0]}")
@@ -120,7 +124,7 @@ def element_gains(pattern: SwitchingPattern, cfg: SystemConfig, theta_deg) -> np
 
     Raises:
         ValueError: for a direction that is not finite or lies outside
-            [-90, 90] deg.
+            [-90, 90] deg, or directions with more than one axis.
     """
     sin_theta = np.sin(np.radians(_check_direction(theta_deg)))
     n = np.arange(pattern.num_elements)
@@ -147,16 +151,40 @@ def harmonic_coefficients(pattern: SwitchingPattern, cfg: SystemConfig, m, theta
 
     Returns:
         Complex coefficients shaped like ``m``, after a leading axis of Q for
-        an array of directions (a Python complex if both are scalars); the
-        direction-free gate is built once for all directions.
+        an array of directions (a Python complex if both are scalars).  The
+        direction-free gate comes from :func:`harmonic_gate`.
     """
-    m_arr = np.atleast_1d(np.asarray(m))
-    gate = np.sinc(np.multiply.outer(m_arr, pattern.duty)) * np.exp(
-        -1j * np.pi * np.multiply.outer(m_arr, 2.0 * pattern.tau_on + pattern.duty)
-    )
     gains = element_gains(pattern, cfg, theta_deg)[..., None]  # (..., N_t, 1)
-    coeffs = np.matmul(gate, gains)[..., 0].reshape(gains.shape[:-2] + np.shape(m))
+    coeffs = np.matmul(harmonic_gate(pattern, m), gains)[..., 0]
+    coeffs = coeffs.reshape(gains.shape[:-2] + np.shape(m))
     return coeffs if coeffs.ndim else complex(coeffs)
+
+
+def harmonic_gate(pattern: SwitchingPattern, m) -> np.ndarray:
+    """The direction-free factor of :func:`harmonic_coefficients`, read-only,
+    shape (M, num_elements) for the M orders of ``m`` in C order:
+    ``sinc(m duty) * exp(-1j pi m (2 tau_on + duty))``.
+
+    It depends on ``tau_on``, ``duty`` and the orders only, so it is built
+    once per pattern and order set and then reused (a bounded cache keyed by
+    their bytes: safe against a reused ``id`` and ``dataclasses.replace``).
+    """
+    m_arr = np.asarray(m).reshape(-1)
+    return _gate(pattern.tau_on.tobytes(), pattern.duty.tobytes(), m_arr.dtype.str, m_arr.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _gate(tau_on: bytes, duty: bytes, order_dtype: str, orders: bytes) -> np.ndarray:
+    """:func:`harmonic_gate` of the float64 ``tau_on`` and ``duty`` and the
+    orders of ``order_dtype``, all given as bytes."""
+    tau = np.frombuffer(tau_on)
+    on = np.frombuffer(duty)
+    m = np.frombuffer(orders, dtype=order_dtype)
+    gate = np.sinc(np.multiply.outer(m, on)) * np.exp(
+        -1j * np.pi * np.multiply.outer(m, 2.0 * tau + on)
+    )
+    gate.setflags(write=False)
+    return gate
 
 
 def harmonic_coefficient(
@@ -206,7 +234,7 @@ def scramble_symbols(
 
     Raises:
         ValueError: for a direction that is not finite or lies outside
-            [-90, 90] deg.
+            [-90, 90] deg, or directions with more than one axis.
     """
     data = np.asarray(data, dtype=np.complex128)
     if data.shape[0] != cfg.num_subcarriers:

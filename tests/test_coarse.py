@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import qpsk_frame
 from tmadfrc import (
@@ -33,6 +35,7 @@ from tmadfrc.coarse import (
     bin_to_velocity_mps,
     descramble,
     detect_peaks,
+    median,
     peak_threshold,
     range_profile,
     range_response,
@@ -73,6 +76,31 @@ def on_grid(nb_cfg):
 
 # ---------------------------------------------------------------------------
 # peak detection
+
+
+# Small integers make ties and repeated middle values common.
+median_samples = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(median_samples, st.booleans())
+def test_median_equals_numpy_median(values, as_rows):
+    x = np.array(values)
+    if as_rows and x.size % 2 == 0:
+        x = x.reshape(2, -1)  # a 2-D input takes the median of every entry
+    got = median(x)
+    assert type(got) is float
+    assert got == float(np.median(x))
+
+
+def test_median_of_odd_and_even_lengths_and_nan():
+    assert median([3.0, 1.0, 2.0]) == 2.0
+    assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
+    assert median(np.full((4, 4), 7.0)) == 7.0
+    assert math.isnan(median([1.0, math.nan, 2.0, 0.0]))  # as np.median gives
 
 
 def test_peak_threshold_median_rule():

@@ -5,8 +5,10 @@ form Q(sqrt(SNR)) for Gray QPSK with a +-4 sigma binomial band, so they are
 deterministic for the pinned seeds but would keep passing under reseeding.
 """
 
+import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +213,12 @@ def test_ber_counts_differing_bits():
     assert ber([1, 1], [1, 1]) == 0.0
     with pytest.raises(ValueError, match="length"):
         ber([0, 1], [0, 1, 1])
+    # an empty stream has no error rate (np.mean used to warn and give nan)
+    with pytest.raises(ValueError, match="empty"):
+        ber([], [])
+    rng = np.random.default_rng(8)
+    sent, got = rng.integers(0, 2, size=(2, 65_537), dtype=np.uint8)
+    assert ber(sent, got) == float(np.mean(sent != got))
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +325,36 @@ def test_link_ber_invariant_to_common_switching_delay(ref_cfg, ref_pattern):
     assert base == moved
 
 
+def summed_mixing_matrix(pattern, cfg, theta_deg):
+    """Oracle: the N_s x N_s mixing matrix M[s, i] = coefficient(s - i) as the
+    explicit sum over elements of steering x weight x duty x sinc x phase,
+    sharing no gate, cache or coefficient code with the package."""
+    ns = cfg.num_subcarriers
+    m = np.subtract.outer(np.arange(ns), np.arange(ns)).astype(float)  # s - i
+    sin_theta = math.sin(math.radians(theta_deg))
+    mix = np.zeros((ns, ns), dtype=complex)
+    for n in range(pattern.num_elements):
+        duty, tau = float(pattern.duty[n]), float(pattern.tau_on[n])
+        x = np.pi * m * duty
+        lobe = np.sin(x) / np.where(m == 0, 1.0, x)
+        lobe[m == 0] = 1.0
+        steer = cmath.exp(-2j * math.pi * n * cfg.tx_spacing_wavelengths * sin_theta)
+        mix += steer * complex(pattern.weights[n]) * duty * lobe * np.exp(
+            -1j * np.pi * m * (2.0 * tau + duty)
+        )
+    return mix
+
+
 def old_link_ber(cfg, pattern, constellation, theta_deg, snr_db, count, rng):
     """Oracle: the link chain before the per-rail slicer (isin check, label
-    matmul, out-of-place noise and equalization, argmin slicing)."""
+    matmul, mixing by the per-element sum, out-of-place noise and
+    equalization, argmin slicing)."""
     k = constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=count * k)
     assert np.isin(bits, (0, 1)).all()
     labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
     grid = constellation.points[labels].reshape(cfg.num_subcarriers, -1)
-    received = scramble_symbols(grid, pattern, cfg, theta_deg)
+    received = summed_mixing_matrix(pattern, cfg, theta_deg) @ grid
     if np.isfinite(snr_db):
         sigma2 = float(np.mean(np.abs(received) ** 2)) / 10.0 ** (snr_db / 10.0)
         noise = rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
@@ -346,6 +375,40 @@ def test_ber_vs_angle_matches_old_chain(ref_cfg, ref_pattern, order, snr_db):
         for theta, child in zip(angles, children)
     ]
     np.testing.assert_array_equal(got, expected)
+
+
+def test_link_ber_refuses_more_than_one_direction(ref_cfg, ref_pattern):
+    # [10, 20] used to end in "bit streams differ in length", [10] to pass
+    for theta in (np.array([10.0, 20.0]), np.array([10.0]), [10.0]):
+        with pytest.raises(ValueError, match="one direction"):
+            link_ber(ref_cfg, ref_pattern, qpsk(), theta, num_symbols=64)
+
+
+def test_ber_vs_angle_refuses_angles_with_two_axes(ref_cfg, ref_pattern):
+    with pytest.raises(ValueError, match="1-D"):
+        ber_vs_angle(ref_cfg, ref_pattern, qpsk(), np.zeros((2, 2)), num_symbols=64)
+
+
+# The traced peak of one reference QPSK probe read 857 KB while the int64
+# payload lived for the whole probe, 627 KB once it is narrowed to uint8 at
+# once; the bound keeps that footprint, and with it the probe's page-fault
+# churn, from creeping back.
+PROBE_PEAK_LIMIT_BYTES = 700_000
+
+
+def test_link_ber_probe_footprint(ref_cfg, ref_pattern):
+    def probe():
+        rng = np.random.default_rng(5)
+        return link_ber(ref_cfg, ref_pattern, qpsk(), 20.0, snr_db=30.0, rng=rng)
+
+    probe()  # the first probe builds the cached gate
+    tracemalloc.start()
+    try:
+        probe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PROBE_PEAK_LIMIT_BYTES, f"traced peak {peak} B"
 
 
 def test_link_ber_leaves_caller_arrays_unchanged(ref_cfg, ref_pattern):

@@ -27,7 +27,7 @@ from tmadfrc import (
     scramble_symbols,
     time_domain_demod,
 )
-from tmadfrc.tma import gate_matrix, snap_pattern
+from tmadfrc.tma import gate_matrix, harmonic_gate, snap_pattern
 
 from conftest import qpsk_frame
 
@@ -240,6 +240,63 @@ def test_one_bad_direction_in_an_array_is_refused(small_cfg, bad):
     for call in calls:
         with pytest.raises(ValueError, match="direction must be finite"):
             call()
+
+
+def test_directions_with_more_than_one_axis_are_refused(small_cfg):
+    # a (2, 2) block used to come back as (2, 2, M) coefficients, or die
+    # inside NumPy's window view when scrambling
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    data = qpsk_frame(small_cfg, seed=15)
+    angles = np.zeros((2, 2))
+    calls = (
+        lambda: element_gains(pattern, small_cfg, angles),
+        lambda: harmonic_coefficients(pattern, small_cfg, np.arange(-2, 3), angles),
+        lambda: scramble_symbols(data, pattern, small_cfg, angles),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            call()
+
+
+# --- the direction-free gate ------------------------------------------------------
+
+
+def test_gate_is_shared_by_equal_patterns_and_read_only(small_cfg):
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    orders = np.arange(-7, 8)
+    gate = harmonic_gate(pattern, orders)
+    assert gate.shape == (orders.size, pattern.num_elements)
+    assert not gate.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        gate[0, 0] = 0.0
+    # the gate holds neither direction nor weights: a copy of the pattern,
+    # or one steered elsewhere, finds the same gate
+    assert harmonic_gate(dataclasses.replace(pattern), orders.tolist()) is gate
+    assert harmonic_gate(design_pattern(small_cfg, -20.0), orders) is gate
+
+
+def test_each_pattern_and_config_gets_its_own_gate(small_cfg):
+    # interleaved calls on patterns that differ only in one tau_on, and on
+    # configs that differ only in N_s, each checked against the per-element
+    # sum: a gate shared between them, or left from an earlier call, fails
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    tau = pattern.tau_on.copy()
+    tau[1] = (tau[1] + 0.125) % 1.0
+    moved = dataclasses.replace(pattern, tau_on=tau)
+    narrow = dataclasses.replace(small_cfg, num_subcarriers=4)
+    theta = -25.0
+    cases = ((small_cfg, pattern), (small_cfg, moved), (narrow, pattern), (narrow, moved))
+    for cfg, p in cases + cases:
+        ns = cfg.num_subcarriers
+        data = qpsk_frame(cfg, seed=ns)
+        mix = np.array(
+            [[scalar_coefficient(p, cfg, s - i, theta) for i in range(ns)] for s in range(ns)]
+        )
+        got = scramble_symbols(data, p, cfg, theta)
+        assert np.max(np.abs(got - mix @ data)) < 1e-12
+    assert not np.array_equal(
+        harmonic_gate(pattern, np.arange(-3, 4)), harmonic_gate(moved, np.arange(-3, 4))
+    )
 
 
 # --- scrambling ------------------------------------------------------------------
