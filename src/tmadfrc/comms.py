@@ -7,7 +7,10 @@ receiver in the steered direction sees exactly the transmitted constellation
 plus noise; anywhere else the harmonic mixture both rotates the fundamental
 and superimposes inter-subcarrier leakage, neither of which the fixed
 protocol can undo.  :func:`ber_vs_angle` measures the resulting bit error
-rate per direction — the security figure of merit.
+rate per direction — the security figure of merit.  The probe equalizes the
+alphabet instead of the received frame: it modulates onto the points divided
+by the fundamental, which by linearity is the same receiver without a
+division per received symbol.
 
 SNR is defined per receiver direction (noise scaled to the locally received
 signal power), which models the strongest eavesdropper: perfect gain control
@@ -94,6 +97,16 @@ def qpsk() -> Constellation:
     return square_qam(4)
 
 
+def _labels(bits: np.ndarray, k: int) -> np.ndarray:
+    """Labels of the checked 0/1 ``bits`` read ``k`` at a time, MSB first, in
+    the smallest unsigned dtype that holds k bits: uint8 up to 256-QAM."""
+    columns = bits.reshape(-1, k).astype(np.min_scalar_type((1 << k) - 1), copy=False)
+    labels = columns[:, 0] << (k - 1)
+    for m in range(1, k):
+        labels |= columns[:, m] << (k - 1 - m)
+    return labels
+
+
 def modulate(bits, constellation: Constellation) -> np.ndarray:
     """Bit stream (multiple of bits_per_symbol long, MSB first) to symbols."""
     bits = np.asarray(bits)
@@ -102,12 +115,8 @@ def modulate(bits, constellation: Constellation) -> np.ndarray:
     k = constellation.bits_per_symbol
     if bits.size % k:
         raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
-    # labels in the smallest unsigned dtype that holds k bits: uint8 up to 256-QAM
-    columns = bits.reshape(-1, k).astype(np.min_scalar_type((1 << k) - 1), copy=False)
-    labels = columns[:, 0] << (k - 1)
-    for m in range(1, k):
-        labels |= columns[:, m] << (k - 1 - m)
-    return constellation.points.take(labels)  # faster than indexing by a uint8 array
+    # take is faster than indexing by a uint8 array
+    return constellation.points.take(_labels(bits, k))
 
 
 def demodulate(symbols, constellation: Constellation) -> np.ndarray:
@@ -162,7 +171,13 @@ def add_noise(out: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
     stream, and so the same bits, as ``sqrt(sigma2 / 2) * (N1 + 1j * N2)``
     with two successive ``standard_normal(out.shape)`` draws.  Each block is
     drawn 65 536 floats at a time through one reused buffer.
+
+    Raises:
+        ValueError: for a ``sigma2`` that is negative or not finite, or an
+            ``out`` that is not C-contiguous, before anything is drawn.
     """
+    if not 0.0 <= sigma2 < math.inf:  # NaN too
+        raise ValueError(f"noise power must be finite and >= 0, got {sigma2!r}")
     if not out.flags.c_contiguous:
         raise ValueError("add_noise needs a C-contiguous array")
     scale = np.sqrt(sigma2 / 2.0)
@@ -177,24 +192,25 @@ def add_noise(out: np.ndarray, sigma2: float, rng: np.random.Generator) -> None:
 
 
 def _mean_power(x: np.ndarray) -> float:
-    """``np.mean(np.abs(x) ** 2)``, squared in place in the one array of
-    magnitudes, which is freed on return."""
-    power = np.abs(x)
-    return float(np.mean(np.square(power, out=power)))
+    """Mean |x|^2 of a non-empty complex array as ``vdot(x, x).real / x.size``:
+    one pass, no array of magnitudes."""
+    return float(np.vdot(x, x).real / x.size)
 
 
 def _add_noise_at_snr(out: np.ndarray, snr_db: float, rng: np.random.Generator) -> None:
     """Add noise to the C-contiguous complex ``out`` in place at ``snr_db``
-    relative to its own mean power (see :func:`add_noise`).  At +inf nothing
-    is added; NaN and -inf raise ``ValueError``."""
-    if snr_adds_noise(snr_db):
+    relative to its own mean power (see :func:`add_noise`).  At +inf, or on an
+    empty ``out``, nothing is added or drawn; NaN and -inf raise
+    ``ValueError``."""
+    if snr_adds_noise(snr_db) and out.size:
         add_noise(out, _mean_power(out) / 10.0 ** (snr_db / 10.0), rng)
 
 
 def awgn(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """A noisy copy of ``signal``: complex white Gaussian noise at the given
     SNR relative to its mean power (see :func:`add_noise`).  At +inf the copy
-    is noise-free; NaN and -inf raise ``ValueError``."""
+    is noise-free, and an empty signal comes back empty with ``rng``
+    untouched; NaN and -inf raise ``ValueError``."""
     out = np.array(signal, dtype=np.complex128)
     _add_noise_at_snr(out, snr_db, rng)
     return out
@@ -218,17 +234,25 @@ def link_ber(
 ) -> float:
     """Bit error rate of the fixed receiver protocol in one direction.
 
-    Random payload bits are scrambled toward ``theta_deg``, noise is added at
-    the per-direction SNR, and the result is equalized by the fundamental
-    gain of the steered direction before slicing.  The probe is one array:
-    the scrambled frame takes the noise and the equalization in place.
+    Random payload bits are scrambled toward ``theta_deg`` and noise is added
+    at the per-direction SNR before slicing.  The equalization by the
+    fundamental gain of the steered direction is applied to the alphabet, not
+    to the frame: the payload is modulated onto ``constellation.points /
+    fundamental``, and by linearity mixing that equals mixing the payload and
+    dividing every received symbol by the fundamental.  The noise is drawn at
+    the SNR of this equalized frame, which is the noise of the divided frame
+    in distribution, not in realization.  The probe is one array: the
+    scrambled frame takes the noise in place.
 
-    The payload is the int64 ``rng.integers(0, 2, ...)`` draw, narrowed to
-    uint8 at once, so the int64 array is gone before the symbol grid exists.
+    Seed map: the payload is the first ``ceil(n / 8)`` bytes of ``rng``
+    (``rng.bytes``) unpacked MSB first and cut to the n payload bits; the
+    noise follows on the same stream (see :func:`add_noise`).
 
     Raises:
         ValueError: for a direction that is not finite, lies outside
-            [-90, 90] deg or is not a scalar, or an SNR of NaN or -inf.
+            [-90, 90] deg or is not a scalar, an SNR of NaN or -inf, or a
+            symbol count that is not a positive integer (a bool is none) or
+            does not fill whole OFDM symbols.
     """
     if np.ndim(theta_deg):
         raise ValueError(f"link_ber probes one direction, got shape {np.shape(theta_deg)}")
@@ -236,20 +260,24 @@ def link_ber(
         rng = np.random.default_rng(0)
     snr = cfg.snr_db if snr_db is None else snr_db
     count = cfg.num_subcarriers * cfg.num_ofdm_symbols if num_symbols is None else num_symbols
-    if count <= 0:
-        raise ValueError(f"num_symbols must be positive, got {count}")
+    if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count > 0):
+        raise ValueError(f"num_symbols must be a positive integer, got {count!r}")
     if count % cfg.num_subcarriers:
         raise ValueError(
             f"num_symbols must fill whole OFDM symbols "
             f"(multiples of {cfg.num_subcarriers}), got {count}"
         )
-    bits = rng.integers(0, 2, size=count * constellation.bits_per_symbol).astype(np.uint8)
-    # the payload grid dies inside scramble_symbols, which returns a fresh array
-    received = scramble_symbols(
-        modulate(bits, constellation).reshape(cfg.num_subcarriers, -1), pattern, cfg, theta_deg
+    k = constellation.bits_per_symbol
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-count * k // 8)), np.uint8), count=count * k)
+    # modulate onto the equalized alphabet, shaped as the grid by the labels:
+    # the alphabet and the labels die before the scramble product, the
+    # payload grid as soon as it returns
+    symbols = (constellation.points / element_gains(pattern, cfg, cfg.cu_angle_deg).sum()).take(
+        _labels(bits, k).reshape(cfg.num_subcarriers, -1)
     )
+    received = scramble_symbols(symbols, pattern, cfg, theta_deg)
+    del symbols
     _add_noise_at_snr(received, snr, rng)
-    received /= element_gains(pattern, cfg, cfg.cu_angle_deg).sum()
     return ber(bits, demodulate(received, constellation))
 
 

@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from .comms import _add_noise_at_snr, add_noise
+from .comms import _add_noise_at_snr, _mean_power, add_noise
 from .model import (
     SceneError,
     SystemConfig,
@@ -63,8 +63,17 @@ class Scene:
         object.__setattr__(self, "targets", tuple(self.targets))
 
 
+def _check_seed(seed) -> None:
+    """Refuse a noise seed that ``np.random.default_rng`` would not take as a
+    plain non-negative integer, and a bool, which would pass as 0 or 1."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise SceneError(f"Scene seed must be a non-negative integer, got {seed!r}")
+
+
 def validate_scene(scene: Scene, cfg: SystemConfig, allow_out_of_window: bool = False) -> Scene:
-    """Check the SNR, every target and the angle-identifiability bound."""
+    """Check the seed, the SNR, every target and the angle-identifiability
+    bound."""
+    _check_seed(scene.seed)
     if scene.snr_db is not None:
         snr_adds_noise(scene.snr_db, SceneError)
     for target in scene.targets:
@@ -115,7 +124,7 @@ def radar_returns(
 
     snr_db = cfg.snr_db if scene.snr_db is None else scene.snr_db
     if snr_adds_noise(snr_db):
-        signal_power = float(np.vdot(out, out).real / out.size)
+        signal_power = _mean_power(out)
         reference = signal_power if signal_power > 0.0 else 1.0
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
         add_noise(out, sigma2, np.random.default_rng(scene.seed))
@@ -165,11 +174,17 @@ def _target_from_dict(data) -> Target:
 
 
 def scene_from_dict(data) -> Scene:
-    """Accept either a bare target list or a {targets, seed, snr_db} object."""
+    """Accept either a bare target list or a {targets, seed, snr_db} object.
+
+    Raises:
+        SceneError: for a malformed document or a negative seed.
+    """
     if isinstance(data, list):
         data = {"targets": data}
     convert = {"targets": lambda value: decode_list(value, _target_from_dict)}
-    return decode_object(Scene, data, SceneError, convert)
+    scene = decode_object(Scene, data, SceneError, convert)
+    _check_seed(scene.seed)
+    return scene
 
 
 def load_scene(path) -> Scene:

@@ -272,6 +272,9 @@ BAD_SCENES = {
     },
     "number": 42,
     "targets_number": {"targets": 5},
+    # a negative seed used to fail inside NumPy, after the document decoded
+    "negative_seed": {"targets": [], "seed": -1},
+    "bool_seed": {"targets": [], "seed": True},
 }
 
 

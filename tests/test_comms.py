@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tmadfrc import (
+    comms,
     design_pattern,
     harmonic_coefficient,
     link_ber,
@@ -237,14 +238,15 @@ def test_awgn_noise_power_calibration():
 @pytest.mark.parametrize("shape", [(30, 100), (3, 50_000)], ids=["30x100", "3x50000"])
 def test_awgn_follows_documented_seed_map(shape):
     # real block, then imaginary block, from the caller's generator, scaled
-    # by sqrt(sigma^2 / 2) with sigma^2 from the signal's mean power
+    # by sqrt(sigma^2 / 2) with sigma^2 from the signal's mean power, taken
+    # as vdot(x, x).real / size
     size = math.prod(shape)
     signal = modulate(np.random.default_rng(15).integers(0, 2, size=4 * size), square_qam(16))
     signal = signal.reshape(shape)
     before = signal.copy()
     got = awgn(signal, 4.0, np.random.default_rng(16))
     np.testing.assert_array_equal(signal, before)  # the caller's array is untouched
-    sigma2 = float(np.mean(np.abs(signal) ** 2)) / 10.0 ** (4.0 / 10.0)
+    sigma2 = float(np.vdot(signal, signal).real / signal.size) / 10.0 ** (4.0 / 10.0)
     rng = np.random.default_rng(16)
     first = rng.standard_normal(signal.shape)
     second = rng.standard_normal(signal.shape)
@@ -257,6 +259,26 @@ def test_add_noise_leaves_empty_array_and_stream_alone():
     add_noise(empty, 1.0, rng)
     assert empty.shape == (0, 4)
     assert rng.standard_normal() == np.random.default_rng(17).standard_normal()
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf, -math.inf])
+def test_add_noise_refuses_a_bad_noise_power(sigma2):
+    # a negative or NaN power used to write NaN into the caller's array
+    rng = np.random.default_rng(19)
+    grid = np.ones((4, 6), dtype=complex)
+    with pytest.raises(ValueError, match="noise power"):
+        add_noise(grid, sigma2, rng)
+    assert (grid == 1.0).all()
+    assert rng.standard_normal() == np.random.default_rng(19).standard_normal()
+
+
+@pytest.mark.parametrize("snr_db", [4.0, np.inf])
+def test_awgn_of_an_empty_signal_is_empty_and_draws_nothing(snr_db):
+    # the mean power of nothing is 0 / 0; an empty signal takes no noise
+    rng = np.random.default_rng(20)
+    got = awgn(np.zeros((0, 3), dtype=complex), snr_db, rng)
+    assert got.shape == (0, 3)
+    assert rng.standard_normal() == np.random.default_rng(20).standard_normal()
 
 
 def test_add_noise_refuses_a_strided_view():
@@ -306,9 +328,10 @@ def test_link_ber_rejects_partial_ofdm_symbols(ref_cfg, ref_pattern):
         link_ber(ref_cfg, ref_pattern, qpsk(), 60.0, num_symbols=65)
 
 
-@pytest.mark.parametrize("count", [0, -64])
+@pytest.mark.parametrize("count", [0, -64, 128.0, "128", True, np.float64(128.0)])
 def test_link_ber_refuses_non_positive_symbol_count(ref_cfg, ref_pattern, count):
-    # zero symbols used to come back as BER nan, negative ones as a NumPy error
+    # zero symbols used to come back as BER nan, negative ones as a NumPy
+    # error, a float or a string as a TypeError, and True as one symbol
     with pytest.raises(ValueError, match="positive"):
         link_ber(ref_cfg, ref_pattern, qpsk(), 60.0, num_symbols=count)
     with pytest.raises(ValueError, match="positive"):
@@ -345,22 +368,52 @@ def summed_mixing_matrix(pattern, cfg, theta_deg):
     return mix
 
 
+def documented_payload(rng, n_bits):
+    """The documented seed -> payload map of ``link_ber``: ceil(n / 8) bytes
+    of the stream unpacked MSB first, cut to n bits."""
+    return np.unpackbits(np.frombuffer(rng.bytes(-(-n_bits // 8)), np.uint8), count=n_bits)
+
+
 def old_link_ber(cfg, pattern, constellation, theta_deg, snr_db, count, rng):
-    """Oracle: the link chain before the per-rail slicer (isin check, label
-    matmul, mixing by the per-element sum, out-of-place noise and
-    equalization, argmin slicing)."""
+    """Oracle: the link chain without the package's slicer, labels or mixing
+    (isin check, label matmul, points divided by the reference before mixing
+    by the per-element sum, out-of-place noise at mean |x|^2, argmin
+    slicing)."""
     k = constellation.bits_per_symbol
-    bits = rng.integers(0, 2, size=count * k)
+    bits = documented_payload(rng, count * k)
     assert np.isin(bits, (0, 1)).all()
     labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
-    grid = constellation.points[labels].reshape(cfg.num_subcarriers, -1)
+    reference = harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
+    grid = (constellation.points / reference)[labels].reshape(cfg.num_subcarriers, -1)
     received = summed_mixing_matrix(pattern, cfg, theta_deg) @ grid
     if np.isfinite(snr_db):
         sigma2 = float(np.mean(np.abs(received) ** 2)) / 10.0 ** (snr_db / 10.0)
         noise = rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
         received = received + np.sqrt(sigma2 / 2.0) * noise
-    reference = harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
-    return ber(bits, argmin_demodulate(received / reference, constellation))
+    return ber(bits, argmin_demodulate(received, constellation))
+
+
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("snr_db", [10.0, np.inf])
+def test_link_ber_payload_follows_documented_seed_map(small_cfg, monkeypatch, order, snr_db):
+    # 7 subcarriers x 3 symbols: 42 QPSK or 84 16-QAM bits, neither a whole
+    # number of bytes, so the last byte is cut
+    cfg = dataclasses.replace(small_cfg, num_subcarriers=7)
+    pattern = design_pattern(cfg, cfg.cu_angle_deg)
+    c = square_qam(order)
+    sent = []
+    monkeypatch.setattr(comms, "ber", lambda bits, got: sent.append(bits.copy()) or 0.0)
+    rng = np.random.default_rng(21)
+    link_ber(cfg, pattern, c, 10.0, snr_db=snr_db, num_symbols=21, rng=rng)
+
+    expected_rng = np.random.default_rng(21)
+    n_bits = 21 * c.bits_per_symbol
+    assert n_bits % 8
+    np.testing.assert_array_equal(sent[0], documented_payload(expected_rng, n_bits))
+    assert sent[0].dtype == np.uint8
+    if np.isfinite(snr_db):  # then the real and the imaginary noise block
+        expected_rng.standard_normal(2 * 21)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("order", [4, 16])
@@ -389,10 +442,11 @@ def test_ber_vs_angle_refuses_angles_with_two_axes(ref_cfg, ref_pattern):
         ber_vs_angle(ref_cfg, ref_pattern, qpsk(), np.zeros((2, 2)), num_symbols=64)
 
 
-# The traced peak of one reference QPSK probe read 857 KB while the int64
-# payload lived for the whole probe, 627 KB once it is narrowed to uint8 at
-# once; the bound keeps that footprint, and with it the probe's page-fault
-# churn, from creeping back.
+# The traced peak of one reference QPSK probe read 857 KB while an int64
+# payload lived for the whole probe, and reads 628 KB with the payload drawn
+# as bytes and the labels and the equalized alphabet freed before the
+# scramble product; the bound keeps that footprint, and with it the probe's
+# page-fault churn, from creeping back.
 PROBE_PEAK_LIMIT_BYTES = 700_000
 
 

@@ -390,6 +390,20 @@ def test_scene_dict_rejects_unknown_keys():
         )
 
 
+@pytest.mark.parametrize("seed", [-1, True, False, 1.0])
+def test_scene_refuses_a_seed_that_is_no_non_negative_integer(small_cfg, seed):
+    # a negative seed used to decode and then fail inside NumPy, True to
+    # synthesize as seed 1
+    with pytest.raises(SceneError, match="seed"):
+        scene_from_dict({"targets": [], "seed": seed})
+    with pytest.raises(SceneError, match="seed"):
+        validate_scene(Scene((), seed=seed), small_cfg)
+
+
+def test_scene_accepts_a_numpy_integer_seed(small_cfg):
+    assert validate_scene(Scene((), seed=np.int64(3)), small_cfg).seed == 3
+
+
 def test_scene_dict_restores_complex_reflectivity():
     scene = scene_from_dict(
         {
