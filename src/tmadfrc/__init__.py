@@ -18,6 +18,7 @@ from .coarse import (
     NoPeaksError,
     PeakCriterion,
     angle_spectrum,
+    beam_rows,
     coarse_pipeline,
     descramble,
     detect_peaks,
@@ -41,6 +42,7 @@ from .model import (
     CoarseEstimate,
     ConfigError,
     EstimateSet,
+    Frame,
     RefinedEstimate,
     SceneError,
     SystemConfig,

@@ -35,6 +35,7 @@ from .coarse import (
 from .comms import ber_vs_angle, modulate, qpsk
 from .model import (
     ConfigError,
+    Frame,
     bin_to_angle_deg,
     config_from_dict,
     config_hash,
@@ -74,6 +75,18 @@ def _load_cfg(args):
         except json.JSONDecodeError:
             data[key] = value
     return config_from_dict(data)
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed``: a non-negative integer, the
+    seeds ``np.random.default_rng`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _stamped(cfg, fields: dict) -> dict:
@@ -198,7 +211,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _export_spectra(prefix, received, data, pattern, cfg, detection) -> None:
-    result = coarse_pipeline(received, data, pattern, cfg, detection)
+    result = coarse_pipeline(Frame(received, data, pattern, cfg), detection)
     with open(f"{prefix}.angle.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "angle_deg", "magnitude"])
@@ -401,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--angle", type=float, help="steered direction (default: config)")
     p.add_argument("--probes", type=int, default=50, help="random probe directions")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
     p.add_argument("--floor", type=float, default=1e-3)
     p.add_argument(
@@ -425,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default=reference_scene, help="scene JSON (default: packaged reference)")
     p.add_argument("--out", required=True, help="receive grid output path")
     p.add_argument("--data", help="also store the transmitted symbol grid here")
-    p.add_argument("--seed", type=int, default=0, help="payload bit seed")
+    p.add_argument("--seed", type=_seed, default=0, help="payload bit seed")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate targets from stored grids")
@@ -447,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--snr", type=float, help="per-direction SNR in dB (default: config)")
     p.add_argument("--symbols", type=int, help="symbols per direction (default: one frame)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write CSV here")
     p.set_defaults(handler=_cmd_ber_sweep)
 
@@ -457,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_config(p)
     p.add_argument("--scene", default=reference_scene, help="scene JSON (default: packaged reference)")
-    p.add_argument("--seed", type=int, help="override the reference noise/payload seed")
+    p.add_argument("--seed", type=_seed, help="override the reference noise/payload seed")
     p.add_argument("--out", help="write the reproduction report JSON here")
     p.set_defaults(handler=_cmd_reproduce)
     return parser

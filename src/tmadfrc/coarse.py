@@ -31,14 +31,14 @@ import numpy as np
 
 from .model import (
     CoarseEstimate,
+    Frame,
     SystemConfig,
     bin_to_angle_deg,
     bin_to_range_m,
     bin_to_velocity_mps,
-    check_antenna_grid,
     check_symbol_grid,
 )
-from .tma import SwitchingPattern, scramble_symbols
+from .tma import scramble_symbols
 from .transforms import dft, idft, signed_bin_index
 
 
@@ -126,20 +126,6 @@ def detect_peaks(profile: np.ndarray, criterion: PeakCriterion = PeakCriterion()
     return np.flatnonzero((profile >= threshold) & _local_maxima(profile, wrap=True))
 
 
-def angle_spectrum(grid: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Beamform across receive elements.
-
-    Returns:
-        (spectrum, beams): ``spectrum`` is the magnitude aggregated over all
-        subcarriers and symbols per angle bin, ``beams`` the full complex
-        DFT cube with the bin axis first, each bin's rows computed exactly
-        as :func:`coarse_pipeline` computes them.
-    """
-    grid = check_antenna_grid(cfg, grid)
-    beams = np.stack([_beam_rows(grid, k) for k in range(cfg.num_rx_antennas)])
-    return _angle_spectrum(grid), beams
-
-
 # Snapshots (subcarrier-symbol pairs) per block of the receive-axis DFT: an
 # (N_r, 2048) block is 768 KB on the 24-element reference array, against the
 # 6 MB of a whole beam cube.
@@ -154,10 +140,15 @@ def _snapshot_blocks(grid: np.ndarray):
         yield flat[:, start : start + _SNAPSHOT_BLOCK]
 
 
-def _angle_spectrum(grid: np.ndarray) -> np.ndarray:
-    """Spectrum of :func:`angle_spectrum` for an already validated grid.  The
-    receive-axis DFT runs one snapshot block at a time, and the magnitudes go
-    through one reused buffer, so no cube-sized temporary is allocated."""
+def angle_spectrum(frame: Frame) -> np.ndarray:
+    """Beamform across receive elements: the DFT magnitude per angle bin,
+    summed over all subcarriers and symbols.
+
+    The receive-axis DFT runs one snapshot block at a time, and the
+    magnitudes go through one reused buffer, so no cube-sized temporary is
+    allocated.  :func:`beam_rows` gives one bin's complex rows.
+    """
+    grid = frame.grid
     spectrum = np.zeros(grid.shape[0])
     magnitude = np.empty((grid.shape[0], min(_SNAPSHOT_BLOCK, grid[0].size)))
     for block in _snapshot_blocks(grid):
@@ -166,9 +157,10 @@ def _angle_spectrum(grid: np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def _beam_rows(grid: np.ndarray, angle_bin: int) -> np.ndarray:
+def beam_rows(frame: Frame, angle_bin: int) -> np.ndarray:
     """Beamformed (N_s, N_p) rows of one DFT angle bin: the bin's DFT weights
     times the receive cube as one product, in an array of their own."""
+    grid = frame.grid
     n_rx = grid.shape[0]
     weights = np.exp(-2j * np.pi * (angle_bin * np.arange(n_rx) % n_rx) / n_rx)
     rows = np.empty(grid.shape[1:], dtype=np.complex128)
@@ -185,13 +177,13 @@ class DescrambleResult:
 
 def descramble(
     rows: np.ndarray,
-    data: np.ndarray,
-    pattern: SwitchingPattern,
+    reference: np.ndarray,
     cfg: SystemConfig,
     theta_deg: float,
     options: DetectionOptions = DetectionOptions(),
 ) -> DescrambleResult:
-    """Divide beamformed rows by the direction-matched scrambled symbols.
+    """Divide beamformed rows by ``reference``, the payload scrambled toward
+    ``theta_deg``.
 
     Entries whose reference magnitude falls below ``descramble_guard`` times
     the median reference magnitude are zeroed instead of divided; if more
@@ -199,15 +191,7 @@ def descramble(
     close to a scrambling null to descramble at all.
     """
     rows = check_symbol_grid(cfg, rows)
-    reference = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta_deg)
-    return _descramble(rows, reference, theta_deg, options)
-
-
-def _descramble(
-    rows: np.ndarray, reference: np.ndarray, theta_deg: float, options: DetectionOptions
-) -> DescrambleResult:
-    """:func:`descramble` of validated rows by the symbols already scrambled
-    toward ``theta_deg``."""
+    reference = check_symbol_grid(cfg, reference)
     magnitude = np.abs(reference)
     epsilon = options.descramble_guard * median(magnitude)
     masked = magnitude < epsilon
@@ -268,34 +252,16 @@ class CoarseResult:
     bins: tuple
 
 
-def coarse_pipeline(
-    grid: np.ndarray,
-    data: np.ndarray,
-    pattern: SwitchingPattern,
-    cfg: SystemConfig,
-    options: DetectionOptions = DetectionOptions(),
-) -> CoarseResult:
-    """Run the full angle/range/velocity coarse stage.
+def coarse_pipeline(frame: Frame, options: DetectionOptions = DetectionOptions()) -> CoarseResult:
+    """Run the full angle/range/velocity coarse stage.  Every detected bin
+    center is scrambled in one call.
 
     Raises:
         NoPeaksError: when no angle bin clears the detection threshold.
         DegenerateBinError: when a detected direction cannot be descrambled.
     """
-    grid = check_antenna_grid(cfg, grid)
-    data = check_symbol_grid(cfg, data)
-    return _coarse_pipeline(grid, data, pattern, cfg, options)
-
-
-def _coarse_pipeline(
-    grid: np.ndarray,
-    data: np.ndarray,
-    pattern: SwitchingPattern,
-    cfg: SystemConfig,
-    options: DetectionOptions,
-) -> CoarseResult:
-    """:func:`coarse_pipeline` of a validated grid and payload: every bin
-    center is scrambled in one call, and nothing re-validates the cube."""
-    spectrum = _angle_spectrum(grid)
+    cfg = frame.cfg
+    spectrum = angle_spectrum(frame)
     angle_bins = detect_peaks(spectrum, options.angle_peaks)
     angles = bin_to_angle_deg(angle_bins, cfg)
     angle_bins, angles = angle_bins[~np.isnan(angles)], angles[~np.isnan(angles)]
@@ -304,10 +270,10 @@ def _coarse_pipeline(
 
     estimates = []
     bin_results = []
-    references = scramble_symbols(data, pattern, cfg, angles)  # (bins, N_s, N_p)
+    references = scramble_symbols(frame.data, frame.pattern, cfg, angles)  # (bins, N_s, N_p)
     for angle_bin, angle_deg, reference in zip(angle_bins, angles.tolist(), references):
-        rows = _beam_rows(grid, int(angle_bin))
-        desc = _descramble(rows, reference, angle_deg, options)
+        rows = beam_rows(frame, int(angle_bin))
+        desc = descramble(rows, reference, cfg, angle_deg, options)
         response = range_response(desc.symbols, cfg)
         profile = np.abs(response).mean(axis=1)
         range_bins = detect_peaks(profile, options.range_peaks)

@@ -288,6 +288,30 @@ def check_antenna_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
     return _checked_grid(values, cfg.returns_shape, "antenna grid")
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Frame:
+    """One received frame and the payload it carried: the receive cube
+    (N_r, N_s, N_p), the transmitted symbols (N_s, N_p), the switching
+    pattern that scrambled them and the configuration.
+
+    Both grids are validated and converted to complex once, when the frame is
+    built, so the estimation stages that take a frame need not check them
+    again.  ``energy`` is ||grid||^2.
+    """
+
+    grid: np.ndarray
+    data: np.ndarray
+    pattern: "SwitchingPattern"  # tma's; named as a string because tma imports this module
+    cfg: SystemConfig
+    energy: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        grid = check_antenna_grid(self.cfg, self.grid)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "data", check_symbol_grid(self.cfg, self.data))
+        object.__setattr__(self, "energy", float(np.vdot(grid, grid).real))
+
+
 @dataclasses.dataclass(frozen=True)
 class CoarseEstimate:
     """One (angle bin, range bin, velocity bin) detection from the DFT stage.

@@ -61,21 +61,21 @@ import numpy as np
 from .coarse import (
     DetectionOptions,
     NoPeaksError,
-    _coarse_pipeline,
-    _descramble,
     _local_maxima,
     _snapshot_blocks,
+    coarse_pipeline,
+    descramble,
     range_response,
     velocity_spectrum,
 )
 from .model import (
     EstimateSet,
+    Frame,
     RefinedEstimate,
     SystemConfig,
     bin_to_range_m,
     bin_to_sine,
     bin_to_velocity_mps,
-    check_antenna_grid,
     check_symbol_grid,
     range_ramp,
     range_resolution_m,
@@ -403,37 +403,41 @@ def _joint_fit(kind, steer, atoms, projections, pair_weight, energy, candidates,
             f"refined {kind} hit the edge of its search window; the optimum "
             "may lie outside the coarse cell",
             RuntimeWarning,
-            # caller of the public function -> public function -> worker -> here
-            stacklevel=4,
+            # caller of the fit -> refine_ranges or refine_velocities -> here
+            stacklevel=3,
         )
     return fit
 
 
+def _checked_scrambled(cfg: SystemConfig, angles_deg, scrambled):
+    """(angles, scrambled) as a float vector and a complex (Q, N_s, N_p)
+    stack, refused unless ``scrambled`` holds one finite payload grid per
+    angle."""
+    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    scrambled = np.asarray(scrambled, dtype=np.complex128)
+    if scrambled.shape[:1] != angles.shape:
+        raise ValueError(
+            f"need one scrambled payload per angle: {angles.size} angles, "
+            f"scrambled shape {scrambled.shape}"
+        )
+    for payload in scrambled:
+        check_symbol_grid(cfg, payload)
+    return angles, scrambled
+
+
 def refine_ranges(
-    grid: np.ndarray,
-    data: np.ndarray,
-    pattern: SwitchingPattern,
-    cfg: SystemConfig,
-    angles_deg,
-    range_bins,
-    options: RefineOptions = RefineOptions(),
+    frame: Frame, angles_deg, scrambled, range_bins, options: RefineOptions = RefineOptions()
 ) -> CombinationFit:
-    """Joint range fit for the sources of one angle bin (see module docstring).
+    """Joint range fit for the sources of one angle bin (see module docstring),
+    with ``scrambled[q]`` the payload scrambled toward ``angles_deg[q]``.
 
     Uses only OFDM symbol 0, where Doppler-induced range migration is zero.
     """
-    grid = check_antenna_grid(cfg, grid)
-    data = check_symbol_grid(cfg, data)
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    symbol0 = scramble_symbols(data, pattern, cfg, angles)[:, :, 0]
-    return _refine_ranges(grid, symbol0, cfg, angles, range_bins, options)
-
-
-def _refine_ranges(grid, symbol0, cfg, angles, range_bins, options) -> CombinationFit:
-    """:func:`refine_ranges` of a validated grid, with ``symbol0[q]`` OFDM
-    symbol 0 of the payload scrambled toward ``angles[q]``, (Q, N_s)."""
+    cfg = frame.cfg
+    angles, scrambled = _checked_scrambled(cfg, angles_deg, scrambled)
+    symbol0 = scrambled[:, :, 0]  # (Q, N_s)
     candidates = candidate_range_grid(range_bins, cfg, options.range_points)
-    snapshot = grid[:, :, 0]  # (N_r, N_s)
+    snapshot = frame.grid[:, :, 0]  # (N_r, N_s)
     energy = float(np.sum(np.abs(snapshot) ** 2))
     steer = steering_vector(cfg, angles)  # (Q, N_r)
     beamed = steer.conj() @ snapshot  # (Q, N_s)
@@ -451,16 +455,15 @@ def _refine_ranges(grid, symbol0, cfg, angles, range_bins, options) -> Combinati
 
 
 def refine_velocities(
-    grid: np.ndarray,
-    data: np.ndarray,
-    pattern: SwitchingPattern,
-    cfg: SystemConfig,
+    frame: Frame,
     angles_deg,
+    scrambled,
     ranges_m,
     velocity_bins,
     options: RefineOptions = RefineOptions(),
 ) -> CombinationFit:
-    """Joint velocity fit for one angle bin, with angles and ranges frozen.
+    """Joint velocity fit for one angle bin, with angles and ranges frozen and
+    ``scrambled[q]`` the payload scrambled toward ``angles_deg[q]``.
 
     ``velocity_bins`` is the pooled set of candidate signed slow-time bins for
     the whole angle bin.  Every source searches the union of the windows
@@ -469,29 +472,17 @@ def refine_velocities(
     bin mate survives re-descrambling at a neighbouring angle with nearly
     full strength and can out-peak the source that the angle belongs to.
     """
-    grid = check_antenna_grid(cfg, grid)
-    data = check_symbol_grid(cfg, data)
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    cfg = frame.cfg
+    angles, scrambled = _checked_scrambled(cfg, angles_deg, scrambled)
     ranges = np.atleast_1d(np.asarray(ranges_m, dtype=float))
     if angles.shape != ranges.shape:
         raise ValueError("need one refined range per angle")
-    energy = float(np.vdot(grid, grid).real)
-    scrambled = scramble_symbols(data, pattern, cfg, angles)
-    return _refine_velocities(grid, energy, scrambled, cfg, angles, ranges, velocity_bins, options)
-
-
-def _refine_velocities(
-    grid, energy, scrambled, cfg, angles, ranges, velocity_bins, options
-) -> CombinationFit:
-    """:func:`refine_velocities` of a validated grid with its energy
-    ``||grid||^2`` and the payload scrambled toward each angle,
-    (Q, N_s, N_p)."""
     candidates = candidate_velocity_grid(velocity_bins, cfg, options.velocity_points)
     steer = steering_vector(cfg, angles)  # (Q, N_r)
     base = scrambled * range_ramp(cfg, ranges)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
 
     # Beamform the whole cube with one BLAS product: (Q, N_r) @ (N_r, N_s * N_p).
-    beamed = (steer.conj() @ grid.reshape(cfg.num_rx_antennas, -1)).reshape(base.shape)
+    beamed = (steer.conj() @ frame.grid.reshape(cfg.num_rx_antennas, -1)).reshape(base.shape)
     h = np.einsum("qsp,qsp->qp", base.conj(), beamed)  # (Q, N_p)
     return _joint_fit(
         "velocity",
@@ -499,7 +490,7 @@ def _refine_velocities(
         slow_time_rotation(cfg, 2.0 * candidates * cfg.carrier_freq_hz / cfg.c).T,  # (N_p, n_grid)
         h,
         lambda q, p: np.einsum("sp,sp->p", base[q].conj(), base[p]),
-        energy,
+        frame.energy,
         candidates,
         bin_to_velocity_mps(velocity_bins, cfg),
         options,
@@ -508,15 +499,16 @@ def _refine_velocities(
 
 def matched_velocity_bins(
     rows: np.ndarray,
-    data: np.ndarray,
-    pattern: SwitchingPattern,
+    reference: np.ndarray,
     cfg: SystemConfig,
     theta_deg: float,
     range_m: float,
     count: int = 1,
     detection: DetectionOptions = DetectionOptions(),
 ) -> list:
-    """Signed slow-time bins of the strongest velocity peaks for one source.
+    """Signed slow-time bins of the strongest velocity peaks for one source,
+    from beamformed ``rows`` descrambled by ``reference``, the payload
+    scrambled toward ``theta_deg``.
 
     The coarse velocity spectra divide by the scrambling reference at the
     *bin center* angle, which decoheres a target sitting toward the edge of
@@ -528,16 +520,7 @@ def matched_velocity_bins(
     payload realization.  Returning the top ``count`` bins and letting the
     joint fit sort out the pairing avoids that coin flip.
     """
-    rows = check_symbol_grid(cfg, rows)
-    theta = float(theta_deg)
-    reference = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta)
-    return _matched_velocity_bins(rows, reference, cfg, theta, range_m, count, detection)
-
-
-def _matched_velocity_bins(rows, reference, cfg, theta_deg, range_m, count, detection) -> list:
-    """:func:`matched_velocity_bins` of validated rows, descrambled by the
-    payload already scrambled toward ``theta_deg``."""
-    desc = _descramble(rows, reference, theta_deg, detection)
+    desc = descramble(rows, reference, cfg, theta_deg, detection)
     response = range_response(desc.symbols, cfg)
     res = range_resolution_m(cfg)
     gate = int(np.rint(float(range_m) / res)) % cfg.num_subcarriers
@@ -568,21 +551,20 @@ def estimate_targets(
     sources as its pseudospectrum window shows qualifying peaks (or exactly
     ``options.num_sources`` when that override is set).
 
-    The grid and payload are validated here, once; the per-bin stages then
-    run unchecked, and a bin's refined angles are scrambled in one call for
-    the range fit, the matched velocity spectra and the velocity fit.
+    The cube and payload are validated once, as one :class:`Frame`, which
+    every stage then takes as it is.  A bin's refined angles are scrambled in
+    one call for the range fit, the matched velocity spectra and the velocity
+    fit; the stages check only those scrambled grids and the beamformed rows.
     """
-    grid = check_antenna_grid(cfg, grid)
-    data = check_symbol_grid(cfg, data)
+    frame = Frame(grid, data, pattern, cfg)
     if options.covariance_symbol is not None:
         _check_symbol_index(options.covariance_symbol, cfg.num_ofdm_symbols)
     try:
-        coarse = _coarse_pipeline(grid, data, pattern, cfg, detection)
+        coarse = coarse_pipeline(frame, detection)
     except NoPeaksError:
         return EstimateSet(coarse=[], refined=[])
-    energy = float(np.vdot(grid, grid).real)
 
-    covariance = sample_covariance(grid, options.covariance_symbol)
+    covariance = sample_covariance(frame.grid, options.covariance_symbol)
     max_dim = cfg.num_rx_antennas - 1
     dimension = options.signal_dimension
     if dimension is None:
@@ -599,26 +581,17 @@ def estimate_targets(
         count = options.num_sources or _peak_count(spectrum, options.peak_rel_threshold)
         count = max(1, min(count, dimension))
         angles = _pick_angles(spectrum, search, count)
-        scrambled = scramble_symbols(data, pattern, cfg, angles)  # (Q, N_s, N_p)
-        range_fit = _refine_ranges(
-            grid, scrambled[:, :, 0], cfg, angles, bin_result.range_bins, options
-        )
+        scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)
+        range_fit = refine_ranges(frame, angles, scrambled, bin_result.range_bins, options)
         velocity_bins = {int(b) for bins in bin_result.velocity_bins for b in bins}
         for reference, angle, range_m in zip(scrambled, angles.tolist(), range_fit.values):
             velocity_bins.update(
-                _matched_velocity_bins(
+                matched_velocity_bins(
                     bin_result.rows, reference, cfg, angle, range_m, len(angles), detection
                 )
             )
-        velocity_fit = _refine_velocities(
-            grid,
-            energy,
-            scrambled,
-            cfg,
-            angles,
-            range_fit.values,
-            sorted(velocity_bins),
-            options,
+        velocity_fit = refine_velocities(
+            frame, angles, scrambled, range_fit.values, sorted(velocity_bins), options
         )
         for q, angle in enumerate(angles):
             refined.append(

@@ -27,6 +27,7 @@ import pytest
 
 from conftest import qpsk_frame
 from tmadfrc import (
+    Frame,
     Scene,
     Target,
     coarse_pipeline,
@@ -115,7 +116,7 @@ def test_coarse_estimates_reproduce_reference_scene(ref_cfg, ref_pattern, ref_fr
     """Bin-exact coarse stage on the packaged scene."""
     start = time.perf_counter()
     data, received = ref_frame
-    result = coarse_pipeline(received, data, ref_pattern, ref_cfg)
+    result = coarse_pipeline(Frame(received, data, ref_pattern, ref_cfg))
     rows = {(e.angle_bin, e.range_bin, e.velocity_bin) for e in result.estimates}
     expected = {(20, 3, -4), (20, 3, 4), (6, 6, 9)}
     ok = rows == expected
@@ -251,8 +252,8 @@ def test_numerical_property_suite(ref_cfg, ref_pattern, ref_frame, small_cfg):
 
     # common complex gain leaves every detected bin unchanged
     data, received = ref_frame
-    base = coarse_pipeline(received, data, ref_pattern, ref_cfg)
-    scaled = coarse_pipeline(2.7 * np.exp(0.6j) * received, data, ref_pattern, ref_cfg)
+    base = coarse_pipeline(Frame(received, data, ref_pattern, ref_cfg))
+    scaled = coarse_pipeline(Frame(2.7 * np.exp(0.6j) * received, data, ref_pattern, ref_cfg))
     base_rows = {(e.angle_bin, e.range_bin, e.velocity_bin) for e in base.estimates}
     scaled_rows = {(e.angle_bin, e.range_bin, e.velocity_bin) for e in scaled.estimates}
     assert base_rows == scaled_rows
@@ -287,7 +288,12 @@ def test_numerical_property_suite(ref_cfg, ref_pattern, ref_frame, small_cfg):
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
     payload = qpsk_frame(small_cfg, seed=30)
     frame = radar_returns(payload, pattern, small_cfg, Scene((target,), snr_db=np.inf))
-    fit = refine_ranges(frame, payload, pattern, small_cfg, [target.angle_deg], [2])
+    fit = refine_ranges(
+        Frame(frame, payload, pattern, small_cfg),
+        [target.angle_deg],
+        scramble_symbols(payload, pattern, small_cfg, [target.angle_deg]),
+        [2],
+    )
     energy = float(np.sum(np.abs(frame[:, :, 0]) ** 2))
     assert fit.residual < 1e-9 * energy
     assert fit.values[0] == pytest.approx(truth, abs=1e-9)
@@ -305,7 +311,10 @@ def test_numerical_property_suite(ref_cfg, ref_pattern, ref_frame, small_cfg):
     payload = qpsk_frame(small_cfg, seed=31)
     frame = radar_returns(payload, pattern, small_cfg, scene)
     fit = refine_ranges(
-        frame, payload, pattern, small_cfg, angles, [2, 5],
+        Frame(frame, payload, pattern, small_cfg),
+        angles,
+        scramble_symbols(payload, pattern, small_cfg, angles),
+        [2, 5],
         options=RefineOptions(range_points=11),
     )
     candidates = candidate_range_grid([2, 5], small_cfg, points=11)

@@ -291,6 +291,19 @@ def test_bad_scene_file_exits_two(capsys, tmp_path, command, document):
     assert not list(tmp_path.glob("g.grid*"))
 
 
+@pytest.mark.parametrize("seed", ["-1", "seven"])
+@pytest.mark.parametrize("command", ["dm-check", "simulate", "ber-sweep", "reproduce-table2"])
+def test_seed_must_be_a_non_negative_integer(capsys, tmp_path, command, seed):
+    outputs = ("--out", str(tmp_path / "g.grid")) if command == "simulate" else ()
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *outputs, "--seed", seed])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert f"argument --seed: seed must be a non-negative integer, got '{seed}'" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # ber-sweep
 

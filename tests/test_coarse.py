@@ -18,6 +18,7 @@ from conftest import qpsk_frame
 from tmadfrc import (
     CoarseEstimate,
     DegenerateBinError,
+    Frame,
     NoPeaksError,
     Scene,
     Target,
@@ -30,6 +31,7 @@ from tmadfrc.coarse import (
     DetectionOptions,
     PeakCriterion,
     angle_spectrum,
+    beam_rows,
     bin_to_angle_deg,
     bin_to_range_m,
     bin_to_velocity_mps,
@@ -50,6 +52,11 @@ ON_GRID_SIN = 0.25  # rx bin 7 of 8 at half-wavelength spacing
 ON_GRID_ANGLE = math.degrees(math.asin(ON_GRID_SIN))
 ON_GRID_RANGE_BIN = 2
 ON_GRID_VELOCITY_BIN = 3
+
+
+def beam_cube(frame):
+    """Every angle bin's beamformed rows, the bin axis first."""
+    return np.stack([beam_rows(frame, k) for k in range(frame.cfg.num_rx_antennas)])
 
 
 @pytest.fixture()
@@ -186,10 +193,11 @@ def test_bin_mapping_matches_derived_angle_grid(ref_cfg, changes):
 
 
 def test_angle_spectrum_concentrates_on_grid_target(on_grid):
-    cfg, _, _, grid, _ = on_grid
-    spectrum, beams = angle_spectrum(grid, cfg)
+    cfg, pattern, data, grid, _ = on_grid
+    frame = Frame(grid, data, pattern, cfg)
+    spectrum = angle_spectrum(frame)
     assert spectrum.shape == (cfg.num_rx_antennas,)
-    assert beams.shape == cfg.returns_shape
+    assert beam_cube(frame).shape == cfg.returns_shape
     assert int(np.argmax(spectrum)) == 7
     others = np.delete(spectrum, 7)
     assert others.max() < 1e-9 * spectrum[7]
@@ -198,7 +206,7 @@ def test_angle_spectrum_concentrates_on_grid_target(on_grid):
 def test_angle_spectrum_beams_match_steered_sum(on_grid):
     # the occupied beam equals N_r times the single-target contribution
     cfg, pattern, data, grid, target = on_grid
-    spectrum, beams = angle_spectrum(grid, cfg)
+    rows = beam_rows(Frame(grid, data, pattern, cfg), 7)
     scrambled = scramble_symbols(data, pattern, cfg, target.angle_deg)
     s = np.arange(cfg.num_subcarriers)
     mu = np.arange(cfg.num_ofdm_symbols)
@@ -208,7 +216,7 @@ def test_angle_spectrum_beams_match_steered_sum(on_grid):
     doppler = 2.0 * target.velocity_mps * cfg.carrier_freq_hz / cfg.c
     slow = np.exp(2j * np.pi * cfg.symbol_duration_s * doppler * mu)
     expected = cfg.num_rx_antennas * scrambled * ramp[:, None] * slow[None, :]
-    np.testing.assert_allclose(beams[7], expected, rtol=1e-10, atol=1e-9)
+    np.testing.assert_allclose(rows, expected, rtol=1e-10, atol=1e-9)
 
 
 def test_noise_only_grid_raises_no_peaks(small_cfg):
@@ -219,17 +227,23 @@ def test_noise_only_grid_raises_no_peaks(small_cfg):
     data = qpsk_frame(small_cfg, seed=1)
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
     with pytest.raises(NoPeaksError):
-        coarse_pipeline(grid, data, pattern, small_cfg)
+        coarse_pipeline(Frame(grid, data, pattern, small_cfg))
 
 
 # ---------------------------------------------------------------------------
 # descrambling
 
 
+def descramble_on_grid(cfg, pattern, data, grid, target):
+    """Angle bin 7 of the on-grid frame, descrambled toward the target."""
+    rows = beam_rows(Frame(grid, data, pattern, cfg), 7)
+    reference = scramble_symbols(data, pattern, cfg, target.angle_deg)
+    return descramble(rows, reference, cfg, target.angle_deg)
+
+
 def test_descramble_recovers_pure_ramp(on_grid):
     cfg, pattern, data, grid, target = on_grid
-    _, beams = angle_spectrum(grid, cfg)
-    result = descramble(beams[7], data, pattern, cfg, target.angle_deg)
+    result = descramble_on_grid(cfg, pattern, data, grid, target)
     assert not result.masked.any()
     # data dependence cancels: quotient is N_r * ramp x slow-time
     s = np.arange(cfg.num_subcarriers)
@@ -255,7 +269,7 @@ def test_descramble_masks_guarded_entries(small_cfg):
     flat[:n_zero] = 0.0
     data = flat.reshape(data.shape)
     rows = np.ones(small_cfg.grid_shape, dtype=complex)
-    result = descramble(rows, data, pattern, small_cfg, 0.0)
+    result = descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), small_cfg, 0.0)
     assert result.masked.mean() == pytest.approx(n_zero / flat.size, abs=1e-12)
     assert np.all(result.symbols[result.masked] == 0.0)
     np.testing.assert_allclose(result.symbols[~result.masked], 1.0 / (nt * data[~result.masked]))
@@ -271,7 +285,7 @@ def test_descramble_rejects_degenerate_direction(small_cfg):
     data = flat.reshape(data.shape)
     rows = np.ones(small_cfg.grid_shape, dtype=complex)
     with pytest.raises(DegenerateBinError, match="guard"):
-        descramble(rows, data, pattern, small_cfg, 0.0)
+        descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), small_cfg, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +294,7 @@ def test_descramble_rejects_degenerate_direction(small_cfg):
 
 def test_range_profile_single_bin(on_grid):
     cfg, pattern, data, grid, target = on_grid
-    _, beams = angle_spectrum(grid, cfg)
-    desc = descramble(beams[7], data, pattern, cfg, target.angle_deg)
+    desc = descramble_on_grid(cfg, pattern, data, grid, target)
     profile = range_profile(desc.symbols, cfg)
     assert int(np.argmax(profile)) == ON_GRID_RANGE_BIN
     assert profile[ON_GRID_RANGE_BIN] == pytest.approx(cfg.num_rx_antennas, rel=1e-9)
@@ -291,8 +304,7 @@ def test_range_profile_single_bin(on_grid):
 
 def test_velocity_spectrum_single_bin_with_known_magnitude(on_grid):
     cfg, pattern, data, grid, target = on_grid
-    _, beams = angle_spectrum(grid, cfg)
-    desc = descramble(beams[7], data, pattern, cfg, target.angle_deg)
+    desc = descramble_on_grid(cfg, pattern, data, grid, target)
     response = range_response(desc.symbols, cfg)
     spec = velocity_spectrum(response[ON_GRID_RANGE_BIN], cfg)
     assert int(np.argmax(spec)) == ON_GRID_VELOCITY_BIN  # positive bin: DFT order
@@ -312,7 +324,7 @@ def test_velocity_spectrum_rejects_wrong_length(small_cfg):
 
 def test_pipeline_recovers_on_grid_target_exactly(on_grid):
     cfg, pattern, data, grid, target = on_grid
-    result = coarse_pipeline(grid, data, pattern, cfg)
+    result = coarse_pipeline(Frame(grid, data, pattern, cfg))
     assert len(result.estimates) == 1
     est = result.estimates[0]
     assert isinstance(est, CoarseEstimate)
@@ -337,7 +349,7 @@ def test_pipeline_pairs_velocities_with_their_range_bin(nb_cfg):
     pattern = design_pattern(nb_cfg, nb_cfg.cu_angle_deg)
     data = qpsk_frame(nb_cfg, seed=8)
     grid = radar_returns(data, pattern, nb_cfg, Scene(targets, snr_db=np.inf))
-    result = coarse_pipeline(grid, data, pattern, nb_cfg)
+    result = coarse_pipeline(Frame(grid, data, pattern, nb_cfg))
     assert len(result.bins) == 1
     pipeline = result.bins[0]
     assert pipeline.range_bins.tolist() == [1, 5]
@@ -375,8 +387,8 @@ def test_pipeline_two_targets_same_bin_sum_coherently(nb_cfg):
 
 def test_pipeline_bins_invariant_to_global_scaling(on_grid):
     cfg, pattern, data, grid, _ = on_grid
-    base = coarse_pipeline(grid, data, pattern, cfg)
-    scaled = coarse_pipeline((0.3 - 1.7j) * grid, data, pattern, cfg)
+    base = coarse_pipeline(Frame(grid, data, pattern, cfg))
+    scaled = coarse_pipeline(Frame((0.3 - 1.7j) * grid, data, pattern, cfg))
     base_rows = [(e.angle_bin, e.range_bin, e.velocity_bin) for e in base.estimates]
     scaled_rows = [(e.angle_bin, e.range_bin, e.velocity_bin) for e in scaled.estimates]
     assert base_rows == scaled_rows
@@ -385,7 +397,7 @@ def test_pipeline_bins_invariant_to_global_scaling(on_grid):
 def test_pipeline_reference_frame_bins(ref_cfg, ref_pattern, ref_frame):
     """The packaged scene resolves to its known angle/range/velocity bins."""
     data, received = ref_frame
-    result = coarse_pipeline(received, data, ref_pattern, ref_cfg)
+    result = coarse_pipeline(Frame(received, data, ref_pattern, ref_cfg))
     rows = {(e.angle_bin, e.range_bin, e.velocity_bin) for e in result.estimates}
     assert rows == {(20, 3, -4), (20, 3, 4), (6, 6, 9)}
 
@@ -394,11 +406,11 @@ def test_pipeline_rows_own_their_data(ref_cfg, ref_pattern, ref_frame):
     """Each bin keeps a copy of its beamformed rows, not a view that would
     keep the whole (N_r, N_s, N_p) beam cube alive."""
     data, received = ref_frame
-    result = coarse_pipeline(received, data, ref_pattern, ref_cfg)
-    _, beams = angle_spectrum(received, ref_cfg)
+    frame = Frame(received, data, ref_pattern, ref_cfg)
+    result = coarse_pipeline(frame)
     for bin_result in result.bins:
         assert bin_result.rows.flags.owndata
-        assert np.array_equal(bin_result.rows, beams[bin_result.angle_bin])
+        assert np.array_equal(bin_result.rows, beam_rows(frame, bin_result.angle_bin))
 
 
 @pytest.fixture()
@@ -429,10 +441,11 @@ def test_blocked_angle_stage_matches_full_cube_dft(monkeypatch, ragged_frame, bl
         monkeypatch.setattr(coarse, "_SNAPSHOT_BLOCK", block)
     cfg, pattern, data, grid = ragged_frame
     full = dft(grid, axis=0)
-    spectrum, beams = angle_spectrum(grid, cfg)
+    frame = Frame(grid, data, pattern, cfg)
+    spectrum = angle_spectrum(frame)
     np.testing.assert_allclose(spectrum, np.abs(full).sum(axis=(1, 2)), rtol=1e-12)
-    np.testing.assert_allclose(beams, full, rtol=1e-12)
-    result = coarse_pipeline(grid, data, pattern, cfg)
+    np.testing.assert_allclose(beam_cube(frame), full, rtol=1e-12)
+    result = coarse_pipeline(frame)
     assert [b.angle_bin for b in result.bins] == [8, 10]
     np.testing.assert_array_equal(result.spectrum, spectrum)
     for bin_result in result.bins:
@@ -444,4 +457,4 @@ def test_detection_options_are_plumbed(on_grid):
     cfg, pattern, data, grid, _ = on_grid
     options = DetectionOptions(angle_peaks=PeakCriterion(median_factor=3.0, max_factor=1.5))
     with pytest.raises(NoPeaksError):
-        coarse_pipeline(grid, data, pattern, cfg, options=options)
+        coarse_pipeline(Frame(grid, data, pattern, cfg), options=options)
