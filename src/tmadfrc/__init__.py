@@ -14,9 +14,7 @@ from .coarse import (
     BinPipeline,
     CoarseResult,
     DegenerateBinError,
-    DetectionOptions,
     NoPeaksError,
-    PeakCriterion,
     angle_spectrum,
     beam_rows,
     coarse_pipeline,
@@ -100,7 +98,6 @@ from .tma import (
     check_dm_condition,
     design_pattern,
     element_gains,
-    harmonic_coefficient,
     harmonic_coefficients,
     load_pattern,
     save_pattern,

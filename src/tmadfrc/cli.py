@@ -26,12 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coarse import (
-    DegenerateBinError,
-    DetectionOptions,
-    NoPeaksError,
-    coarse_pipeline,
-)
+from .coarse import DegenerateBinError, NoPeaksError, coarse_pipeline
 from .comms import ber_vs_angle, modulate, qpsk
 from .model import (
     ConfigError,
@@ -46,6 +41,7 @@ from .model import (
     write_document,
 )
 from .refine import (
+    MUSIC_STEP_DEG,
     RefineOptions,
     SubspaceError,
     candidate_range_grid,
@@ -210,8 +206,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _export_spectra(prefix, received, data, pattern, cfg, detection) -> None:
-    result = coarse_pipeline(Frame(received, data, pattern, cfg), detection)
+def _export_spectra(prefix, received, data, pattern, cfg) -> None:
+    result = coarse_pipeline(Frame(received, data, pattern, cfg))
     with open(f"{prefix}.angle.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "angle_deg", "magnitude"])
@@ -253,15 +249,14 @@ def _cmd_estimate(args) -> int:
         )
     data = data[0]
     pattern = design_pattern(cfg, cfg.cu_angle_deg)
-    detection = DetectionOptions()
     options = RefineOptions(fit_gains=args.fit_gains, num_sources=args.sources)
-    estimates = estimate_targets(received, data, pattern, cfg, detection, options)
+    estimates = estimate_targets(received, data, pattern, cfg, options)
 
     _print_estimates(estimates)
     if args.out:
         _write_report(args.out, cfg, {"estimates": estimates.to_dict()}, role="estimates")
     if args.export_spectra:
-        _export_spectra(args.export_spectra, received, data, pattern, cfg, detection)
+        _export_spectra(args.export_spectra, received, data, pattern, cfg)
     return 0 if estimates.refined else 1
 
 
@@ -317,7 +312,7 @@ def _cmd_reproduce(args) -> int:
     rows = list(estimates.refined)
     report_rows = []
     for target in scene.targets:
-        expected_angle = round(target.angle_deg / options.music_step_deg) * options.music_step_deg
+        expected_angle = round(target.angle_deg / MUSIC_STEP_DEG) * MUSIC_STEP_DEG
         range_bin = int(np.rint(target.range_m / range_res))
         velocity_bin = int(np.rint(target.velocity_mps / velocity_res))
         range_grid = candidate_range_grid([range_bin], cfg, options.range_points)

@@ -50,32 +50,16 @@ class DegenerateBinError(RuntimeError):
     """Too many scrambled reference symbols were near zero to descramble."""
 
 
-@dataclasses.dataclass(frozen=True)
-class PeakCriterion:
-    """Peak-picking rule for one spectrum class.
-
-    A bin is a peak when it is a circular local maximum and its magnitude
-    reaches ``max(median_factor * median, max_factor * max)`` of the profile.
-    With ``keep_tallest`` the threshold is additionally capped at the profile
-    maximum, so the tallest local maximum always qualifies — appropriate for
-    stages that run inside an already-detected angle bin, where the question
-    is not "is anything there?" but "how many?".
-    """
-
-    median_factor: float = 3.0
-    max_factor: float = 0.5
-    keep_tallest: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
-class DetectionOptions:
-    """Per-stage peak criteria plus the descrambling guard."""
-
-    angle_peaks: PeakCriterion = PeakCriterion()
-    range_peaks: PeakCriterion = PeakCriterion(keep_tallest=True)
-    velocity_peaks: PeakCriterion = PeakCriterion(keep_tallest=True)
-    descramble_guard: float = 1e-3
-    max_masked_fraction: float = 0.10
+# Peak rule: a bin is a peak when it is a circular local maximum and its
+# magnitude reaches max(_MEDIAN_FACTOR * median, _MAX_FACTOR * max) of the
+# profile.
+_MEDIAN_FACTOR = 3.0
+_MAX_FACTOR = 0.5
+# Descrambling guard: a reference symbol below _DESCRAMBLE_GUARD times the
+# median reference magnitude is zeroed instead of divided, and a direction with
+# more than _MAX_MASKED_FRACTION of its grid zeroed cannot be descrambled.
+_DESCRAMBLE_GUARD = 1e-3
+_MAX_MASKED_FRACTION = 0.10
 
 
 def median(values) -> float:
@@ -95,14 +79,15 @@ def median(values) -> float:
     return float(upper if n % 2 else (part[: n // 2].max() + upper) / 2.0)
 
 
-def peak_threshold(profile: np.ndarray, criterion: PeakCriterion = PeakCriterion()) -> float:
+def peak_threshold(profile: np.ndarray, keep_tallest: bool = False) -> float:
+    """The level a peak of ``profile`` must reach.  With ``keep_tallest`` it
+    is capped at the profile maximum, so the tallest local maximum always
+    qualifies — for stages that run inside an already-detected angle bin,
+    where the question is not "is anything there?" but "how many?"."""
     profile = np.asarray(profile, dtype=float)
     top = float(np.max(profile, initial=0.0))
-    threshold = max(
-        criterion.median_factor * median(profile),
-        criterion.max_factor * top,
-    )
-    return min(threshold, top) if criterion.keep_tallest else threshold
+    threshold = max(_MEDIAN_FACTOR * median(profile), _MAX_FACTOR * top)
+    return min(threshold, top) if keep_tallest else threshold
 
 
 def _local_maxima(values, wrap: bool) -> np.ndarray:
@@ -116,13 +101,13 @@ def _local_maxima(values, wrap: bool) -> np.ndarray:
     return (v >= padded[:-2]) & (v > padded[2:])
 
 
-def detect_peaks(profile: np.ndarray, criterion: PeakCriterion = PeakCriterion()) -> np.ndarray:
+def detect_peaks(profile: np.ndarray, keep_tallest: bool = False) -> np.ndarray:
     """Indices of circular local maxima at or above the stage threshold.
 
     On an exact plateau only its rightmost bin counts as the local maximum.
     """
     profile = np.asarray(profile, dtype=float)
-    threshold = peak_threshold(profile, criterion)
+    threshold = peak_threshold(profile, keep_tallest)
     return np.flatnonzero((profile >= threshold) & _local_maxima(profile, wrap=True))
 
 
@@ -172,38 +157,32 @@ def beam_rows(frame: Frame, angle_bin: int) -> np.ndarray:
 class DescrambleResult:
     symbols: np.ndarray  # (num_subcarriers, num_ofdm_symbols) quotient grid
     masked: np.ndarray  # bool grid of entries zeroed by the small-divisor guard
-    epsilon: float
 
 
 def descramble(
-    rows: np.ndarray,
-    reference: np.ndarray,
-    cfg: SystemConfig,
-    theta_deg: float,
-    options: DetectionOptions = DetectionOptions(),
+    rows: np.ndarray, reference: np.ndarray, cfg: SystemConfig, theta_deg: float
 ) -> DescrambleResult:
     """Divide beamformed rows by ``reference``, the payload scrambled toward
     ``theta_deg``.
 
-    Entries whose reference magnitude falls below ``descramble_guard`` times
+    Entries whose reference magnitude falls below ``_DESCRAMBLE_GUARD`` times
     the median reference magnitude are zeroed instead of divided; if more
-    than ``max_masked_fraction`` of the grid is affected the direction is too
+    than ``_MAX_MASKED_FRACTION`` of the grid is affected the direction is too
     close to a scrambling null to descramble at all.
     """
     rows = check_symbol_grid(cfg, rows)
     reference = check_symbol_grid(cfg, reference)
     magnitude = np.abs(reference)
-    epsilon = options.descramble_guard * median(magnitude)
-    masked = magnitude < epsilon
+    masked = magnitude < _DESCRAMBLE_GUARD * median(magnitude)
     fraction = float(masked.mean())
-    if fraction > options.max_masked_fraction:
+    if fraction > _MAX_MASKED_FRACTION:
         raise DegenerateBinError(
             f"{100.0 * fraction:.1f}% of reference symbols at {theta_deg:.2f} deg "
             f"fall below the descrambling guard "
-            f"(limit {100.0 * options.max_masked_fraction:.1f}%)"
+            f"(limit {100.0 * _MAX_MASKED_FRACTION:.1f}%)"
         )
     quotient = np.divide(rows, reference, out=np.zeros_like(rows), where=~masked)
-    return DescrambleResult(symbols=quotient, masked=masked, epsilon=epsilon)
+    return DescrambleResult(symbols=quotient, masked=masked)
 
 
 def range_response(descrambled: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -252,7 +231,7 @@ class CoarseResult:
     bins: tuple
 
 
-def coarse_pipeline(frame: Frame, options: DetectionOptions = DetectionOptions()) -> CoarseResult:
+def coarse_pipeline(frame: Frame) -> CoarseResult:
     """Run the full angle/range/velocity coarse stage.  Every detected bin
     center is scrambled in one call.
 
@@ -262,7 +241,7 @@ def coarse_pipeline(frame: Frame, options: DetectionOptions = DetectionOptions()
     """
     cfg = frame.cfg
     spectrum = angle_spectrum(frame)
-    angle_bins = detect_peaks(spectrum, options.angle_peaks)
+    angle_bins = detect_peaks(spectrum)
     angles = bin_to_angle_deg(angle_bins, cfg)
     angle_bins, angles = angle_bins[~np.isnan(angles)], angles[~np.isnan(angles)]
     if angle_bins.size == 0:
@@ -273,17 +252,15 @@ def coarse_pipeline(frame: Frame, options: DetectionOptions = DetectionOptions()
     references = scramble_symbols(frame.data, frame.pattern, cfg, angles)  # (bins, N_s, N_p)
     for angle_bin, angle_deg, reference in zip(angle_bins, angles.tolist(), references):
         rows = beam_rows(frame, int(angle_bin))
-        desc = descramble(rows, reference, cfg, angle_deg, options)
+        desc = descramble(rows, reference, cfg, angle_deg)
         response = range_response(desc.symbols, cfg)
         profile = np.abs(response).mean(axis=1)
-        range_bins = detect_peaks(profile, options.range_peaks)
+        range_bins = detect_peaks(profile, keep_tallest=True)
         spectra = []
         velocity_bins = []
         for range_bin in range_bins:
             spec = velocity_spectrum(response[range_bin], cfg)
-            signed = signed_bin_index(
-                detect_peaks(spec, options.velocity_peaks), cfg.num_ofdm_symbols
-            )
+            signed = signed_bin_index(detect_peaks(spec, keep_tallest=True), cfg.num_ofdm_symbols)
             spectra.append(spec)
             velocity_bins.append(signed)
             for velocity_bin in signed:
@@ -312,6 +289,6 @@ def coarse_pipeline(frame: Frame, options: DetectionOptions = DetectionOptions()
     return CoarseResult(
         estimates=tuple(estimates),
         spectrum=spectrum,
-        threshold=peak_threshold(spectrum, options.angle_peaks),
+        threshold=peak_threshold(spectrum),
         bins=tuple(bin_results),
     )

@@ -42,6 +42,7 @@ class SystemConfig:
 
     ``symbol_duration_s`` is the full OFDM symbol period including the cyclic
     prefix; the useful (data) portion always lasts ``1/subcarrier_spacing_hz``.
+    A config checks its invariants when it is built (:func:`validate_config`).
     """
 
     carrier_freq_hz: float
@@ -57,6 +58,9 @@ class SystemConfig:
     snr_db: float = 10.0
     rounded_speed_of_light: bool = False
     narrowband_doppler: bool = False
+
+    def __post_init__(self):
+        validate_config(self)
 
     @property
     def c(self) -> float:
@@ -156,14 +160,12 @@ def derived_resolutions(cfg: SystemConfig):
 
 
 def range_resolution_m(cfg: SystemConfig) -> float:
-    """Range cell of a validated ``cfg``: one bin of the subcarrier IDFT."""
-    validate_config(cfg)
+    """Range cell of ``cfg``: one bin of the subcarrier IDFT."""
     return cfg.c / (2.0 * cfg.num_subcarriers * cfg.subcarrier_spacing_hz)
 
 
 def velocity_resolution_mps(cfg: SystemConfig) -> float:
-    """Velocity cell of a validated ``cfg``: one bin of the slow-time DFT."""
-    validate_config(cfg)
+    """Velocity cell of ``cfg``: one bin of the slow-time DFT."""
     return cfg.c / (2.0 * cfg.carrier_freq_hz * cfg.num_ofdm_symbols * cfg.symbol_duration_s)
 
 
@@ -482,7 +484,7 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build and validate a config from a plain dict; unknown keys are an error."""
-    return validate_config(decode_object(SystemConfig, data, ConfigError))
+    return decode_object(SystemConfig, data, ConfigError)
 
 
 def config_to_json(cfg: SystemConfig) -> str:

@@ -59,7 +59,6 @@ import warnings
 import numpy as np
 
 from .coarse import (
-    DetectionOptions,
     NoPeaksError,
     _local_maxima,
     _snapshot_blocks,
@@ -91,22 +90,27 @@ class SubspaceError(RuntimeError):
     """The covariance eigenstructure cannot support the requested split."""
 
 
+#: MUSIC search grid step (degrees); refined angles are multiples of it.
+MUSIC_STEP_DEG = 0.1
+# Pseudospectrum maxima below this fraction of the tallest one do not count
+# as sources.
+_PEAK_REL_THRESHOLD = 1e-2
+# Largest grid product one joint fit may search: the memory guard against a
+# large forced source count.
+_MAX_COMBINATIONS = 1_000_000
+
+
 @dataclasses.dataclass(frozen=True)
 class RefineOptions:
-    music_step_deg: float = 0.1
     num_sources: int | None = None  # per-bin peak count; default: count pseudospectrum peaks
-    signal_dimension: int | None = None  # subspace size; default: eigenvalue-gap estimate
-    peak_rel_threshold: float = 1e-2  # pseudospectrum maxima below this fraction don't count
     range_points: int = 101
     velocity_points: int = 11
     fit_gains: bool = False
-    max_combinations: int = 1_000_000
-    covariance_symbol: int | None = None  # None: average over the whole frame
 
     def __post_init__(self):
-        for name in ("num_sources", "signal_dimension", "range_points", "velocity_points"):
+        for name in ("num_sources", "range_points", "velocity_points"):
             value = getattr(self, name)
-            unset = value is None and name in ("num_sources", "signal_dimension")
+            unset = value is None and name == "num_sources"
             if not (unset or isinstance(value, (int, np.integer)) and value >= 1):
                 raise ValueError(f"RefineOptions.{name} must be a positive integer, got {value!r}")
             if name.endswith("_points") and value % 2 == 0:
@@ -114,37 +118,16 @@ class RefineOptions:
                     f"RefineOptions.{name} must be odd so each window contains its "
                     f"center, got {value!r}"
                 )
-        if not 0.0 < self.music_step_deg < np.inf:
-            step = self.music_step_deg
-            raise ValueError(f"RefineOptions.music_step_deg must be finite and > 0, got {step!r}")
 
 
-def sample_covariance(grid: np.ndarray, symbol: int | None = None) -> np.ndarray:
-    """Spatial sample covariance with subcarriers (and optionally all OFDM
-    symbols) as snapshots, accumulated one snapshot block at a time.
-
-    Args:
-        symbol: restrict snapshots to one OFDM symbol, 0 <= symbol < N_p;
-            None pools the frame.
-    """
+def sample_covariance(grid: np.ndarray) -> np.ndarray:
+    """Spatial sample covariance with every subcarrier of every OFDM symbol
+    as a snapshot, accumulated one snapshot block at a time."""
     grid = np.asarray(grid, dtype=np.complex128)
-    if symbol is not None:
-        _check_symbol_index(symbol, grid.shape[2])
-        grid = grid[:, :, symbol : symbol + 1]
     covariance = np.zeros((grid.shape[0], grid.shape[0]), dtype=np.complex128)
     for block in _snapshot_blocks(grid):
         covariance += block @ block.conj().T
     return covariance / (grid.size // grid.shape[0])
-
-
-def _check_symbol_index(symbol, num_symbols: int) -> None:
-    if isinstance(symbol, bool) or not isinstance(symbol, (int, np.integer)):
-        raise ValueError(f"covariance symbol {symbol} is not an integer index")
-    if not 0 <= symbol < num_symbols:
-        raise ValueError(
-            f"covariance symbol {symbol} is outside 0 ... {num_symbols - 1} "
-            f"of the {num_symbols}-symbol frame"
-        )
 
 
 def estimate_n_sources(eigenvalues, max_sources: int | None = None, min_ratio: float = 3.0) -> int:
@@ -170,7 +153,9 @@ def estimate_n_sources(eigenvalues, max_sources: int | None = None, min_ratio: f
     return best + 1
 
 
-def music_search_grid(angle_bin: int, cfg: SystemConfig, step_deg: float = 0.1) -> np.ndarray:
+def music_search_grid(
+    angle_bin: int, cfg: SystemConfig, step_deg: float = MUSIC_STEP_DEG
+) -> np.ndarray:
     """Degree grid around a beamforming bin: all multiples of ``step_deg``
     within one coarse bin width either side of the bin center (sine domain)."""
     center = float(bin_to_sine(angle_bin, cfg))
@@ -218,10 +203,11 @@ def _top_local_maxima(values: np.ndarray, count: int, wrap: bool = False) -> lis
     return sorted(int(i) for i in chosen)
 
 
-def _peak_count(spectrum: np.ndarray, rel_threshold: float) -> int:
-    """Local maxima within ``rel_threshold`` of the tallest spectrum value."""
+def _peak_count(spectrum: np.ndarray) -> int:
+    """Local maxima within ``_PEAK_REL_THRESHOLD`` of the tallest spectrum value."""
     v = np.asarray(spectrum, dtype=float)
-    return int(np.count_nonzero(_local_maxima(v, wrap=False) & (v >= rel_threshold * v.max())))
+    tall = v >= _PEAK_REL_THRESHOLD * v.max()
+    return int(np.count_nonzero(_local_maxima(v, wrap=False) & tall))
 
 
 def _pick_angles(spectrum: np.ndarray, grid_deg, count: int) -> np.ndarray:
@@ -353,15 +339,15 @@ def _mesh_minimum(indices, u, gram, energy, fit_gains):
     return best
 
 
-def _search_combinations(u, gram, energy, candidates, centers, fit_gains, max_combinations):
+def _search_combinations(u, gram, energy, candidates, centers, fit_gains):
     """Best combination of ``candidates``, one per source, and the baseline
     best with every source pinned to one of the coarse ``centers``."""
     n_sources = len(u)
     n_combinations = float(len(candidates)) ** n_sources
-    if n_combinations > max_combinations:
+    if n_combinations > _MAX_COMBINATIONS:
         raise ValueError(
             f"{int(n_combinations)} grid combinations exceed the "
-            f"limit of {max_combinations}; reduce grid points or sources"
+            f"limit of {_MAX_COMBINATIONS}; reduce grid points or sources"
         )
     if not len(candidates):
         raise ValueError("the candidate grid is empty")
@@ -395,9 +381,7 @@ def _joint_fit(kind, steer, atoms, projections, pair_weight, energy, candidates,
         for q in range(n_sources)
         for p in range(q, n_sources)
     }
-    fit = _search_combinations(
-        u, gram, energy, candidates, centers, options.fit_gains, options.max_combinations
-    )
+    fit = _search_combinations(u, gram, energy, candidates, centers, options.fit_gains)
     if any(fit.on_boundary):
         warnings.warn(
             f"refined {kind} hit the edge of its search window; the optimum "
@@ -504,7 +488,6 @@ def matched_velocity_bins(
     theta_deg: float,
     range_m: float,
     count: int = 1,
-    detection: DetectionOptions = DetectionOptions(),
 ) -> list:
     """Signed slow-time bins of the strongest velocity peaks for one source,
     from beamformed ``rows`` descrambled by ``reference``, the payload
@@ -520,7 +503,7 @@ def matched_velocity_bins(
     payload realization.  Returning the top ``count`` bins and letting the
     joint fit sort out the pairing avoids that coin flip.
     """
-    desc = descramble(rows, reference, cfg, theta_deg, detection)
+    desc = descramble(rows, reference, cfg, theta_deg)
     response = range_response(desc.symbols, cfg)
     res = range_resolution_m(cfg)
     gate = int(np.rint(float(range_m) / res)) % cfg.num_subcarriers
@@ -537,7 +520,6 @@ def estimate_targets(
     data: np.ndarray,
     pattern: SwitchingPattern,
     cfg: SystemConfig,
-    detection: DetectionOptions = DetectionOptions(),
     options: RefineOptions = RefineOptions(),
 ) -> EstimateSet:
     """Coarse pipeline plus per-bin refinement; the top-level estimator.
@@ -545,11 +527,13 @@ def estimate_targets(
     An empty frame (nothing above the detection threshold) yields an empty
     estimate set rather than an error.
 
-    The signal-subspace dimension is frame-global: by default the eigenvalue
-    gap of the pooled covariance, floored at the number of occupied bins and
-    capped at num_rx_antennas - 1.  Each bin then contributes as many refined
-    sources as its pseudospectrum window shows qualifying peaks (or exactly
-    ``options.num_sources`` when that override is set).
+    The covariance pools every subcarrier of every OFDM symbol.  The
+    signal-subspace dimension is frame-global: the eigenvalue gap of that
+    covariance, floored at the number of occupied bins and capped at
+    num_rx_antennas - 1.  Each bin then contributes as many refined sources
+    as its pseudospectrum window shows qualifying peaks (or exactly
+    ``options.num_sources`` when that override is set), capped at the
+    dimension.
 
     The cube and payload are validated once, as one :class:`Frame`, which
     every stage then takes as it is.  A bin's refined angles are scrambled in
@@ -557,28 +541,24 @@ def estimate_targets(
     fit; the stages check only those scrambled grids and the beamformed rows.
     """
     frame = Frame(grid, data, pattern, cfg)
-    if options.covariance_symbol is not None:
-        _check_symbol_index(options.covariance_symbol, cfg.num_ofdm_symbols)
     try:
-        coarse = coarse_pipeline(frame, detection)
+        coarse = coarse_pipeline(frame)
     except NoPeaksError:
         return EstimateSet(coarse=[], refined=[])
 
-    covariance = sample_covariance(frame.grid, options.covariance_symbol)
+    covariance = sample_covariance(frame.grid)
     max_dim = cfg.num_rx_antennas - 1
-    dimension = options.signal_dimension
-    if dimension is None:
-        try:
-            dimension = estimate_n_sources(np.linalg.eigvalsh(covariance), max_sources=max_dim)
-        except SubspaceError:
-            dimension = len(coarse.estimates)
-        dimension = min(max(dimension, len(coarse.bins)), max_dim)
+    try:
+        dimension = estimate_n_sources(np.linalg.eigvalsh(covariance), max_sources=max_dim)
+    except SubspaceError:
+        dimension = len(coarse.estimates)
+    dimension = min(max(dimension, len(coarse.bins)), max_dim)
 
     refined = []
     for bin_result in coarse.bins:
-        search = music_search_grid(bin_result.angle_bin, cfg, options.music_step_deg)
+        search = music_search_grid(bin_result.angle_bin, cfg)
         spectrum = music_pseudospectrum(covariance, dimension, cfg, search)
-        count = options.num_sources or _peak_count(spectrum, options.peak_rel_threshold)
+        count = options.num_sources or _peak_count(spectrum)
         count = max(1, min(count, dimension))
         angles = _pick_angles(spectrum, search, count)
         scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)
@@ -586,9 +566,7 @@ def estimate_targets(
         velocity_bins = {int(b) for bins in bin_result.velocity_bins for b in bins}
         for reference, angle, range_m in zip(scrambled, angles.tolist(), range_fit.values):
             velocity_bins.update(
-                matched_velocity_bins(
-                    bin_result.rows, reference, cfg, angle, range_m, len(angles), detection
-                )
+                matched_velocity_bins(bin_result.rows, reference, cfg, angle, range_m, len(angles))
             )
         velocity_fit = refine_velocities(
             frame, angles, scrambled, range_fit.values, sorted(velocity_bins), options

@@ -187,13 +187,6 @@ def _gate(tau_on: bytes, duty: bytes, order_dtype: str, orders: bytes) -> np.nda
     return gate
 
 
-def harmonic_coefficient(
-    pattern: SwitchingPattern, cfg: SystemConfig, m: int, theta_deg: float
-) -> complex:
-    """Single harmonic coefficient (see :func:`harmonic_coefficients`)."""
-    return harmonic_coefficients(pattern, cfg, int(m), theta_deg)
-
-
 def scramble_matrix(pattern: SwitchingPattern, cfg: SystemConfig, theta_deg: float) -> np.ndarray:
     """Toeplitz mixing matrix M with M[s, i] = coefficient(s - i, theta).
 

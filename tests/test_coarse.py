@@ -28,8 +28,6 @@ from tmadfrc import (
     scramble_symbols,
 )
 from tmadfrc.coarse import (
-    DetectionOptions,
-    PeakCriterion,
     angle_spectrum,
     beam_rows,
     bin_to_angle_deg,
@@ -119,11 +117,11 @@ def test_peak_threshold_median_rule():
 def test_peak_threshold_keep_tallest_caps_at_profile_max():
     profile = np.array([4.0, 5.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0])
     assert peak_threshold(profile) == pytest.approx(12.0)  # 3 * median
-    capped = peak_threshold(profile, PeakCriterion(keep_tallest=True))
+    capped = peak_threshold(profile, keep_tallest=True)
     assert capped == pytest.approx(5.0)
     # without the cap nothing survives; with it the tallest bin always does
     assert detect_peaks(profile).size == 0
-    assert detect_peaks(profile, PeakCriterion(keep_tallest=True)).tolist() == [1]
+    assert detect_peaks(profile, keep_tallest=True).tolist() == [1]
 
 
 def test_detect_peaks_simple_profile():
@@ -142,13 +140,13 @@ def test_detect_peaks_wraps_circularly():
 
 def test_detect_peaks_plateau_counts_rightmost_bin():
     profile = np.array([0.0, 2.0, 2.0, 0.0])
-    peaks = detect_peaks(profile, PeakCriterion(keep_tallest=True))
+    peaks = detect_peaks(profile, keep_tallest=True)
     assert peaks.tolist() == [2]
 
 
 def test_detect_peaks_singleton_profile():
     profile = np.array([3.0])
-    assert detect_peaks(profile, PeakCriterion(keep_tallest=True)).tolist() == [0]
+    assert detect_peaks(profile, keep_tallest=True).tolist() == [0]
     # 3 * median = 9 exceeds the only value once the cap is off
     assert detect_peaks(profile).size == 0
 
@@ -450,11 +448,3 @@ def test_blocked_angle_stage_matches_full_cube_dft(monkeypatch, ragged_frame, bl
     np.testing.assert_array_equal(result.spectrum, spectrum)
     for bin_result in result.bins:
         np.testing.assert_allclose(bin_result.rows, full[bin_result.angle_bin], rtol=1e-12)
-
-
-def test_detection_options_are_plumbed(on_grid):
-    # an absurd angle threshold suppresses the only peak
-    cfg, pattern, data, grid, _ = on_grid
-    options = DetectionOptions(angle_peaks=PeakCriterion(median_factor=3.0, max_factor=1.5))
-    with pytest.raises(NoPeaksError):
-        coarse_pipeline(Frame(grid, data, pattern, cfg), options=options)

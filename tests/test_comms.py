@@ -16,7 +16,7 @@ import pytest
 from tmadfrc import (
     comms,
     design_pattern,
-    harmonic_coefficient,
+    harmonic_coefficients,
     link_ber,
     modulate,
     qpsk,
@@ -383,7 +383,7 @@ def old_link_ber(cfg, pattern, constellation, theta_deg, snr_db, count, rng):
     bits = documented_payload(rng, count * k)
     assert np.isin(bits, (0, 1)).all()
     labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
-    reference = harmonic_coefficient(pattern, cfg, 0, cfg.cu_angle_deg)
+    reference = harmonic_coefficients(pattern, cfg, 0, cfg.cu_angle_deg)
     grid = (constellation.points / reference)[labels].reshape(cfg.num_subcarriers, -1)
     received = summed_mixing_matrix(pattern, cfg, theta_deg) @ grid
     if np.isfinite(snr_db):
@@ -488,7 +488,7 @@ def test_always_on_array_has_no_security(ref_cfg, ref_pattern):
     all_on = dataclasses.replace(ref_pattern, duty=np.ones(nt), tau_on=np.zeros(nt))
     for pattern, expect_secure in ((all_on, False), (ref_pattern, True)):
         received = scramble_symbols(grid, pattern, ref_cfg, probe)
-        gain = harmonic_coefficient(pattern, ref_cfg, 0, probe)
+        gain = harmonic_coefficients(pattern, ref_cfg, 0, probe)
         recovered = ber(bits, demodulate(received / gain, c))
         if expect_secure:
             assert recovered > 0.3

@@ -63,6 +63,7 @@ def test_exact_speed_of_light_is_the_default(small_cfg):
         ("num_subcarriers", 0, "num_subcarriers"),
         ("carrier_freq_hz", -1.0, "carrier_freq_hz"),
         ("subcarrier_spacing_hz", 0.0, "subcarrier_spacing_hz"),
+        ("subcarrier_spacing_hz", math.nan, "subcarrier_spacing_hz"),
         ("tx_spacing_wavelengths", 0.0, "tx_spacing_wavelengths"),
         ("cu_angle_deg", 91.0, "cu_angle_deg"),
         ("snr_db", float("nan"), "snr_db"),
@@ -75,9 +76,9 @@ def test_exact_speed_of_light_is_the_default(small_cfg):
     ],
 )
 def test_invalid_configs_name_the_violated_field(small_cfg, field, value, fragment):
-    cfg = dataclasses.replace(small_cfg, **{field: value})
+    # refused when the config is built, before any computation can use it
     with pytest.raises(ConfigError, match=fragment):
-        validate_config(cfg)
+        dataclasses.replace(small_cfg, **{field: value})
 
 
 def test_infinite_snr_stays_valid(small_cfg):
@@ -87,9 +88,8 @@ def test_infinite_snr_stays_valid(small_cfg):
 
 def test_symbol_duration_below_useful_length_rejected(small_cfg):
     # 8.0 us is shorter than 1/f_s = 8.333 us, i.e. a negative cyclic prefix.
-    cfg = dataclasses.replace(small_cfg, symbol_duration_s=8.0e-6)
     with pytest.raises(ConfigError, match="symbol_duration_s"):
-        validate_config(cfg)
+        dataclasses.replace(small_cfg, symbol_duration_s=8.0e-6)
 
 
 def test_zero_cyclic_prefix_is_allowed(small_cfg):
@@ -120,10 +120,9 @@ def test_single_resolutions_match_derived_resolutions(ref_cfg, small_cfg):
         assert range_resolution_m(cfg) == range_res
         assert velocity_resolution_mps(cfg) == velocity_res
         assert range_res == cfg.c / (2.0 * cfg.num_subcarriers * cfg.subcarrier_spacing_hz)
-    bad = dataclasses.replace(ref_cfg, subcarrier_spacing_hz=-1.0)
-    for resolution in (range_resolution_m, velocity_resolution_mps):
-        with pytest.raises(ConfigError, match="subcarrier_spacing_hz"):
-            resolution(bad)
+    # no resolution of an invalid config can be asked for: it is never built
+    with pytest.raises(ConfigError, match="subcarrier_spacing_hz"):
+        dataclasses.replace(ref_cfg, subcarrier_spacing_hz=-1.0)
 
 
 def test_windows_are_resolution_times_bin_count(ref_cfg):

@@ -61,16 +61,10 @@ def pattern_for(cfg):
     [
         ("num_sources", 0),
         ("num_sources", -2),
-        ("signal_dimension", 0),
-        ("signal_dimension", -1),
         ("range_points", 0),
         ("velocity_points", 0),
         ("range_points", 100),  # even: the window would leave out its center
         ("velocity_points", 10),
-        ("music_step_deg", 0.0),
-        ("music_step_deg", -0.1),
-        ("music_step_deg", np.nan),
-        ("music_step_deg", np.inf),
     ],
 )
 def test_refine_options_refuse_bad_values(name, value):
@@ -86,18 +80,6 @@ def test_sample_covariance_matches_manual_average():
     flat = grid.reshape(3, -1)
     manual = sum(np.outer(flat[:, k], flat[:, k].conj()) for k in range(4)) / 4
     np.testing.assert_allclose(sample_covariance(grid), manual, rtol=1e-12)
-    # symbol restriction keeps only that snapshot column
-    only1 = grid[:, :, 1]
-    manual1 = sum(np.outer(only1[:, k], only1[:, k].conj()) for k in range(2)) / 2
-    np.testing.assert_allclose(sample_covariance(grid, symbol=1), manual1, rtol=1e-12)
-
-
-@pytest.mark.parametrize("symbol", [4, 9, -1, -4, 1.0])
-def test_sample_covariance_refuses_symbol_outside_frame(symbol):
-    # -1 used to pick the last symbol silently, 9 to raise IndexError
-    grid = np.ones((3, 2, 4), dtype=complex)
-    with pytest.raises(ValueError, match=f"covariance symbol {symbol}"):
-        sample_covariance(grid, symbol)
 
 
 @pytest.mark.parametrize("block", [None, 7])
@@ -112,10 +94,6 @@ def test_sample_covariance_matches_full_cube_product(monkeypatch, block):
     flat = grid.reshape(12, -1)
     expected = flat @ flat.conj().T / flat.shape[1]
     np.testing.assert_allclose(sample_covariance(grid), expected, rtol=1e-12)
-    only = grid[:, :, 17]
-    np.testing.assert_allclose(
-        sample_covariance(grid, 17), only @ only.conj().T / only.shape[1], rtol=1e-12
-    )
 
 
 def test_estimate_n_sources_picks_largest_gap():
@@ -540,12 +518,13 @@ def test_refine_velocities_needs_one_range_per_angle(small_cfg):
         fit_velocities(grid, data, pattern, small_cfg, [0.0, 10.0], [100.0], [0])
 
 
-def test_combination_budget_is_enforced(small_cfg):
+def test_combination_budget_is_enforced(monkeypatch, small_cfg):
+    monkeypatch.setattr(refine, "_MAX_COMBINATIONS", 10)
     pattern = pattern_for(small_cfg)
     data = qpsk_frame(small_cfg, seed=18)
     grid = np.ones(small_cfg.returns_shape, dtype=complex)
     for fit_gains in (False, True):  # the limit holds in both gain modes
-        options = RefineOptions(range_points=11, max_combinations=10, fit_gains=fit_gains)
+        options = RefineOptions(range_points=11, fit_gains=fit_gains)
         with pytest.raises(ValueError, match="exceed"):
             fit_ranges(grid, data, pattern, small_cfg, [0.0, 10.0], [2, 5], options=options)
 
@@ -613,17 +592,6 @@ def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):
     grid = radar_returns(data, pattern, small_cfg, Scene((), seed=4, snr_db=10.0))
     estimates = estimate_targets(grid, data, pattern, small_cfg)
     assert estimates.coarse == [] and estimates.refined == []
-
-
-@pytest.mark.parametrize("symbol", [16, -1])
-def test_estimate_targets_refuses_covariance_symbol_outside_frame(small_cfg, symbol):
-    # refused up front, even on a frame where nothing would be detected
-    pattern = pattern_for(small_cfg)
-    data = qpsk_frame(small_cfg, seed=20)
-    grid = radar_returns(data, pattern, small_cfg, Scene((), seed=4, snr_db=10.0))
-    options = RefineOptions(covariance_symbol=symbol)
-    with pytest.raises(ValueError, match=f"covariance symbol {symbol} is outside 0 ... 15"):
-        estimate_targets(grid, data, pattern, small_cfg, options=options)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the window-edge note
@@ -791,9 +759,9 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     descrambled_at = []
     descramble_stage = coarse.descramble
 
-    def counting_descramble(rows, reference, cfg, theta_deg, options):
+    def counting_descramble(rows, reference, cfg, theta_deg):
         descrambled_at.append(theta_deg)
-        return descramble_stage(rows, reference, cfg, theta_deg, options)
+        return descramble_stage(rows, reference, cfg, theta_deg)
 
     monkeypatch.setattr(model, "check_antenna_grid", counting_check)
     for module in (coarse, refine):
@@ -893,7 +861,7 @@ def test_estimate_targets_num_sources_override(ref_cfg, ref_pattern, ref_frame):
     assert sorted({row.angle_bin for row in estimates.refined}) == [6, 20]
 
 
-def test_estimate_targets_single_symbol_covariance(small_cfg):
+def test_estimate_targets_separates_two_narrowband_targets(small_cfg):
     cfg = dataclasses.replace(small_cfg, narrowband_doppler=True)
     res, vres, _ = derived_resolutions(cfg)
     # sines 0.75 and 0.25 sit symmetric about the 30-degree steer, where the
@@ -906,9 +874,7 @@ def test_estimate_targets_single_symbol_covariance(small_cfg):
     pattern = pattern_for(cfg)
     data = qpsk_frame(cfg, seed=21)
     grid = radar_returns(data, pattern, cfg, Scene(targets, snr_db=np.inf))
-    estimates = estimate_targets(
-        grid, data, pattern, cfg, options=RefineOptions(covariance_symbol=0)
-    )
+    estimates = estimate_targets(grid, data, pattern, cfg)
     assert len(estimates.refined) == 2
     found = sorted(row.angle_deg for row in estimates.refined)
     expected = sorted(t.angle_deg for t in targets)

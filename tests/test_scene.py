@@ -26,12 +26,11 @@ from tmadfrc import (
     radar_returns,
     read_grid,
     scramble_symbols,
-    harmonic_coefficient,
+    harmonic_coefficients,
     save_scene,
     load_scene,
     scene_from_dict,
     scene_to_dict,
-    validate_config,
     validate_scene,
     write_grid,
 )
@@ -103,7 +102,7 @@ def test_cu_direction_target_collapses_to_steering(small_cfg, small_pattern):
     data = qpsk_frame(small_cfg, seed=23)
     scene = Scene((Target(small_cfg.cu_angle_deg, 0.0, 0.0),), snr_db=math.inf)
     got = radar_returns(data, small_pattern, small_cfg, scene)
-    gain = harmonic_coefficient(small_pattern, small_cfg, 0, small_cfg.cu_angle_deg)
+    gain = harmonic_coefficients(small_pattern, small_cfg, 0, small_cfg.cu_angle_deg)
     m = np.arange(small_cfg.num_rx_antennas)
     steer = np.exp(
         -2j
@@ -285,7 +284,7 @@ SNR_SITES = {
     "config": (
         ConfigError,
         lambda cfg, pattern, snr, seed: _noisy_frame(
-            validate_config(dataclasses.replace(cfg, snr_db=snr)), pattern, Scene(ONE_TARGET, seed)
+            dataclasses.replace(cfg, snr_db=snr), pattern, Scene(ONE_TARGET, seed)
         ),
     ),
     "scene": (

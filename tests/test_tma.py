@@ -19,7 +19,6 @@ from tmadfrc import (
     check_dm_condition,
     design_pattern,
     element_gains,
-    harmonic_coefficient,
     harmonic_coefficients,
     load_pattern,
     save_pattern,
@@ -150,7 +149,7 @@ def test_coefficients_match_scalar_oracle(small_cfg):
     for theta in rng.uniform(-90.0, 90.0, size=5):
         for m in range(-10, 11):
             expected = scalar_coefficient(pattern, small_cfg, m, theta)
-            got = harmonic_coefficient(pattern, small_cfg, m, theta)
+            got = harmonic_coefficients(pattern, small_cfg, m, theta)
             assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
 
 
@@ -161,13 +160,13 @@ def test_coefficients_match_gate_integral(small_cfg):
     for theta in (small_cfg.cu_angle_deg, -17.3, 64.0):
         for m in range(-3, 4):
             expected = integrated_coefficient(pattern, small_cfg, m, theta)
-            got = harmonic_coefficient(pattern, small_cfg, m, theta)
+            got = harmonic_coefficients(pattern, small_cfg, m, theta)
             assert abs(got - expected) < 1e-12
 
 
 def test_always_on_fundamental_is_element_count(small_cfg):
     pattern = all_on_pattern(small_cfg.num_tx_antennas)
-    assert harmonic_coefficient(pattern, small_cfg, 0, 0.0) == pytest.approx(
+    assert harmonic_coefficients(pattern, small_cfg, 0, 0.0) == pytest.approx(
         small_cfg.num_tx_antennas
     )
 
@@ -183,7 +182,7 @@ def test_steered_direction_keeps_only_the_fundamental(ref_cfg):
 
 def test_off_steer_harmonics_survive(ref_cfg):
     pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
-    assert abs(harmonic_coefficient(pattern, ref_cfg, 1, ref_cfg.cu_angle_deg + 30.0)) > 0.01
+    assert abs(harmonic_coefficients(pattern, ref_cfg, 1, ref_cfg.cu_angle_deg + 30.0)) > 0.01
 
 
 def test_shape_follows_order_argument(small_cfg):
@@ -306,7 +305,7 @@ def test_steered_direction_is_pure_scaling(small_cfg):
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
     data = qpsk_frame(small_cfg, seed=11)
     got = scramble_symbols(data, pattern, small_cfg, small_cfg.cu_angle_deg)
-    gain = harmonic_coefficient(pattern, small_cfg, 0, small_cfg.cu_angle_deg)
+    gain = harmonic_coefficients(pattern, small_cfg, 0, small_cfg.cu_angle_deg)
     assert np.max(np.abs(got - gain * data)) < 1e-12 * abs(gain)
 
 
@@ -316,7 +315,7 @@ def test_single_subcarrier_has_no_mixing(small_cfg):
     data = qpsk_frame(cfg, seed=4)
     for theta in (cfg.cu_angle_deg, -12.0):
         got = scramble_symbols(data, pattern, cfg, theta)
-        gain = harmonic_coefficient(pattern, cfg, 0, theta)
+        gain = harmonic_coefficients(pattern, cfg, 0, theta)
         assert np.allclose(got, gain * data, atol=1e-14)
 
 
@@ -348,7 +347,7 @@ def test_scramble_matrix_is_its_definition(ref_cfg, ns):
         assert got.flags.c_contiguous and got.flags.writeable
         np.testing.assert_array_equal(got, expected)
         scalar = [
-            [harmonic_coefficient(pattern, cfg, s - i, theta) for i in range(ns)]
+            [harmonic_coefficients(pattern, cfg, s - i, theta) for i in range(ns)]
             for s in range(ns)
         ]
         np.testing.assert_allclose(got, scalar, rtol=0.0, atol=1e-15 * cfg.num_tx_antennas)
@@ -372,7 +371,7 @@ def test_fundamental_is_the_sum_of_the_element_gains(ref_cfg, ref_pattern):
     # the m = 0 gate is exactly 1, so the order-0 coefficient needs no gate
     for theta in np.linspace(-90.0, 90.0, 37):
         total = element_gains(ref_pattern, ref_cfg, theta).sum()
-        reference = harmonic_coefficient(ref_pattern, ref_cfg, 0, theta)
+        reference = harmonic_coefficients(ref_pattern, ref_cfg, 0, theta)
         assert abs(total - reference) <= 1e-15 * ref_cfg.num_tx_antennas
 
 
@@ -398,7 +397,7 @@ def test_direction_outside_the_visible_half_space_is_refused(small_cfg, theta):
     data = qpsk_frame(small_cfg, seed=8)
     calls = (
         lambda: harmonic_coefficients(pattern, small_cfg, np.arange(-2, 3), theta),
-        lambda: harmonic_coefficient(pattern, small_cfg, 0, theta),
+        lambda: harmonic_coefficients(pattern, small_cfg, 0, theta),
         lambda: element_gains(pattern, small_cfg, theta),
         lambda: scramble_matrix(pattern, small_cfg, theta),
         lambda: time_domain_demod(data, pattern, small_cfg, theta),
@@ -502,7 +501,7 @@ def test_time_domain_route_at_steer_is_scaling(small_cfg):
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
     data = qpsk_frame(small_cfg, seed=9)
     got = time_domain_demod(data, pattern, small_cfg, small_cfg.cu_angle_deg)
-    gain = harmonic_coefficient(pattern, small_cfg, 0, small_cfg.cu_angle_deg)
+    gain = harmonic_coefficients(pattern, small_cfg, 0, small_cfg.cu_angle_deg)
     assert np.max(np.abs(got - gain * data)) < 1e-9
 
 
