@@ -20,7 +20,6 @@ from .coarse import (
     coarse_pipeline,
     descramble,
     detect_peaks,
-    range_profile,
     range_response,
     velocity_spectrum,
 )
@@ -71,7 +70,6 @@ from .refine import (
     estimate_n_sources,
     estimate_targets,
     matched_velocity_bins,
-    music_angles,
     music_pseudospectrum,
     music_search_grid,
     refine_ranges,
@@ -82,7 +80,6 @@ from .scene import (
     GridFormatError,
     Scene,
     load_scene,
-    one_way_received,
     radar_returns,
     read_grid,
     save_scene,
@@ -101,7 +98,6 @@ from .tma import (
     harmonic_coefficients,
     load_pattern,
     save_pattern,
-    scramble_matrix,
     scramble_symbols,
     time_domain_demod,
 )

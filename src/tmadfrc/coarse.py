@@ -190,11 +190,6 @@ def range_response(descrambled: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return idft(check_symbol_grid(cfg, descrambled), axis=0)
 
 
-def range_profile(descrambled: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Magnitude range profile: |r(l, mu)| averaged over OFDM symbols."""
-    return np.abs(range_response(descrambled, cfg)).mean(axis=1)
-
-
 def velocity_spectrum(response_row: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Magnitude velocity spectrum of one range-response row, DFT bin order."""
     row = np.asarray(response_row, dtype=np.complex128)
@@ -217,7 +212,7 @@ class BinPipeline:
     angle_deg: float
     rows: np.ndarray  # complex beamformed rows at this bin, (N_s, N_p)
     masked_fraction: float
-    range_profile: np.ndarray
+    range_profile: np.ndarray  # |r(l, mu)| averaged over OFDM symbols
     range_bins: np.ndarray
     velocity_spectra: tuple  # one magnitude spectrum per detected range bin
     velocity_bins: tuple  # one signed-bin array per detected range bin

@@ -218,7 +218,9 @@ def awgn(signal: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndar
 
 def qpsk_awgn_ber(snr_db: float) -> float:
     """Theoretical Gray-QPSK bit error rate on an AWGN channel at symbol SNR
-    ``snr_db``: Q(sqrt(SNR))."""
+    ``snr_db``: Q(sqrt(SNR)), 0 at +inf.  Other SNRs that name no noise level
+    (:func:`model.snr_adds_noise`) raise ``ValueError``."""
+    snr_adds_noise(snr_db)
     snr = 10.0 ** (snr_db / 10.0)
     return 0.5 * math.erfc(math.sqrt(snr / 2.0))
 

@@ -68,10 +68,6 @@ class SystemConfig:
         return ROUNDED_SPEED_OF_LIGHT if self.rounded_speed_of_light else SPEED_OF_LIGHT
 
     @property
-    def wavelength_m(self) -> float:
-        return self.c / self.carrier_freq_hz
-
-    @property
     def useful_symbol_duration_s(self) -> float:
         return 1.0 / self.subcarrier_spacing_hz
 
@@ -135,12 +131,28 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
 def snr_adds_noise(snr_db: float, error=ValueError) -> bool:
     """Whether an SNR in dB asks for noise: only +inf means a noise-free signal.
 
+    A finite SNR must have a linear value 10^(snr_db / 10) that is a finite
+    positive float with a finite reciprocal (about |snr_db| < 3082 dB), so
+    the noise power it sets is neither zero nor infinite.
+
     Raises:
-        error: for NaN or -inf, which name no noise level.
+        error: for NaN or -inf, which name no noise level, and for a finite
+            SNR beyond that range.
     """
     if not -math.inf < snr_db:  # also refuses NaN
         raise error(f"snr_db must be a number above -inf (+inf means noise-free), got {snr_db}")
-    return snr_db < math.inf
+    if snr_db == math.inf:
+        return False
+    try:
+        linear = math.pow(10.0, snr_db / 10.0)  # 0.0 below the float range
+    except OverflowError:
+        linear = math.inf
+    if not (0.0 < linear < math.inf and 1.0 / linear < math.inf):
+        raise error(
+            f"snr_db {snr_db} is beyond the float range: 10^(snr_db / 10) and its "
+            f"reciprocal must both be finite positive floats"
+        )
+    return True
 
 
 def derived_resolutions(cfg: SystemConfig):
@@ -240,7 +252,7 @@ class SceneError(ValueError):
     """A target or scene violates the geometry the waveform can support."""
 
 
-def validate_target(target: Target, cfg: SystemConfig, allow_out_of_window: bool = False) -> Target:
+def validate_target(target: Target, cfg: SystemConfig) -> Target:
     """Check a single target against the configured unambiguous windows."""
     parameters = (target.angle_deg, target.range_m, target.velocity_mps, target.reflectivity)
     if not np.isfinite(parameters).all():
@@ -249,17 +261,16 @@ def validate_target(target: Target, cfg: SystemConfig, allow_out_of_window: bool
         raise SceneError(f"target angle {target.angle_deg} deg outside [-90, 90]")
     if target.range_m < 0.0:
         raise SceneError(f"target range {target.range_m} m is negative")
-    if not allow_out_of_window:
-        if target.range_m >= cfg.range_window_m:
-            raise SceneError(
-                f"target range {target.range_m} m outside unambiguous window "
-                f"[0, {cfg.range_window_m}) m; pass allow_out_of_window to override"
-            )
-        if abs(target.velocity_mps) > cfg.velocity_window_mps:
-            raise SceneError(
-                f"target velocity {target.velocity_mps} m/s outside unambiguous window "
-                f"+-{cfg.velocity_window_mps} m/s; pass allow_out_of_window to override"
-            )
+    if target.range_m >= cfg.range_window_m:
+        raise SceneError(
+            f"target range {target.range_m} m outside unambiguous window "
+            f"[0, {cfg.range_window_m}) m"
+        )
+    if abs(target.velocity_mps) > cfg.velocity_window_mps:
+        raise SceneError(
+            f"target velocity {target.velocity_mps} m/s outside unambiguous window "
+            f"+-{cfg.velocity_window_mps} m/s"
+        )
     return target
 
 
@@ -485,14 +496,6 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 def config_from_dict(data: dict) -> SystemConfig:
     """Build and validate a config from a plain dict; unknown keys are an error."""
     return decode_object(SystemConfig, data, ConfigError)
-
-
-def config_to_json(cfg: SystemConfig) -> str:
-    return document_text(config_to_dict(cfg))
-
-
-def config_from_json(text: str) -> SystemConfig:
-    return config_from_dict(json.loads(text))
 
 
 def load_config(path) -> SystemConfig:

@@ -95,6 +95,9 @@ MUSIC_STEP_DEG = 0.1
 # Pseudospectrum maxima below this fraction of the tallest one do not count
 # as sources.
 _PEAK_REL_THRESHOLD = 1e-2
+# A frame's signal-subspace dimension sits at its largest consecutive-eigenvalue
+# ratio, which must reach this value to count as a gap.
+_MIN_EIGEN_RATIO = 3.0
 # Largest grid product one joint fit may search: the memory guard against a
 # large forced source count.
 _MAX_COMBINATIONS = 1_000_000
@@ -130,41 +133,41 @@ def sample_covariance(grid: np.ndarray) -> np.ndarray:
     return covariance / (grid.size // grid.shape[0])
 
 
-def estimate_n_sources(eigenvalues, max_sources: int | None = None, min_ratio: float = 3.0) -> int:
-    """Source count from the largest consecutive-eigenvalue ratio.
+def estimate_n_sources(eigenvalues, max_sources: int) -> int:
+    """Source count, at most ``max_sources``, from the largest
+    consecutive-eigenvalue ratio.
 
     Raises:
         SubspaceError: eigenvalues are degenerate or show no gap of at least
-            ``min_ratio``.
+            ``_MIN_EIGEN_RATIO`` (3).
     """
     lam = np.sort(np.abs(np.asarray(eigenvalues, dtype=float)))[::-1]
     if lam.size < 2 or not np.all(np.isfinite(lam)) or lam[0] <= 0.0:
         raise SubspaceError("eigenvalue spectrum is degenerate")
-    upper = lam.size - 1 if max_sources is None else min(int(max_sources), lam.size - 1)
+    upper = min(int(max_sources), lam.size - 1)
     if upper < 1:
         raise SubspaceError("need room for at least one source and one noise eigenvalue")
     ratios = lam[:upper] / np.maximum(lam[1 : upper + 1], lam[0] * 1e-15)
     best = int(np.argmax(ratios))
-    if ratios[best] < min_ratio:
+    if ratios[best] < _MIN_EIGEN_RATIO:
         raise SubspaceError(
-            f"largest eigenvalue gap {ratios[best]:.2f} is below {min_ratio:.2f}; "
+            f"largest eigenvalue gap {ratios[best]:.2f} is below {_MIN_EIGEN_RATIO:.2f}; "
             f"cannot separate signal from noise"
         )
     return best + 1
 
 
-def music_search_grid(
-    angle_bin: int, cfg: SystemConfig, step_deg: float = MUSIC_STEP_DEG
-) -> np.ndarray:
-    """Degree grid around a beamforming bin: all multiples of ``step_deg``
-    within one coarse bin width either side of the bin center (sine domain)."""
+def music_search_grid(angle_bin: int, cfg: SystemConfig) -> np.ndarray:
+    """Degree grid around a beamforming bin: all multiples of
+    ``MUSIC_STEP_DEG`` within one coarse bin width either side of the bin
+    center (sine domain)."""
     center = float(bin_to_sine(angle_bin, cfg))
     width = 1.0 / (cfg.num_rx_antennas * cfg.rx_spacing_wavelengths)
     lo = np.degrees(np.arcsin(np.clip(center - width, -1.0, 1.0)))
     hi = np.degrees(np.arcsin(np.clip(center + width, -1.0, 1.0)))
-    first = int(np.ceil(lo / step_deg - 1e-9))
-    last = int(np.floor(hi / step_deg + 1e-9))
-    return np.arange(first, last + 1) * step_deg
+    first = int(np.ceil(lo / MUSIC_STEP_DEG - 1e-9))
+    last = int(np.floor(hi / MUSIC_STEP_DEG + 1e-9))
+    return np.arange(first, last + 1) * MUSIC_STEP_DEG
 
 
 def music_pseudospectrum(
@@ -210,30 +213,6 @@ def _peak_count(spectrum: np.ndarray) -> int:
     return int(np.count_nonzero(_local_maxima(v, wrap=False) & tall))
 
 
-def _pick_angles(spectrum: np.ndarray, grid_deg, count: int) -> np.ndarray:
-    """The ``count`` tallest pseudospectrum peaks over ``grid_deg``, ascending."""
-    return np.asarray(grid_deg)[_top_local_maxima(spectrum, count)]
-
-
-def music_angles(
-    covariance: np.ndarray,
-    n_sources: int,
-    cfg: SystemConfig,
-    grid_deg: np.ndarray,
-    signal_dimension: int | None = None,
-) -> np.ndarray:
-    """The ``n_sources`` tallest pseudospectrum peaks, in ascending angle order.
-
-    ``signal_dimension`` sets the signal-subspace size for the noise projector
-    and defaults to ``n_sources``.  Pass the frame-wide source count when
-    scanning one of several occupied bins — otherwise the other bins' signal
-    eigenvectors stay inside the noise subspace and bias the peaks.
-    """
-    dim = n_sources if signal_dimension is None else signal_dimension
-    spectrum = music_pseudospectrum(covariance, dim, cfg, grid_deg)
-    return _pick_angles(spectrum, grid_deg, n_sources)
-
-
 # --- least-squares grid search -------------------------------------------------
 
 
@@ -271,14 +250,14 @@ def _window_union(centers, res: float, points: int) -> np.ndarray:
     return np.unique(np.concatenate(windows))
 
 
-def candidate_range_grid(range_bins, cfg: SystemConfig, points: int = 101) -> np.ndarray:
+def candidate_range_grid(range_bins, cfg: SystemConfig, points: int) -> np.ndarray:
     """Union of per-bin windows (bin center +- half a range cell, inclusive,
     ``points`` odd); negative candidates are dropped."""
     grid = _window_union(bin_to_range_m(range_bins, cfg), range_resolution_m(cfg), points)
     return grid[grid >= 0.0]
 
 
-def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int = 11) -> np.ndarray:
+def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int) -> np.ndarray:
     """Union of per-signed-bin windows (center +- half a velocity cell,
     ``points`` odd)."""
     centers = bin_to_velocity_mps(velocity_bins, cfg)
@@ -487,7 +466,7 @@ def matched_velocity_bins(
     cfg: SystemConfig,
     theta_deg: float,
     range_m: float,
-    count: int = 1,
+    count: int,
 ) -> list:
     """Signed slow-time bins of the strongest velocity peaks for one source,
     from beamformed ``rows`` descrambled by ``reference``, the payload
@@ -560,7 +539,7 @@ def estimate_targets(
         spectrum = music_pseudospectrum(covariance, dimension, cfg, search)
         count = options.num_sources or _peak_count(spectrum)
         count = max(1, min(count, dimension))
-        angles = _pick_angles(spectrum, search, count)
+        angles = search[_top_local_maxima(spectrum, count)]  # ascending
         scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)
         range_fit = refine_ranges(frame, angles, scrambled, bin_result.range_bins, options)
         velocity_bins = {int(b) for bins in bin_result.velocity_bins for b in bins}

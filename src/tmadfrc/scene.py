@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from .comms import _add_noise_at_snr, _mean_power, add_noise
+from .comms import _mean_power, add_noise
 from .model import (
     SceneError,
     SystemConfig,
@@ -70,14 +70,14 @@ def _check_seed(seed) -> None:
         raise SceneError(f"Scene seed must be a non-negative integer, got {seed!r}")
 
 
-def validate_scene(scene: Scene, cfg: SystemConfig, allow_out_of_window: bool = False) -> Scene:
+def validate_scene(scene: Scene, cfg: SystemConfig) -> Scene:
     """Check the seed, the SNR, every target and the angle-identifiability
     bound."""
     _check_seed(scene.seed)
     if scene.snr_db is not None:
         snr_adds_noise(scene.snr_db, SceneError)
     for target in scene.targets:
-        validate_target(target, cfg, allow_out_of_window=allow_out_of_window)
+        validate_target(target, cfg)
     distinct = {float(np.sin(np.radians(t.angle_deg))) for t in scene.targets}
     if len(distinct) > cfg.num_rx_antennas - 1:
         raise SceneError(
@@ -88,11 +88,7 @@ def validate_scene(scene: Scene, cfg: SystemConfig, allow_out_of_window: bool = 
 
 
 def radar_returns(
-    data: np.ndarray,
-    pattern: SwitchingPattern,
-    cfg: SystemConfig,
-    scene: Scene,
-    allow_out_of_window: bool = False,
+    data: np.ndarray, pattern: SwitchingPattern, cfg: SystemConfig, scene: Scene
 ) -> np.ndarray:
     """Simulate the receive-array grid for one OFDM frame.
 
@@ -103,7 +99,7 @@ def radar_returns(
         Complex grid (num_rx_antennas, num_subcarriers, num_ofdm_symbols).
     """
     data = check_symbol_grid(cfg, data)
-    validate_scene(scene, cfg, allow_out_of_window=allow_out_of_window)
+    validate_scene(scene, cfg)
 
     targets = scene.targets
     n_r, n_s, n_p = cfg.returns_shape
@@ -129,24 +125,6 @@ def radar_returns(
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
         add_noise(out, sigma2, np.random.default_rng(scene.seed))
     return out
-
-
-def one_way_received(
-    data: np.ndarray,
-    pattern: SwitchingPattern,
-    cfg: SystemConfig,
-    theta_deg: float,
-    snr_db: float,
-    seed: int = 0,
-) -> np.ndarray:
-    """Direct-path grid seen by a single-antenna receiver at ``theta_deg``.
-
-    The SNR is referenced to the received (scrambled) signal power at that
-    angle, so detection statistics are comparable across directions.
-    """
-    received = scramble_symbols(check_symbol_grid(cfg, data), pattern, cfg, theta_deg)
-    _add_noise_at_snr(received, snr_db, np.random.default_rng(seed))
-    return received
 
 
 # --- scene serialization -----------------------------------------------------

@@ -86,7 +86,13 @@ def design_pattern(cfg: SystemConfig, steer_angle_deg: float) -> SwitchingPatter
     nonzero harmonic vanish in the steered direction: the harmonic sum over
     elements reduces to a full geometric sum of the N_t-th roots of unity for
     m not a multiple of N_t, and the duty-cycle sinc zeroes the multiples.
+
+    Raises:
+        ValueError: for a steer direction that is not finite or lies outside
+            [-90, 90] deg, the rule of every direction in this module.
+        PatternError: for fewer than 2 transmit elements.
     """
+    sin0 = np.sin(np.radians(_check_direction(steer_angle_deg)))
     nt = cfg.num_tx_antennas
     if nt < 2:
         raise PatternError(
@@ -97,7 +103,6 @@ def design_pattern(cfg: SystemConfig, steer_angle_deg: float) -> SwitchingPatter
     duty = np.full(nt, (nt - 1) / nt)
     tau_off = n / nt
     tau_on = np.mod(tau_off - duty, 1.0)
-    sin0 = np.sin(np.radians(steer_angle_deg))
     weights = np.exp(2j * np.pi * n * cfg.tx_spacing_wavelengths * sin0)
     return SwitchingPattern(tau_on=tau_on, duty=duty, weights=weights)
 
@@ -187,19 +192,6 @@ def _gate(tau_on: bytes, duty: bytes, order_dtype: str, orders: bytes) -> np.nda
     return gate
 
 
-def scramble_matrix(pattern: SwitchingPattern, cfg: SystemConfig, theta_deg: float) -> np.ndarray:
-    """Toeplitz mixing matrix M with M[s, i] = coefficient(s - i, theta).
-
-    Left-multiplying a symbol grid applies the in-band part of the harmonic
-    convolution: subcarrier s receives data symbol i through harmonic order
-    s - i, i.e. orders -(N_s-1) .. N_s-1 are retained and everything falling
-    outside the occupied band is dropped.
-    """
-    ns = cfg.num_subcarriers
-    orders = np.arange(-(ns - 1), ns)
-    return _toeplitz(harmonic_coefficients(pattern, cfg, orders, theta_deg))
-
-
 def _toeplitz(coeffs: np.ndarray) -> np.ndarray:
     """The N x N matrix T[s, i] = coeffs[s - i + N - 1] of 2N - 1 coefficients
     for the orders -(N-1) .. N-1, copied from a window view: window w of the
@@ -212,6 +204,12 @@ def scramble_symbols(
     data: np.ndarray, pattern: SwitchingPattern, cfg: SystemConfig, theta_deg
 ) -> np.ndarray:
     """Symbols observed in direction ``theta_deg`` after the switched array.
+
+    The mixing is the in-band part of the harmonic convolution, the Toeplitz
+    matrix M[s, i] = coefficient(s - i, theta): subcarrier s receives data
+    symbol i through harmonic order s - i, and orders falling outside the
+    occupied band are dropped.  Scrambling ``np.eye(num_subcarriers)`` gives
+    M itself.
 
     Args:
         data: transmitted grid, shape (num_subcarriers, ...) — typically

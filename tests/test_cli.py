@@ -79,6 +79,9 @@ def test_dm_check_single_element_is_config_error(capsys):
         pytest.param(("--rel-tol", "nan"), id="rel_tol_nan"),
         pytest.param(("--floor", "nan"), id="floor_nan"),
         pytest.param(("--floor", "-1"), id="negative_floor"),
+        # used to blame the weights (and warn "invalid value encountered in sin")
+        pytest.param(("--angle", "inf"), id="angle_inf"),
+        pytest.param(("--angle", "nan"), id="angle_nan"),
     ],
 )
 def test_dm_check_refuses_bad_input(capsys, argv):
@@ -86,6 +89,8 @@ def test_dm_check_refuses_bad_input(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    if argv[0] == "--angle":
+        assert "direction" in err
 
 
 def test_dm_check_report_file(capsys, tmp_path):
@@ -337,9 +342,10 @@ def test_ber_sweep_range_ends_on_its_stop(capsys):
     assert len(lines) == 51 and lines[-1].startswith("   90.000 deg")
 
 
-@pytest.mark.parametrize("snr", ["nan", "-inf"])
+@pytest.mark.parametrize("snr", ["nan", "-inf", "4000", "-4000"])
 def test_ber_sweep_refuses_snr_without_a_noise_level(capsys, snr):
-    # both used to report BER 0 at the steer, as if noise-free
+    # nan and -inf used to report BER 0 at the steer, as if noise-free, and
+    # +-4000 dB to end in a traceback (10 ** 400 overflows, 10 ** -400 is 0)
     code, out, err = run(capsys, "ber-sweep", "--angles", "60", f"--snr={snr}")
     assert code == 2
     assert out == ""
@@ -396,6 +402,15 @@ def test_reproduce_degrades_gracefully_in_heavy_noise(capsys):
 def test_reproduce_refuses_minus_infinite_snr(capsys):
     # used to run noise-free and print "reproduction: PASS"
     code, out, err = run(capsys, "reproduce-table2", "--set", "snr_db=-Infinity")
+    assert code == 2
+    assert out == ""
+    assert "snr_db" in err
+
+
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_reproduce_refuses_an_snr_beyond_the_float_range(capsys, snr):
+    # used to end in a traceback (10 ** 400 overflows, 10 ** -400 is 0)
+    code, out, err = run(capsys, "reproduce-table2", "--set", f"snr_db={snr}")
     assert code == 2
     assert out == ""
     assert "snr_db" in err

@@ -37,7 +37,6 @@ from tmadfrc.coarse import (
     detect_peaks,
     median,
     peak_threshold,
-    range_profile,
     range_response,
     velocity_spectrum,
 )
@@ -292,8 +291,9 @@ def test_descramble_rejects_degenerate_direction(small_cfg):
 
 def test_range_profile_single_bin(on_grid):
     cfg, pattern, data, grid, target = on_grid
-    desc = descramble_on_grid(cfg, pattern, data, grid, target)
-    profile = range_profile(desc.symbols, cfg)
+    (bin_result,) = coarse_pipeline(Frame(grid, data, pattern, cfg)).bins
+    assert bin_result.angle_bin == 7
+    profile = bin_result.range_profile
     assert int(np.argmax(profile)) == ON_GRID_RANGE_BIN
     assert profile[ON_GRID_RANGE_BIN] == pytest.approx(cfg.num_rx_antennas, rel=1e-9)
     others = np.delete(profile, ON_GRID_RANGE_BIN)

@@ -296,6 +296,14 @@ def test_qpsk_awgn_theory_curve():
     assert all(a > b for a, b in zip(curve, curve[1:]))
 
 
+@pytest.mark.parametrize("snr", [math.nan, -math.inf, 4000.0, -4000.0])
+def test_qpsk_awgn_ber_refuses_an_snr_without_a_noise_level(snr):
+    # +-4000 dB used to raise OverflowError from 10 ** 400, NaN to return NaN
+    assert qpsk_awgn_ber(math.inf) == 0.0
+    with pytest.raises(ValueError, match="snr_db"):
+        qpsk_awgn_ber(snr)
+
+
 def test_monte_carlo_qpsk_matches_theory():
     rng = np.random.default_rng(2)
     c = qpsk()

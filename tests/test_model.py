@@ -14,6 +14,7 @@ from tmadfrc import (
     ConfigError,
     EstimateSet,
     RefinedEstimate,
+    Scene,
     SceneError,
     SystemConfig,
     Target,
@@ -25,6 +26,7 @@ from tmadfrc import (
     range_resolution_m,
     save_config,
     validate_config,
+    validate_scene,
     validate_target,
     velocity_resolution_mps,
 )
@@ -35,8 +37,7 @@ from tmadfrc.model import (
     SPEED_OF_LIGHT,
     check_antenna_grid,
     check_symbol_grid,
-    config_from_json,
-    config_to_json,
+    document_text,
 )
 
 
@@ -164,14 +165,12 @@ def test_target_validation(small_cfg):
     beyond_range = Target(10.0, small_cfg.range_window_m * 1.5, 0.0)
     with pytest.raises(SceneError):
         validate_target(beyond_range, small_cfg)
-    validate_target(beyond_range, small_cfg, allow_out_of_window=True)
     too_fast = Target(10.0, 100.0, small_cfg.velocity_window_mps * 1.5)
     with pytest.raises(SceneError):
         validate_target(too_fast, small_cfg)
-    validate_target(too_fast, small_cfg, allow_out_of_window=True)
 
 
-@pytest.mark.parametrize("allow_out_of_window", [False, True])
+@pytest.mark.parametrize("in_scene", [False, True])
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -185,13 +184,15 @@ def test_target_validation(small_cfg):
         ("reflectivity", complex(1.0, math.inf)),
     ],
 )
-def test_target_validation_refuses_non_finite_parameters(
-    small_cfg, field, value, allow_out_of_window
-):
-    # a NaN fails every range comparison, so it must be refused explicitly
+def test_target_validation_refuses_non_finite_parameters(small_cfg, field, value, in_scene):
+    # a NaN fails every range comparison, so it must be refused explicitly,
+    # alone and as a target of a scene
     target = dataclasses.replace(Target(10.0, 100.0, 5.0), **{field: value})
     with pytest.raises(SceneError, match="finite"):
-        validate_target(target, small_cfg, allow_out_of_window=allow_out_of_window)
+        if in_scene:
+            validate_scene(Scene((target,)), small_cfg)
+        else:
+            validate_target(target, small_cfg)
 
 
 # --- echo factors -------------------------------------------------------------
@@ -242,13 +243,17 @@ def test_moved_names_keep_their_old_import_paths():
     assert coarse.bin_to_velocity_mps is model.bin_to_velocity_mps is tmadfrc.bin_to_velocity_mps
 
 
+def json_roundtrip(cfg):
+    return config_from_dict(json.loads(document_text(config_to_dict(cfg))))
+
+
 def test_config_json_roundtrip_is_bit_exact(ref_cfg):
-    assert config_from_json(config_to_json(ref_cfg)) == ref_cfg
+    assert json_roundtrip(ref_cfg) == ref_cfg
     # repr-based floats survive: perturb by one ulp and the copy still matches
     cfg = dataclasses.replace(
         ref_cfg, symbol_duration_s=np.nextafter(ref_cfg.symbol_duration_s, 1.0)
     )
-    assert config_from_json(config_to_json(cfg)) == cfg
+    assert json_roundtrip(cfg) == cfg
 
 
 def test_config_rejects_unknown_keys(ref_cfg):

@@ -35,7 +35,6 @@ from tmadfrc.refine import (
     candidate_velocity_grid,
     estimate_n_sources,
     matched_velocity_bins,
-    music_angles,
     music_pseudospectrum,
     music_search_grid,
     refine_ranges,
@@ -97,8 +96,8 @@ def test_sample_covariance_matches_full_cube_product(monkeypatch, block):
 
 
 def test_estimate_n_sources_picks_largest_gap():
-    assert estimate_n_sources([10.0, 9.0, 8.0, 1.0, 1.0]) == 3
-    assert estimate_n_sources([50.0, 1.0, 1.0]) == 1
+    assert estimate_n_sources([10.0, 9.0, 8.0, 1.0, 1.0], max_sources=4) == 3
+    assert estimate_n_sources([50.0, 1.0, 1.0], max_sources=2) == 1
 
 
 def test_estimate_n_sources_respects_max_sources_cap():
@@ -108,12 +107,12 @@ def test_estimate_n_sources_respects_max_sources_cap():
 
 def test_estimate_n_sources_rejects_flat_spectrum():
     with pytest.raises(SubspaceError, match="gap"):
-        estimate_n_sources([1.0, 1.0, 1.0])
+        estimate_n_sources([1.0, 1.0, 1.0], max_sources=2)
 
 
 def test_estimate_n_sources_rejects_degenerate_spectrum():
     with pytest.raises(SubspaceError, match="degenerate"):
-        estimate_n_sources([0.0, 0.0, 0.0])
+        estimate_n_sources([0.0, 0.0, 0.0], max_sources=2)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def test_estimate_n_sources_rejects_degenerate_spectrum():
 
 
 def test_music_search_grid_is_step_lattice_covering_bin(ref_cfg):
-    grid = music_search_grid(20, ref_cfg, step_deg=0.1)
+    grid = music_search_grid(20, ref_cfg)
     # every point is a multiple of the step
     np.testing.assert_allclose(grid, np.round(grid / 0.1) * 0.1, atol=1e-9)
     center = 1.0 / 3.0  # sine of bin 20
@@ -150,8 +149,11 @@ def analytic_covariance(cfg, angles_deg, noise_power):
 
 def test_music_angles_exact_on_analytic_covariance(ref_cfg):
     cov = analytic_covariance(ref_cfg, [20.0, 22.0], noise_power=0.01)
-    grid = music_search_grid(20, ref_cfg, step_deg=0.1)
-    angles = music_angles(cov, 2, ref_cfg, grid)
+    grid = music_search_grid(20, ref_cfg)
+    spectrum = music_pseudospectrum(cov, 2, ref_cfg, grid)
+    inner = spectrum[1:-1]
+    peaks = np.flatnonzero((inner > spectrum[:-2]) & (inner > spectrum[2:])) + 1
+    angles = np.sort(grid[peaks[np.argsort(spectrum[peaks])[-2:]]])
     assert angles.shape == (2,)
     assert angles[0] == pytest.approx(20.0, abs=1e-6)
     assert angles[1] == pytest.approx(22.0, abs=1e-6)
@@ -184,12 +186,6 @@ def test_music_pseudospectrum_rejects_non_finite(ref_cfg):
     cov = np.full((n, n), np.nan, dtype=complex)
     with pytest.raises(SubspaceError, match="finite"):
         music_pseudospectrum(cov, 1, ref_cfg, np.array([0.0]))
-
-
-def test_music_angles_more_peaks_than_grid_points(ref_cfg):
-    cov = analytic_covariance(ref_cfg, [20.0], noise_power=0.01)
-    with pytest.raises(SubspaceError, match="peaks"):
-        music_angles(cov, 3, ref_cfg, np.array([19.9, 20.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +553,15 @@ def test_matched_velocity_peak_straddling_bin_zero_counts_once(small_cfg):
     assert matched_velocity_bins(rows, reference, cfg, 0.0, 2 * res, count=2) == [0, 4]
 
 
+def test_more_peaks_than_grid_points_is_refused(small_cfg):
+    # a bin with more refined angles than slow-time bins asks each matched
+    # spectrum for more peaks than it has points
+    _, _, _, rows, reference, _ = stage_inputs(small_cfg)
+    count = small_cfg.num_ofdm_symbols + 1
+    with pytest.raises(SubspaceError, match="peaks"):
+        matched_velocity_bins(rows, reference, small_cfg, 10.0, 100.0, count)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end estimation
 
@@ -662,7 +667,7 @@ def _public_call(name, grid, data, pattern, cfg, rows, reference, scrambled):
         "angle_spectrum": lambda: angle_spectrum(frame()),
         "coarse_pipeline": lambda: coarse_pipeline(frame()),
         "descramble": lambda: descramble(rows, reference, cfg, 10.0),
-        "matched_velocity_bins": lambda: matched_velocity_bins(rows, reference, cfg, 10.0, 100.0),
+        "matched_velocity_bins": lambda: matched_velocity_bins(rows, reference, cfg, 10.0, 100.0, 1),
         "refine_ranges": lambda: refine_ranges(frame(), STAGE_ANGLES, scrambled, [2]),
         "refine_velocities": lambda: refine_velocities(
             frame(), STAGE_ANGLES, scrambled, [100.0, 100.0], [1]

@@ -22,7 +22,6 @@ from tmadfrc import (
     harmonic_coefficients,
     load_pattern,
     save_pattern,
-    scramble_matrix,
     scramble_symbols,
     time_domain_demod,
 )
@@ -330,20 +329,21 @@ def test_scrambling_matches_dense_matrix_oracle(small_cfg):
             mix[s, i] = scalar_coefficient(pattern, cfg, s - i, theta)
     expected = mix @ data
     assert np.max(np.abs(scramble_symbols(data, pattern, cfg, theta) - expected)) < 1e-12
-    assert np.max(np.abs(scramble_matrix(pattern, cfg, theta) - mix)) < 1e-13
+    assert np.max(np.abs(scramble_symbols(np.eye(4), pattern, cfg, theta) - mix)) < 1e-13
 
 
 @pytest.mark.parametrize("ns", [1, 2, 64])
 def test_scramble_matrix_is_its_definition(ref_cfg, ns):
-    # M[s, i] = coefficient of order s - i, taken from one call over all the
-    # in-band orders (exact) and from one scalar call per entry (to rounding)
+    # scrambling the identity gives M[s, i] = coefficient of order s - i,
+    # taken from one call over all the in-band orders (exact) and from one
+    # scalar call per entry (to rounding)
     cfg = dataclasses.replace(ref_cfg, num_subcarriers=ns)
     pattern = design_pattern(cfg, cfg.cu_angle_deg)
     orders = np.arange(-(ns - 1), ns)
     for theta in (-90.0, -41.3, cfg.cu_angle_deg, 90.0):
         coeffs = dict(zip(orders, harmonic_coefficients(pattern, cfg, orders, theta)))
         expected = np.array([[coeffs[s - i] for i in range(ns)] for s in range(ns)])
-        got = scramble_matrix(pattern, cfg, theta)
+        got = scramble_symbols(np.eye(ns), pattern, cfg, theta)
         assert got.flags.c_contiguous and got.flags.writeable
         np.testing.assert_array_equal(got, expected)
         scalar = [
@@ -360,7 +360,8 @@ def test_scramble_symbols_is_the_tensordot_of_its_matrix(ref_cfg, ref_pattern, s
     before = data.copy()
     for theta in (-73.0, ref_cfg.cu_angle_deg, 12.5):
         got = scramble_symbols(data, ref_pattern, ref_cfg, theta)
-        oracle = np.tensordot(scramble_matrix(ref_pattern, ref_cfg, theta), data, axes=1)
+        mixing = scramble_symbols(np.eye(64), ref_pattern, ref_cfg, theta)
+        oracle = np.tensordot(mixing, data, axes=1)
         assert np.array_equal(got, oracle)
         # a fresh array that callers may add noise to in place
         assert got.flags.c_contiguous and not np.shares_memory(got, data)
@@ -399,7 +400,8 @@ def test_direction_outside_the_visible_half_space_is_refused(small_cfg, theta):
         lambda: harmonic_coefficients(pattern, small_cfg, np.arange(-2, 3), theta),
         lambda: harmonic_coefficients(pattern, small_cfg, 0, theta),
         lambda: element_gains(pattern, small_cfg, theta),
-        lambda: scramble_matrix(pattern, small_cfg, theta),
+        lambda: scramble_symbols(data, pattern, small_cfg, theta),
+        lambda: design_pattern(small_cfg, theta),
         lambda: time_domain_demod(data, pattern, small_cfg, theta),
     )
     for call in calls:
