@@ -26,22 +26,24 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coarse import DegenerateBinError, NoPeaksError, coarse_pipeline
+from .coarse import DegenerateBinError, NoPeaksError
 from .comms import ber_vs_angle, modulate, qpsk
 from .model import (
     ConfigError,
-    Frame,
     bin_to_angle_deg,
     config_from_dict,
     config_hash,
     config_to_dict,
     load_config,
     range_resolution_m,
+    signed_bin_index,
     velocity_resolution_mps,
     write_document,
 )
 from .refine import (
     MUSIC_STEP_DEG,
+    RANGE_POINTS,
+    VELOCITY_POINTS,
     RefineOptions,
     SubspaceError,
     candidate_range_grid,
@@ -57,7 +59,6 @@ from .scene import (
     write_grid,
 )
 from .tma import check_dm_condition, design_pattern
-from .transforms import signed_bin_index
 
 
 def _load_cfg(args):
@@ -130,6 +131,9 @@ def _triple(row) -> dict:
     return {"angle_deg": row.angle_deg, "range_m": row.range_m, "velocity_mps": row.velocity_mps}
 
 
+_MAX_ANGLES = 100_000  # probes of one START:STOP:STEP range: ~2 min at ~1.3 ms each
+
+
 def _parse_angles(spec: str) -> np.ndarray:
     if ":" in spec:
         parts = spec.split(":")
@@ -138,6 +142,9 @@ def _parse_angles(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("angle step must be positive")
+        count = (stop - start) / step + 1.0
+        if count > _MAX_ANGLES:
+            raise ValueError(f"angle range {spec!r} asks for {count:.3g} probes, over {_MAX_ANGLES}")
         # arange accumulates rounding (-90:90:0.2 ends at 90.0000000000026),
         # which must not push the last probe past STOP and out of [-90, 90]
         return np.minimum(np.arange(start, stop + step * 1e-9, step), stop)
@@ -206,8 +213,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _export_spectra(prefix, received, data, pattern, cfg) -> None:
-    result = coarse_pipeline(Frame(received, data, pattern, cfg))
+def _export_spectra(prefix, result, cfg) -> None:
+    if result is None:
+        raise NoPeaksError("no angle bin rises above the detection threshold")
     with open(f"{prefix}.angle.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "angle_deg", "magnitude"])
@@ -256,7 +264,7 @@ def _cmd_estimate(args) -> int:
     if args.out:
         _write_report(args.out, cfg, {"estimates": estimates.to_dict()}, role="estimates")
     if args.export_spectra:
-        _export_spectra(args.export_spectra, received, data, pattern, cfg)
+        _export_spectra(args.export_spectra, estimates.coarse_result, cfg)
     return 0 if estimates.refined else 1
 
 
@@ -292,13 +300,12 @@ def _cmd_reproduce(args) -> int:
     pattern = design_pattern(cfg, cfg.cu_angle_deg)
     data = _qpsk_payload(cfg, scene.seed)
     received = radar_returns(data, pattern, cfg, scene)
-    options = RefineOptions()
-    estimates = estimate_targets(received, data, pattern, cfg, options=options)
+    estimates = estimate_targets(received, data, pattern, cfg)
 
     range_res = range_resolution_m(cfg)
     velocity_res = velocity_resolution_mps(cfg)
-    range_step = range_res / (options.range_points - 1)
-    velocity_step = velocity_res / (options.velocity_points - 1)
+    range_step = range_res / (RANGE_POINTS - 1)
+    velocity_step = velocity_res / (VELOCITY_POINTS - 1)
 
     print(f"configuration hash {config_hash(cfg)[:16]}, noise/payload seed {scene.seed}")
     _print_estimates(estimates, refined_heading="refined targets:  ")
@@ -315,8 +322,8 @@ def _cmd_reproduce(args) -> int:
         expected_angle = round(target.angle_deg / MUSIC_STEP_DEG) * MUSIC_STEP_DEG
         range_bin = int(np.rint(target.range_m / range_res))
         velocity_bin = int(np.rint(target.velocity_mps / velocity_res))
-        range_grid = candidate_range_grid([range_bin], cfg, options.range_points)
-        velocity_grid = candidate_velocity_grid(velocity_bin, cfg, options.velocity_points)
+        range_grid = candidate_range_grid([range_bin], cfg)
+        velocity_grid = candidate_velocity_grid(velocity_bin, cfg)
         expected_range = float(range_grid[np.argmin(np.abs(range_grid - target.range_m))])
         expected_velocity = float(
             velocity_grid[np.argmin(np.abs(velocity_grid - target.velocity_mps))]

@@ -37,9 +37,10 @@ from .model import (
     bin_to_range_m,
     bin_to_velocity_mps,
     check_symbol_grid,
+    signed_bin_index,
 )
 from .tma import scramble_symbols
-from .transforms import dft, idft, signed_bin_index
+from .transforms import dft, idft
 
 
 class NoPeaksError(RuntimeError):

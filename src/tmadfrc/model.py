@@ -22,8 +22,6 @@ import typing
 
 import numpy as np
 
-from .transforms import wrapped_bin_frequency
-
 #: Exact vacuum speed of light (m/s).
 SPEED_OF_LIGHT = 299_792_458.0
 #: Rounded value used by many link-budget style calculations; selected by
@@ -179,6 +177,18 @@ def range_resolution_m(cfg: SystemConfig) -> float:
 def velocity_resolution_mps(cfg: SystemConfig) -> float:
     """Velocity cell of ``cfg``: one bin of the slow-time DFT."""
     return cfg.c / (2.0 * cfg.carrier_freq_hz * cfg.num_ofdm_symbols * cfg.symbol_duration_s)
+
+
+def wrapped_bin_frequency(k, n: int):
+    """Signed frequency (cycles/sample) of DFT bin index k (0..n-1), in [-1/2, 1/2)."""
+    freq = np.asarray(k, dtype=float) / n
+    return np.where(freq >= 0.5, freq - 1.0, freq)
+
+
+def signed_bin_index(k, n: int):
+    """Map DFT bin index k (0..n-1) to the centered index in [-n/2, n/2)."""
+    k = np.asarray(k)
+    return np.where(k >= (n + 1) // 2, k - n, k)
 
 
 def bin_to_sine(angle_bin, cfg: SystemConfig):
@@ -357,6 +367,8 @@ class EstimateSet:
 
     coarse: list = dataclasses.field(default_factory=list)
     refined: list = dataclasses.field(default_factory=list)
+    # the estimator's coarse.CoarseResult, spectra included; not in the document
+    coarse_result: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> "EstimateSet":
         bins = {row.angle_bin for row in self.coarse}
@@ -448,9 +460,9 @@ def decode_complex(value) -> complex:
 def decode_object(cls, data, error, convert=None, keys=None):
     """Build the dataclass ``cls`` from the JSON object ``data``.
 
-    Refuses a non-object, unknown keys and missing required keys.  Each field
-    decodes by :func:`decode_number` with the field's own type, or, for a
-    field that is not a plain number, by its converter ``convert[key]``.
+    Refuses a non-object, keys that name no init field and missing required
+    keys.  Each field decodes by :func:`decode_number` with the field's own
+    type, or, for a field that is not a plain number, by ``convert[key]``.
     ``keys`` maps a field name to its JSON key where the two differ.
 
     Raises:
@@ -459,7 +471,7 @@ def decode_object(cls, data, error, convert=None, keys=None):
     convert, keys, name = convert or {}, keys or {}, cls.__name__
     if not isinstance(data, dict):
         raise error(f"{name} must be a JSON object, got {data!r}")
-    fields = {keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    fields = {keys.get(f.name, f.name): f for f in dataclasses.fields(cls) if f.init}
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise error(f"unknown {name} keys: {', '.join(unknown)}")

@@ -35,10 +35,10 @@ moving target's range ramp is displaced by its migration v * mu * T_p):
 
     atom_q(R)[m, s] = scrambled_q(s, 0) * a_m(theta_q) * exp(-2j pi s f_s 2R/c).
 
-All sources of a bin share one range grid — the union of windows around the
-bin's detected range peaks, half a resolution cell either side — because a
-merged range peak says nothing about which source produced it; the joint fit
-sorts that out.
+All sources of a bin share one range grid — the union of windows of
+``RANGE_POINTS`` candidates around the bin's detected range peaks, half a
+resolution cell either side — because a merged range peak says nothing about
+which source produced it; the joint fit sorts that out.
 
 Velocity atoms use the whole frame with the refined angles and ranges frozen
 in, and the slow-time phase exp(+2j pi mu T_p 2 v f_c / c).  The candidate
@@ -46,14 +46,16 @@ bins pool the coarse velocity peaks with each source's matched-spectrum peaks
 (see ``matched_velocity_bins``): the coarse spectra descramble at the
 bin-center angle, which decoheres a target sitting toward the edge of the
 bin, while the matched spectra restore it but cannot tell whose peak is
-whose.  All sources therefore share the union of candidate windows and the
-joint fit assigns them.
+whose.  All sources therefore share the union of candidate windows, of
+``VELOCITY_POINTS`` candidates each, and the joint fit assigns them.
 
-Every grid contains the value it was centered on, so refinement can never do
-worse than the coarse stage on the same objective.
+Both window sizes are odd, so every grid contains the value it was centered
+on and refinement can never do worse than the coarse stage on the same
+objective.
 """
 
 import dataclasses
+import typing
 import warnings
 
 import numpy as np
@@ -78,12 +80,12 @@ from .model import (
     check_symbol_grid,
     range_ramp,
     range_resolution_m,
+    signed_bin_index,
     slow_time_rotation,
     steering_vector,
     velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
-from .transforms import signed_bin_index
 
 
 class SubspaceError(RuntimeError):
@@ -92,35 +94,31 @@ class SubspaceError(RuntimeError):
 
 #: MUSIC search grid step (degrees); refined angles are multiples of it.
 MUSIC_STEP_DEG = 0.1
+#: Range and velocity candidates per coarse cell, spanning it +- half a cell;
+#: both odd, so each window contains its center.
+RANGE_POINTS = 101
+VELOCITY_POINTS = 11
 # Pseudospectrum maxima below this fraction of the tallest one do not count
 # as sources.
 _PEAK_REL_THRESHOLD = 1e-2
 # A frame's signal-subspace dimension sits at its largest consecutive-eigenvalue
 # ratio, which must reach this value to count as a gap.
 _MIN_EIGEN_RATIO = 3.0
-# Largest grid product one joint fit may search: the memory guard against a
-# large forced source count.
-_MAX_COMBINATIONS = 1_000_000
+# Largest grid product one joint fit may search: three sources on one range
+# window.  It guards time and memory against a large forced source count.
+_MAX_COMBINATIONS = RANGE_POINTS**3
 
 
 @dataclasses.dataclass(frozen=True)
 class RefineOptions:
     num_sources: int | None = None  # per-bin peak count; default: count pseudospectrum peaks
-    range_points: int = 101
-    velocity_points: int = 11
     fit_gains: bool = False
+    velocity_points: typing.ClassVar[int] = VELOCITY_POINTS  # read-only; the benchmark reads it
 
     def __post_init__(self):
-        for name in ("num_sources", "range_points", "velocity_points"):
-            value = getattr(self, name)
-            unset = value is None and name == "num_sources"
-            if not (unset or isinstance(value, (int, np.integer)) and value >= 1):
-                raise ValueError(f"RefineOptions.{name} must be a positive integer, got {value!r}")
-            if name.endswith("_points") and value % 2 == 0:
-                raise ValueError(
-                    f"RefineOptions.{name} must be odd so each window contains its "
-                    f"center, got {value!r}"
-                )
+        value = self.num_sources
+        if not (value is None or isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"RefineOptions.num_sources must be a positive integer, got {value!r}")
 
 
 def sample_covariance(grid: np.ndarray) -> np.ndarray:
@@ -237,31 +235,24 @@ class CombinationFit:
 
 def _window_union(centers, res: float, points: int) -> np.ndarray:
     """Sorted union of one window of ``points`` values per center, spanning it
-    +- half a cell.  ``points`` must be odd, so each window's middle value is
-    its center (to rounding; a 1-point window is the center itself)."""
-    if not (isinstance(points, (int, np.integer)) and points >= 1 and points % 2 == 1):
-        raise ValueError(f"window points must be a positive odd integer, got {points!r}")
-    windows = [
-        np.linspace(center - res / 2.0, center + res / 2.0, points)
-        if points > 1
-        else np.array([center])
-        for center in np.atleast_1d(centers)
-    ]
+    +- half a cell.  ``points`` is odd, so each window's middle value is its
+    center (to rounding)."""
+    windows = [np.linspace(c - res / 2.0, c + res / 2.0, points) for c in np.atleast_1d(centers)]
     return np.unique(np.concatenate(windows))
 
 
-def candidate_range_grid(range_bins, cfg: SystemConfig, points: int) -> np.ndarray:
-    """Union of per-bin windows (bin center +- half a range cell, inclusive,
-    ``points`` odd); negative candidates are dropped."""
-    grid = _window_union(bin_to_range_m(range_bins, cfg), range_resolution_m(cfg), points)
+def candidate_range_grid(range_bins, cfg: SystemConfig) -> np.ndarray:
+    """Union of per-bin windows of ``RANGE_POINTS`` values (bin center +- half
+    a range cell, inclusive); negative candidates are dropped."""
+    grid = _window_union(bin_to_range_m(range_bins, cfg), range_resolution_m(cfg), RANGE_POINTS)
     return grid[grid >= 0.0]
 
 
-def candidate_velocity_grid(velocity_bins, cfg: SystemConfig, points: int) -> np.ndarray:
-    """Union of per-signed-bin windows (center +- half a velocity cell,
-    ``points`` odd)."""
+def candidate_velocity_grid(velocity_bins, cfg: SystemConfig) -> np.ndarray:
+    """Union of per-signed-bin windows of ``VELOCITY_POINTS`` values (center
+    +- half a velocity cell, inclusive)."""
     centers = bin_to_velocity_mps(velocity_bins, cfg)
-    return _window_union(centers, velocity_resolution_mps(cfg), points)
+    return _window_union(centers, velocity_resolution_mps(cfg), VELOCITY_POINTS)
 
 
 # Combinations scored at once: a Q = 3 Gram stack of 10**6 members is 144 MB.
@@ -325,8 +316,8 @@ def _search_combinations(u, gram, energy, candidates, centers, fit_gains):
     n_combinations = float(len(candidates)) ** n_sources
     if n_combinations > _MAX_COMBINATIONS:
         raise ValueError(
-            f"{int(n_combinations)} grid combinations exceed the "
-            f"limit of {_MAX_COMBINATIONS}; reduce grid points or sources"
+            f"{n_sources} sources on {len(candidates)} candidates need {int(n_combinations)} "
+            f"grid combinations, over the limit of {_MAX_COMBINATIONS}; force fewer sources"
         )
     if not len(candidates):
         raise ValueError("the candidate grid is empty")
@@ -399,7 +390,7 @@ def refine_ranges(
     cfg = frame.cfg
     angles, scrambled = _checked_scrambled(cfg, angles_deg, scrambled)
     symbol0 = scrambled[:, :, 0]  # (Q, N_s)
-    candidates = candidate_range_grid(range_bins, cfg, options.range_points)
+    candidates = candidate_range_grid(range_bins, cfg)
     snapshot = frame.grid[:, :, 0]  # (N_r, N_s)
     energy = float(np.sum(np.abs(snapshot) ** 2))
     steer = steering_vector(cfg, angles)  # (Q, N_r)
@@ -440,7 +431,7 @@ def refine_velocities(
     ranges = np.atleast_1d(np.asarray(ranges_m, dtype=float))
     if angles.shape != ranges.shape:
         raise ValueError("need one refined range per angle")
-    candidates = candidate_velocity_grid(velocity_bins, cfg, options.velocity_points)
+    candidates = candidate_velocity_grid(velocity_bins, cfg)
     steer = steering_vector(cfg, angles)  # (Q, N_r)
     base = scrambled * range_ramp(cfg, ranges)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
 
@@ -504,7 +495,7 @@ def estimate_targets(
     """Coarse pipeline plus per-bin refinement; the top-level estimator.
 
     An empty frame (nothing above the detection threshold) yields an empty
-    estimate set rather than an error.
+    estimate set rather than an error; otherwise it keeps ``coarse_result``.
 
     The covariance pools every subcarrier of every OFDM symbol.  The
     signal-subspace dimension is frame-global: the eigenvalue gap of that
@@ -559,4 +550,6 @@ def estimate_targets(
                     velocity_mps=float(velocity_fit.values[q]),
                 )
             )
-    return EstimateSet(coarse=list(coarse.estimates), refined=refined).validate()
+    estimates = EstimateSet(coarse=list(coarse.estimates), refined=refined).validate()
+    estimates.coarse_result = coarse
+    return estimates

@@ -39,10 +39,10 @@ from tmadfrc import (
     radar_returns,
     scramble_symbols,
 )
+from tmadfrc import refine
 from tmadfrc.comms import ber_vs_angle
 from tmadfrc.model import derived_resolutions
 from tmadfrc.refine import (
-    RefineOptions,
     candidate_range_grid,
     music_pseudospectrum,
     music_search_grid,
@@ -137,7 +137,7 @@ def test_coarse_estimates_reproduce_reference_scene(ref_cfg, ref_pattern, ref_fr
     assert elapsed < 10.0, f"took {elapsed:.1f} s, budget 10 s"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # window-edge velocity
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_refined_estimates_within_tolerance_across_seeds(ref_cfg, ref_scene, ref_pattern):
     """Refined angle/range/velocity inside the published bands on >= 18 of 20
     independent noise realizations (fixed payload)."""
@@ -229,7 +229,7 @@ def test_scrambled_symbol_magnitude_statistics(ref_cfg, ref_pattern):
     )
 
 
-def test_numerical_property_suite(ref_cfg, ref_pattern, ref_frame, small_cfg):
+def test_numerical_property_suite(monkeypatch, ref_cfg, ref_pattern, ref_frame, small_cfg):
     """Bundle of exact structural properties with no tuned constants."""
     rng = np.random.default_rng(3)
 
@@ -302,6 +302,7 @@ def test_numerical_property_suite(ref_cfg, ref_pattern, ref_frame, small_cfg):
     )
 
     # factorized grid search equals direct enumeration on an 11x11 instance
+    monkeypatch.setattr(refine, "RANGE_POINTS", 11)
     angles = [math.degrees(math.asin(-0.5)), math.degrees(math.asin(0.25))]
     truths = [2.33 * res, 4.77 * res]
     scene = Scene(
@@ -315,9 +316,8 @@ def test_numerical_property_suite(ref_cfg, ref_pattern, ref_frame, small_cfg):
         angles,
         scramble_symbols(payload, pattern, small_cfg, angles),
         [2, 5],
-        options=RefineOptions(range_points=11),
     )
-    candidates = candidate_range_grid([2, 5], small_cfg, points=11)
+    candidates = candidate_range_grid([2, 5], small_cfg)
     snapshot = frame[:, :, 0]
     s = np.arange(small_cfg.num_subcarriers)
     steer = steering_vector(small_cfg, angles)

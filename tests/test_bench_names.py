@@ -126,6 +126,6 @@ def test_estimate_targets_calls_every_traced_stage(monkeypatch, ref_cfg, ref_pat
                     monkeypatch.setattr(mod, attr, counting)
     data, received = ref_frame
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the window-edge note
+        warnings.filterwarnings("ignore", r"refined \w+ hit the edge", RuntimeWarning)
         refine.estimate_targets(received, data, ref_pattern, ref_cfg)
     assert [name for name in stages if not calls[name]] == []

@@ -8,6 +8,8 @@ the CLI applies exactly the library defaults.
 import csv
 import dataclasses
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from tmadfrc import (
     qpsk,
     radar_returns,
 )
+from tmadfrc import cli, coarse
 from tmadfrc.cli import main
+from tmadfrc.model import signed_bin_index
 from tmadfrc.scene import read_grid, write_grid
-from tmadfrc.transforms import signed_bin_index
 
 # a small frame: 8 receive elements, 16 OFDM symbols
 SMALL = ("--set", "num_rx_antennas=8", "--set", "num_ofdm_symbols=16")
@@ -110,7 +113,7 @@ def test_dm_check_report_file(capsys, tmp_path):
 # simulate / estimate round trip
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # known window-edge velocity
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_simulate_estimate_roundtrip(capsys, tmp_path, ref_cfg, ref_scene, ref_pattern):
     grid_path = tmp_path / "received.grid"
     data_path = tmp_path / "transmit.grid"
@@ -166,7 +169,22 @@ def test_estimate_fit_gains(capsys, tmp_path, ref_cfg, ref_pattern):
     assert json.loads(est_path.read_text())["estimates"] == local.to_dict()
 
 
-def test_estimate_empty_scene_exits_one(capsys, tmp_path):
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+def test_estimate_three_forced_sources(capsys, tmp_path):
+    # three sources on one 101-point range window: 101**3 combinations, the
+    # largest search the combination budget admits
+    grid_path, data_path = tmp_path / "received.grid", tmp_path / "transmit.grid"
+    code, _, _ = run(capsys, "simulate", "--out", str(grid_path), "--data", str(data_path))
+    assert code == 0
+    code, out, err = run(
+        capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path), "--sources", "3"
+    )
+    assert code == 0, err
+    assert "refined targets: 6" in out  # 3 per detected bin, 2 bins
+
+
+def simulate_empty(capsys, tmp_path):
+    """Receive and transmit grid paths of a frame with no target."""
     scene_path = tmp_path / "empty.json"
     scene_path.write_text(json.dumps({"targets": [], "seed": 1, "snr_db": 10.0}))
     grid_path, data_path = tmp_path / "g.grid", tmp_path / "d.grid"
@@ -175,9 +193,26 @@ def test_estimate_empty_scene_exits_one(capsys, tmp_path):
         "--out", str(grid_path), "--data", str(data_path),
     )
     assert code == 0
+    return grid_path, data_path
+
+
+def test_estimate_empty_scene_exits_one(capsys, tmp_path):
+    grid_path, data_path = simulate_empty(capsys, tmp_path)
     code, out, _ = run(capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path))
     assert code == 1
     assert "refined targets: 0" in out
+
+
+def test_estimate_empty_scene_exports_no_spectra(capsys, tmp_path):
+    grid_path, data_path = simulate_empty(capsys, tmp_path)
+    code, out, err = run(
+        capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path),
+        "--export-spectra", str(tmp_path / "spec"),
+    )
+    assert code == 1
+    assert "refined targets: 0" in out
+    assert err.startswith("analysis failed: no angle bin")
+    assert list(tmp_path.glob("spec*")) == []
 
 
 def test_estimate_rejects_truncated_grid(capsys, tmp_path):
@@ -262,6 +297,28 @@ def test_estimate_export_spectra(capsys, tmp_path, ref_cfg):
         assert signed == signed_bin_index(np.arange(16), 16).tolist()
 
 
+def test_estimate_export_spectra_runs_the_coarse_stage_once(capsys, tmp_path, monkeypatch):
+    grid_path, data_path = simulate_small(capsys, tmp_path)
+    pipeline, calls = coarse.coarse_pipeline, []
+
+    def counting(frame):
+        calls.append(frame)
+        return pipeline(frame)
+
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "tmadfrc"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is pipeline:
+                monkeypatch.setattr(module, attr, counting)
+    code, _, _ = run(
+        capsys, "estimate", *SMALL, "--grid", str(grid_path), "--data", str(data_path),
+        "--export-spectra", str(tmp_path / "spec"),
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert (tmp_path / "spec.angle.csv").exists()
+
+
 def test_simulate_output_is_reproducible(capsys, tmp_path):
     first, second = tmp_path / "a.grid", tmp_path / "b.grid"
     assert run(capsys, "simulate", "--out", str(first), "--seed", "7")[0] == 0
@@ -342,6 +399,28 @@ def test_ber_sweep_range_ends_on_its_stop(capsys):
     assert len(lines) == 51 and lines[-1].startswith("   90.000 deg")
 
 
+def test_parse_angles_range_is_unchanged():
+    angles = cli._parse_angles("-90:90:0.2")
+    assert angles.size == 901 and angles[0] == -90.0 and angles[-1] == 90.0
+    np.testing.assert_array_equal(angles, np.minimum(np.arange(-90.0, 90.0 + 2e-10, 0.2), 90.0))
+    assert cli._parse_angles(f"0:{cli._MAX_ANGLES - 1}:1").size == cli._MAX_ANGLES
+
+
+@pytest.mark.parametrize("spec", ["-90:90:1e-7", f"0:{cli._MAX_ANGLES}:1", "0:inf:1"])
+def test_ber_sweep_refuses_a_range_with_too_many_probes(capsys, spec):
+    # -90:90:1e-7 used to ask np.arange for 1.8e9 floats (13.4 GiB)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "ber-sweep", f"--angles={spec}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "probes" in err and str(cli._MAX_ANGLES) in err
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("snr", ["nan", "-inf", "4000", "-4000"])
 def test_ber_sweep_refuses_snr_without_a_noise_level(capsys, snr):
     # nan and -inf used to report BER 0 at the steer, as if noise-free, and
@@ -373,7 +452,7 @@ def test_ber_sweep_refuses_non_positive_symbol_count(capsys, count):
 # reproduce-table2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_reproduce_reference_passes(capsys, tmp_path):
     report = tmp_path / "repro.json"
     code, out, _ = run(capsys, "reproduce-table2", "--out", str(report))
@@ -385,14 +464,14 @@ def test_reproduce_reference_passes(capsys, tmp_path):
     assert [row["status"] for row in payload["targets"]] == ["PASS"] * 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_reproduce_stable_under_other_noise_seed(capsys):
     code, out, _ = run(capsys, "reproduce-table2", "--seed", "11")
     assert code == 0
     assert "reproduction: PASS" in out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_reproduce_degrades_gracefully_in_heavy_noise(capsys):
     code, out, err = run(capsys, "reproduce-table2", "--set", "snr_db=-20")
     assert code == 1

@@ -122,6 +122,12 @@ MALFORMED = {
     "estimates_list": (EstimateSet.from_dict, [], ValueError),
     "estimates_coarse_number": (EstimateSet.from_dict, {"coarse": 5}, ValueError),
     "estimates_unknown_key": (EstimateSet.from_dict, {"coarse": [], "extra": 1}, ValueError),
+    # the estimator's coarse result rides on the set but is no document key
+    "estimates_coarse_result_key": (
+        EstimateSet.from_dict,
+        {"coarse": [], "coarse_result": None},
+        ValueError,
+    ),
     "estimates_row_unknown_key": (
         EstimateSet.from_dict,
         {"coarse": [edited(COARSE, power=1.0)]},

@@ -38,6 +38,8 @@ from tmadfrc.model import (
     check_antenna_grid,
     check_symbol_grid,
     document_text,
+    signed_bin_index,
+    wrapped_bin_frequency,
 )
 
 
@@ -153,6 +155,27 @@ def test_angle_grid_nan_outside_visible_region(small_cfg):
     _, _, angle_grid = derived_resolutions(cfg)
     assert np.isnan(angle_grid).any()
     assert np.isfinite(angle_grid).any()
+
+
+def test_wrapped_bin_frequency():
+    assert wrapped_bin_frequency(0, 8) == 0.0
+    assert wrapped_bin_frequency(1, 8) == 0.125
+    assert wrapped_bin_frequency(3, 8) == 0.375
+    assert wrapped_bin_frequency(4, 8) == -0.5
+    assert wrapped_bin_frequency(7, 8) == -0.125
+    values = wrapped_bin_frequency(np.arange(8), 8)
+    assert np.all((values >= -0.5) & (values < 0.5))
+
+
+def test_signed_bin_index():
+    assert signed_bin_index(0, 8) == 0
+    assert signed_bin_index(3, 8) == 3
+    assert signed_bin_index(4, 8) == -4
+    assert signed_bin_index(7, 8) == -1
+    # odd length: the upper half starts at (n+1)//2
+    assert signed_bin_index(3, 7) == 3
+    assert signed_bin_index(4, 7) == -3
+    assert np.array_equal(signed_bin_index(np.arange(8), 8), [0, 1, 2, 3, -4, -3, -2, -1])
 
 
 def test_target_validation(small_cfg):

@@ -55,22 +55,27 @@ def pattern_for(cfg):
 # subspace pieces
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [
-        ("num_sources", 0),
-        ("num_sources", -2),
-        ("range_points", 0),
-        ("velocity_points", 0),
-        ("range_points", 100),  # even: the window would leave out its center
-        ("velocity_points", 10),
-    ],
-)
+@pytest.mark.parametrize("name, value", [("num_sources", 0), ("num_sources", -2)])
 def test_refine_options_refuse_bad_values(name, value):
     # refused up front, not misread (0 sources as "auto") or failing deep
     # inside a stage with an unrelated error
     with pytest.raises(ValueError, match=f"RefineOptions.{name}"):
         RefineOptions(**{name: value})
+
+
+def test_refine_options_hold_only_the_caller_settings():
+    assert [f.name for f in dataclasses.fields(RefineOptions)] == ["num_sources", "fit_gains"]
+    with pytest.raises(TypeError):
+        RefineOptions(range_points=11)
+    with pytest.raises(TypeError):
+        RefineOptions(velocity_points=11)
+    assert RefineOptions(fit_gains=True).velocity_points == refine.VELOCITY_POINTS == 11
+
+
+def test_window_sizes_are_odd():
+    # an odd window's middle value is its center, so refinement can never do
+    # worse than the coarse stage on the same objective
+    assert refine.RANGE_POINTS % 2 == 1 and refine.VELOCITY_POINTS % 2 == 1
 
 
 def test_sample_covariance_matches_manual_average():
@@ -192,51 +197,46 @@ def test_music_pseudospectrum_rejects_non_finite(ref_cfg):
 # candidate grids
 
 
-def test_candidate_range_grid_window(small_cfg):
+def test_candidate_range_grid_window(monkeypatch, small_cfg):
+    monkeypatch.setattr(refine, "RANGE_POINTS", 5)
     res, _, _ = derived_resolutions(small_cfg)
-    grid = candidate_range_grid([2], small_cfg, points=5)
+    grid = candidate_range_grid([2], small_cfg)
     np.testing.assert_allclose(
         grid, 2 * res + res * np.array([-0.5, -0.25, 0.0, 0.25, 0.5]), rtol=1e-12
     )
 
 
-def test_candidate_range_grid_drops_negative_ranges(small_cfg):
+def test_candidate_range_grid_drops_negative_ranges(monkeypatch, small_cfg):
+    monkeypatch.setattr(refine, "RANGE_POINTS", 5)
     res, _, _ = derived_resolutions(small_cfg)
-    grid = candidate_range_grid([0], small_cfg, points=5)
+    grid = candidate_range_grid([0], small_cfg)
     np.testing.assert_allclose(grid, res * np.array([0.0, 0.25, 0.5]), atol=1e-12)
 
 
-def test_candidate_range_grid_merges_touching_windows(small_cfg):
+def test_candidate_range_grid_merges_touching_windows(monkeypatch, small_cfg):
     # windows of adjacent bins share one endpoint; the union drops duplicates
-    grid = candidate_range_grid([2, 3], small_cfg, points=5)
+    monkeypatch.setattr(refine, "RANGE_POINTS", 5)
+    grid = candidate_range_grid([2, 3], small_cfg)
     assert grid.size == 9
     assert np.all(np.diff(grid) > 0)
 
 
-@pytest.mark.parametrize("points", [1, 11])
-def test_candidate_windows_contain_their_center(small_cfg, points):
+@pytest.mark.parametrize("points", [3, 11])
+def test_candidate_windows_contain_their_center(monkeypatch, small_cfg, points):
+    monkeypatch.setattr(refine, "RANGE_POINTS", points)
+    monkeypatch.setattr(refine, "VELOCITY_POINTS", points)
     res, vres, _ = derived_resolutions(small_cfg)
-    ranges = candidate_range_grid([3], small_cfg, points)
-    velocities = candidate_velocity_grid([-2], small_cfg, points)
+    ranges = candidate_range_grid([3], small_cfg)
+    velocities = candidate_velocity_grid([-2], small_cfg)
     assert ranges.size == velocities.size == points
     assert np.min(np.abs(ranges - 3 * res)) <= 1e-12 * res
     assert np.min(np.abs(velocities + 2 * vres)) <= 1e-12 * vres
-    if points == 1:  # the center itself, not the lower window edge
-        assert ranges.tolist() == [3 * res]
-        assert velocities.tolist() == [-2 * vres]
 
 
-@pytest.mark.parametrize("points", [2, 10, 0])
-def test_candidate_windows_refuse_counts_that_miss_the_center(small_cfg, points):
-    with pytest.raises(ValueError, match="odd"):
-        candidate_range_grid([3], small_cfg, points)
-    with pytest.raises(ValueError, match="odd"):
-        candidate_velocity_grid([3], small_cfg, points)
-
-
-def test_candidate_velocity_grid_keeps_negative_values(small_cfg):
+def test_candidate_velocity_grid_keeps_negative_values(monkeypatch, small_cfg):
+    monkeypatch.setattr(refine, "VELOCITY_POINTS", 3)
     _, res, _ = derived_resolutions(small_cfg)
-    grid = candidate_velocity_grid([-1, 1], small_cfg, points=3)
+    grid = candidate_velocity_grid([-1, 1], small_cfg)
     np.testing.assert_allclose(
         grid, res * np.array([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]), rtol=1e-12
     )
@@ -338,15 +338,16 @@ def two_source_range_frame(cfg, fit_gains):
 
 
 @pytest.mark.parametrize("fit_gains", [False, True])
-def test_refine_ranges_matches_enumeration_oracle(small_cfg, fit_gains):
+def test_refine_ranges_matches_enumeration_oracle(monkeypatch, small_cfg, fit_gains):
     """Two sources, 22x22 combination grid: the factorized search must pick
     the same combination as direct reconstruction of every candidate pair,
     with unit gains or with each pair's least-squares gains."""
+    monkeypatch.setattr(refine, "RANGE_POINTS", 11)
     angles, pattern, data, grid = two_source_range_frame(small_cfg, fit_gains)
-    options = RefineOptions(range_points=11, fit_gains=fit_gains)
+    options = RefineOptions(fit_gains=fit_gains)
     fit = fit_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
 
-    candidates = candidate_range_grid([2, 5], small_cfg, points=11)
+    candidates = candidate_range_grid([2, 5], small_cfg)
     np.testing.assert_allclose(fit.grids[0], candidates, rtol=1e-12)
     snapshot = grid[:, :, 0]
     s = np.arange(small_cfg.num_subcarriers)
@@ -389,7 +390,7 @@ def test_refine_velocities_matches_enumeration_oracle(small_cfg, fit_gains):
     options = RefineOptions(fit_gains=fit_gains)
     fit = fit_velocities(grid, data, pattern, cfg, angles, ranges, [2, -3], options=options)
 
-    candidates = candidate_velocity_grid([2, -3], cfg, points=11)
+    candidates = candidate_velocity_grid([2, -3], cfg)
     s = np.arange(cfg.num_subcarriers)
     mu = np.arange(cfg.num_ofdm_symbols)
     steer = steering_vector(cfg, angles)
@@ -433,7 +434,8 @@ def test_refine_ranges_duplicate_angles_solve_singular_members_one_by_one(
         return search(u, gram, energy, *rest)
 
     monkeypatch.setattr(refine, "_search_combinations", capturing_search)
-    options = RefineOptions(range_points=11, fit_gains=True)
+    monkeypatch.setattr(refine, "RANGE_POINTS", 11)
+    options = RefineOptions(fit_gains=True)
     fit = fit_ranges(grid, data, pattern, small_cfg, [0.0, 0.0], [0, 1], options=options)
 
     u, gram, energy = captured["u"], captured["gram"], captured["energy"]
@@ -462,8 +464,9 @@ def test_refine_ranges_duplicate_angles_solve_singular_members_one_by_one(
 @pytest.mark.parametrize("fit_gains", [False, True])
 def test_combination_search_does_not_depend_on_slab_size(monkeypatch, small_cfg, fit_gains, slab):
     # 22 x 22 combinations: one row per slab, or 3 rows with a ragged last slab
+    monkeypatch.setattr(refine, "RANGE_POINTS", 11)
     angles, pattern, data, grid = two_source_range_frame(small_cfg, fit_gains)
-    options = RefineOptions(range_points=11, fit_gains=fit_gains)
+    options = RefineOptions(fit_gains=fit_gains)
     whole = fit_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
     monkeypatch.setattr(refine, "_SLAB_COMBINATIONS", slab)
     slabbed = fit_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
@@ -516,12 +519,13 @@ def test_refine_velocities_needs_one_range_per_angle(small_cfg):
 
 def test_combination_budget_is_enforced(monkeypatch, small_cfg):
     monkeypatch.setattr(refine, "_MAX_COMBINATIONS", 10)
+    monkeypatch.setattr(refine, "RANGE_POINTS", 11)
     pattern = pattern_for(small_cfg)
     data = qpsk_frame(small_cfg, seed=18)
     grid = np.ones(small_cfg.returns_shape, dtype=complex)
     for fit_gains in (False, True):  # the limit holds in both gain modes
-        options = RefineOptions(range_points=11, fit_gains=fit_gains)
-        with pytest.raises(ValueError, match="exceed"):
+        options = RefineOptions(fit_gains=fit_gains)
+        with pytest.raises(ValueError, match="2 sources .* over the limit"):
             fit_ranges(grid, data, pattern, small_cfg, [0.0, 10.0], [2, 5], options=options)
 
 
@@ -599,7 +603,7 @@ def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):
     assert estimates.coarse == [] and estimates.refined == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the window-edge note
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_estimate_targets_allocates_less_than_one_receive_cube(ref_cfg, ref_pattern, ref_frame):
     """The frame path streams the cube in blocks: no beam cube, no conjugated
     copy for the covariance, so its traced peak stays below the cube's size."""
@@ -812,7 +816,7 @@ def test_estimate_targets_pinned_reference_estimates(ref_cfg, ref_scene, ref_pat
         frame = dataclasses.replace(ref_scene, seed=noise_seed)
         received = radar_returns(data, ref_pattern, ref_cfg, frame)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the window-edge note
+            warnings.filterwarnings("ignore", r"refined \w+ hit the edge", RuntimeWarning)
             estimates = estimate_targets(received, data, ref_pattern, ref_cfg, options=options)
         got = [(row.angle_deg, row.range_m, row.velocity_mps) for row in estimates.refined]
         assert got == expected, f"noise seed {noise_seed}"
@@ -855,8 +859,9 @@ def test_target_order_and_fit_residuals_on_reference_frames(
         assert fit.residual <= fit.coarse_residual
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # forcing one source per
-# bin mis-models the shared bin, so the fits legitimately hit window edges
+# forcing one source per bin mis-models the shared bin, so the fits
+# legitimately hit window edges
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_estimate_targets_num_sources_override(ref_cfg, ref_pattern, ref_frame):
     data, received = ref_frame
     options = RefineOptions(num_sources=1)
@@ -864,6 +869,32 @@ def test_estimate_targets_num_sources_override(ref_cfg, ref_pattern, ref_frame):
     # one source per occupied angle bin instead of two in the shared bin
     assert len(estimates.refined) == 2
     assert sorted({row.angle_bin for row in estimates.refined}) == [6, 20]
+
+
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+def test_estimate_targets_three_forced_sources(ref_cfg, ref_pattern, ref_frame):
+    # three sources on one 101-point range window is the largest search the
+    # combination budget admits
+    data, received = ref_frame
+    options = RefineOptions(num_sources=3)
+    estimates = estimate_targets(received, data, ref_pattern, ref_cfg, options=options)
+    bins = [row.angle_bin for row in estimates.refined]
+    assert sorted(bins) == [6, 6, 6, 20, 20, 20]
+
+
+def test_four_sources_on_a_default_window_are_refused_before_any_search(
+    monkeypatch, small_cfg
+):
+    def no_search(*args):
+        raise AssertionError("a combination mesh was scored")
+
+    monkeypatch.setattr(refine, "_mesh_minimum", no_search)
+    pattern = pattern_for(small_cfg)
+    data = qpsk_frame(small_cfg, seed=18)
+    grid = np.ones(small_cfg.returns_shape, dtype=complex)
+    angles = [-10.0, 0.0, 10.0, 20.0]
+    with pytest.raises(ValueError, match="4 sources on 101 candidates .* fewer sources"):
+        fit_ranges(grid, data, pattern, small_cfg, angles, [3])
 
 
 def test_estimate_targets_separates_two_narrowband_targets(small_cfg):
