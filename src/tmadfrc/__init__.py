@@ -57,7 +57,6 @@ from .model import (
     save_config,
     slow_time_rotation,
     steering_vector,
-    validate_config,
     validate_target,
     velocity_resolution_mps,
 )

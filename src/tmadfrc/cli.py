@@ -131,7 +131,7 @@ def _triple(row) -> dict:
     return {"angle_deg": row.angle_deg, "range_m": row.range_m, "velocity_mps": row.velocity_mps}
 
 
-_MAX_ANGLES = 100_000  # probes of one START:STOP:STEP range: ~2 min at ~1.3 ms each
+_MAX_PROBES = 100_000  # per ber-sweep range (~1.3 ms each) or dm-check (~3 KB each)
 
 
 def _parse_angles(spec: str) -> np.ndarray:
@@ -142,9 +142,11 @@ def _parse_angles(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("angle step must be positive")
+        if stop < start:
+            raise ValueError(f"angle range {spec!r} is empty: STOP lies below START")
         count = (stop - start) / step + 1.0
-        if count > _MAX_ANGLES:
-            raise ValueError(f"angle range {spec!r} asks for {count:.3g} probes, over {_MAX_ANGLES}")
+        if count > _MAX_PROBES:
+            raise ValueError(f"angle range {spec!r} asks for {count:.3g} probes, over {_MAX_PROBES}")
         # arange accumulates rounding (-90:90:0.2 ends at 90.0000000000026),
         # which must not push the last probe past STOP and out of [-90, 90]
         return np.minimum(np.arange(start, stop + step * 1e-9, step), stop)
@@ -155,8 +157,8 @@ def _parse_angles(spec: str) -> np.ndarray:
 
 
 def _cmd_dm_check(args) -> int:
-    if args.probes < 1:
-        raise ValueError(f"--probes must be at least 1, got {args.probes}")
+    if not 1 <= args.probes <= _MAX_PROBES:
+        raise ValueError(f"--probes must lie in [1, {_MAX_PROBES}], got {args.probes}")
     # Below 1 the accepted sine interval is at least 2 - 2 * offset long, so
     # the rejection sampler below always terminates.
     if not 0.0 <= args.min_sin_offset < 1.0:

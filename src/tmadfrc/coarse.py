@@ -210,9 +210,7 @@ class BinPipeline:
     """
 
     angle_bin: int
-    angle_deg: float
     rows: np.ndarray  # complex beamformed rows at this bin, (N_s, N_p)
-    masked_fraction: float
     range_profile: np.ndarray  # |r(l, mu)| averaged over OFDM symbols
     range_bins: np.ndarray
     velocity_spectra: tuple  # one magnitude spectrum per detected range bin
@@ -223,7 +221,6 @@ class BinPipeline:
 class CoarseResult:
     estimates: tuple
     spectrum: np.ndarray
-    threshold: float  # the angle-stage threshold
     bins: tuple
 
 
@@ -273,9 +270,7 @@ def coarse_pipeline(frame: Frame) -> CoarseResult:
         bin_results.append(
             BinPipeline(
                 angle_bin=int(angle_bin),
-                angle_deg=angle_deg,
                 rows=rows,
-                masked_fraction=float(desc.masked.mean()),
                 range_profile=profile,
                 range_bins=range_bins,
                 velocity_spectra=tuple(spectra),
@@ -285,6 +280,5 @@ def coarse_pipeline(frame: Frame) -> CoarseResult:
     return CoarseResult(
         estimates=tuple(estimates),
         spectrum=spectrum,
-        threshold=peak_threshold(spectrum),
         bins=tuple(bin_results),
     )

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .model import SystemConfig, snr_adds_noise
+from .model import SystemConfig, check_integer, snr_adds_noise
 from .tma import SwitchingPattern, element_gains, scramble_symbols
 
 
@@ -262,8 +262,7 @@ def link_ber(
         rng = np.random.default_rng(0)
     snr = cfg.snr_db if snr_db is None else snr_db
     count = cfg.num_subcarriers * cfg.num_ofdm_symbols if num_symbols is None else num_symbols
-    if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count > 0):
-        raise ValueError(f"num_symbols must be a positive integer, got {count!r}")
+    check_integer(count, 1, "num_symbols")
     if count % cfg.num_subcarriers:
         raise ValueError(
             f"num_symbols must fill whole OFDM symbols "

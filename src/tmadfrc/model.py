@@ -40,7 +40,8 @@ class SystemConfig:
 
     ``symbol_duration_s`` is the full OFDM symbol period including the cyclic
     prefix; the useful (data) portion always lasts ``1/subcarrier_spacing_hz``.
-    A config checks its invariants when it is built (:func:`validate_config`).
+    A config checks its invariants when it is built and raises
+    :class:`ConfigError` naming the first one violated.
     """
 
     carrier_freq_hz: float
@@ -58,20 +59,15 @@ class SystemConfig:
     narrowband_doppler: bool = False
 
     def __post_init__(self):
-        validate_config(self)
+        for ok, message in _invariants(self):
+            if not ok:
+                raise ConfigError(message)
+        snr_adds_noise(self.snr_db, ConfigError)
 
     @property
     def c(self) -> float:
         """Propagation speed used by all range/velocity arithmetic."""
         return ROUNDED_SPEED_OF_LIGHT if self.rounded_speed_of_light else SPEED_OF_LIGHT
-
-    @property
-    def useful_symbol_duration_s(self) -> float:
-        return 1.0 / self.subcarrier_spacing_hz
-
-    @property
-    def cp_duration_s(self) -> float:
-        return self.symbol_duration_s - self.useful_symbol_duration_s
 
     @property
     def grid_shape(self) -> tuple:
@@ -113,19 +109,6 @@ def _invariants(cfg: SystemConfig):
     yield abs(cfg.cu_angle_deg) <= 90.0, "cu_angle_deg must lie in [-90, 90]"
 
 
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Return ``cfg`` unchanged iff every invariant holds.
-
-    Raises:
-        ConfigError: naming the first violated invariant.
-    """
-    for ok, message in _invariants(cfg):
-        if not ok:
-            raise ConfigError(message)
-    snr_adds_noise(cfg.snr_db, ConfigError)
-    return cfg
-
-
 def snr_adds_noise(snr_db: float, error=ValueError) -> bool:
     """Whether an SNR in dB asks for noise: only +inf means a noise-free signal.
 
@@ -151,6 +134,14 @@ def snr_adds_noise(snr_db: float, error=ValueError) -> bool:
             f"reciprocal must both be finite positive floats"
         )
     return True
+
+
+def check_integer(value, minimum: int, what: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``what`` unless ``value`` is an integer (a bool
+    is none: it would pass as 0 or 1) of at least ``minimum``, 0 or 1."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= minimum):
+        kind = {0: "non-negative", 1: "positive"}[minimum]
+        raise error(f"{what} must be a {kind} integer, got {value!r}")
 
 
 def derived_resolutions(cfg: SystemConfig):

@@ -77,6 +77,7 @@ from .model import (
     bin_to_range_m,
     bin_to_sine,
     bin_to_velocity_mps,
+    check_integer,
     check_symbol_grid,
     range_ramp,
     range_resolution_m,
@@ -116,9 +117,8 @@ class RefineOptions:
     velocity_points: typing.ClassVar[int] = VELOCITY_POINTS  # read-only; the benchmark reads it
 
     def __post_init__(self):
-        value = self.num_sources
-        if not (value is None or isinstance(value, (int, np.integer)) and value >= 1):
-            raise ValueError(f"RefineOptions.num_sources must be a positive integer, got {value!r}")
+        if self.num_sources is not None:
+            check_integer(self.num_sources, 1, "RefineOptions.num_sources")
 
 
 def sample_covariance(grid: np.ndarray) -> np.ndarray:
@@ -226,7 +226,6 @@ class CombinationFit:
 
     values: np.ndarray
     residual: float
-    coarse_values: np.ndarray
     coarse_residual: float
     grids: tuple
     on_boundary: tuple
@@ -323,11 +322,10 @@ def _search_combinations(u, gram, energy, candidates, centers, fit_gains):
         raise ValueError("the candidate grid is empty")
     best, residual, gains = _mesh_minimum(np.arange(len(candidates)), u, gram, energy, fit_gains)
     center_idx = np.argmin(np.abs(np.subtract.outer(np.atleast_1d(centers), candidates)), axis=1)
-    coarse, coarse_residual, _ = _mesh_minimum(center_idx, u, gram, energy, fit_gains)
+    _, coarse_residual, _ = _mesh_minimum(center_idx, u, gram, energy, fit_gains)
     return CombinationFit(
         values=candidates[best],
         residual=residual,
-        coarse_values=candidates[coarse],
         coarse_residual=coarse_residual,
         grids=(candidates,) * n_sources,
         on_boundary=tuple(i in (0, len(candidates) - 1) for i in best),
@@ -501,9 +499,9 @@ def estimate_targets(
     signal-subspace dimension is frame-global: the eigenvalue gap of that
     covariance, floored at the number of occupied bins and capped at
     num_rx_antennas - 1.  Each bin then contributes as many refined sources
-    as its pseudospectrum window shows qualifying peaks (or exactly
-    ``options.num_sources`` when that override is set), capped at the
-    dimension.
+    as its pseudospectrum window shows qualifying peaks, capped at the
+    dimension, or exactly ``options.num_sources`` when that override is set;
+    a forced count above the dimension raises :class:`SubspaceError`.
 
     The cube and payload are validated once, as one :class:`Frame`, which
     every stage then takes as it is.  A bin's refined angles are scrambled in
@@ -523,13 +521,17 @@ def estimate_targets(
     except SubspaceError:
         dimension = len(coarse.estimates)
     dimension = min(max(dimension, len(coarse.bins)), max_dim)
+    if options.num_sources is not None and options.num_sources > dimension:
+        raise SubspaceError(
+            f"{options.num_sources} forced sources per bin exceed the frame's "
+            f"signal-subspace dimension of {dimension}"
+        )
 
     refined = []
     for bin_result in coarse.bins:
         search = music_search_grid(bin_result.angle_bin, cfg)
         spectrum = music_pseudospectrum(covariance, dimension, cfg, search)
-        count = options.num_sources or _peak_count(spectrum)
-        count = max(1, min(count, dimension))
+        count = options.num_sources or max(1, min(_peak_count(spectrum), dimension))
         angles = search[_top_local_maxima(spectrum, count)]  # ascending
         scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)
         range_fit = refine_ranges(frame, angles, scrambled, bin_result.range_bins, options)

@@ -32,6 +32,7 @@ from .model import (
     SceneError,
     SystemConfig,
     Target,
+    check_integer,
     check_symbol_grid,
     decode_complex,
     decode_list,
@@ -63,17 +64,10 @@ class Scene:
         object.__setattr__(self, "targets", tuple(self.targets))
 
 
-def _check_seed(seed) -> None:
-    """Refuse a noise seed that ``np.random.default_rng`` would not take as a
-    plain non-negative integer, and a bool, which would pass as 0 or 1."""
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise SceneError(f"Scene seed must be a non-negative integer, got {seed!r}")
-
-
 def validate_scene(scene: Scene, cfg: SystemConfig) -> Scene:
     """Check the seed, the SNR, every target and the angle-identifiability
     bound."""
-    _check_seed(scene.seed)
+    check_integer(scene.seed, 0, "Scene seed", SceneError)
     if scene.snr_db is not None:
         snr_adds_noise(scene.snr_db, SceneError)
     for target in scene.targets:
@@ -161,7 +155,7 @@ def scene_from_dict(data) -> Scene:
         data = {"targets": data}
     convert = {"targets": lambda value: decode_list(value, _target_from_dict)}
     scene = decode_object(Scene, data, SceneError, convert)
-    _check_seed(scene.seed)
+    check_integer(scene.seed, 0, "Scene seed", SceneError)
     return scene
 
 

@@ -268,8 +268,8 @@ def check_dm_condition(
     cfg: SystemConfig,
     steer_angle_deg: float,
     probe_angles_deg,
-    rel_tol: float = 1e-10,
-    off_steer_floor: float = 1e-3,
+    rel_tol: float,
+    off_steer_floor: float,
 ) -> DmConditionReport:
     """Verify the three-clause scrambling condition over the in-band harmonics.
 
@@ -277,6 +277,9 @@ def check_dm_condition(
         probe_angles_deg: at least one direction probing clause (3); none
             may share sin(theta) with the steered angle (a co-linear alias
             would probe the steered direction itself).
+        rel_tol, off_steer_floor: the multiples of the fundamental that bound
+            the harmonics in clauses (2) and (3); ``dm-check`` passes its
+            ``--rel-tol`` and ``--floor`` (defaults 1e-10 and 1e-3).
     """
     # Written so that NaN, which fails every comparison, is refused too.
     if not (0.0 <= rel_tol < math.inf and 0.0 <= off_steer_floor < math.inf):
@@ -355,23 +358,26 @@ def gate_matrix(pattern: SwitchingPattern, n_intervals: int) -> np.ndarray:
     return gates
 
 
+# Grid intervals of the time-domain route per 1/num_subcarriers of a symbol.
+_INTERVALS_PER_SUBCARRIER = 8
+
+
 def time_domain_demod(
     data: np.ndarray,
     pattern: SwitchingPattern,
     cfg: SystemConfig,
     theta_deg: float,
-    oversample: int = 8,
 ) -> np.ndarray:
     """Reference route: synthesize the switched waveform and demodulate it.
 
     Builds the baseband product gate(t) * ofdm(t) on a grid of
-    ``num_subcarriers * oversample`` intervals per symbol (switch edges
-    snapped to that grid, so the gate is constant on each interval), then
-    projects onto each receive subcarrier by integrating the complex
-    exponential exactly over every interval.  No harmonic-coefficient formula
-    is involved, which makes this an independent check of
-    :func:`scramble_symbols`; both routes agree to machine precision for
-    grid-aligned patterns.
+    ``_INTERVALS_PER_SUBCARRIER`` (8) times ``num_subcarriers`` intervals per
+    symbol (switch edges snapped to that grid, so the gate is constant on
+    each interval), then projects onto each receive subcarrier by integrating
+    the complex exponential exactly over every interval.  No
+    harmonic-coefficient formula is involved, which makes this an independent
+    check of :func:`scramble_symbols`; both routes agree to machine precision
+    for grid-aligned patterns.
 
     The cyclic prefix drops out: the demodulation window spans exactly one
     switching period and every integrand is periodic over it.
@@ -379,7 +385,7 @@ def time_domain_demod(
     _check_direction(theta_deg)
     data = check_symbol_grid(cfg, data)
     ns = cfg.num_subcarriers
-    n = ns * int(oversample)
+    n = ns * _INTERVALS_PER_SUBCARRIER
     snapped = snap_pattern(pattern, n)
     gates = gate_matrix(snapped, n)
 

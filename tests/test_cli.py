@@ -17,7 +17,6 @@ import pytest
 from tmadfrc import (
     RefineOptions,
     derived_resolutions,
-    design_pattern,
     estimate_targets,
     modulate,
     qpsk,
@@ -71,6 +70,8 @@ def test_dm_check_single_element_is_config_error(capsys):
     [
         pytest.param(("--probes", "0"), id="zero_probes"),
         pytest.param(("--probes", "-3"), id="negative_probes"),
+        # ~3 KB of harmonics a probe: 10**7 probes would need ~30 GB
+        pytest.param(("--probes", str(cli._MAX_PROBES + 1)), id="too_many_probes"),
         # offsets that leave no sine interval to draw from would loop forever
         pytest.param(("--min-sin-offset", "2"), id="offset_2"),
         pytest.param(("--min-sin-offset", "1"), id="offset_1"),
@@ -181,6 +182,19 @@ def test_estimate_three_forced_sources(capsys, tmp_path):
     )
     assert code == 0, err
     assert "refined targets: 6" in out  # 3 per detected bin, 2 bins
+
+
+def test_estimate_refuses_more_forced_sources_than_the_dimension(capsys, tmp_path):
+    # the frame's signal subspace has dimension 3; 4 used to be cut to 3 silently
+    grid_path, data_path = tmp_path / "received.grid", tmp_path / "transmit.grid"
+    code, _, _ = run(capsys, "simulate", "--out", str(grid_path), "--data", str(data_path))
+    assert code == 0
+    code, out, err = run(
+        capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path), "--sources", "4"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("analysis failed: 4 forced sources") and "dimension of 3" in err
 
 
 def simulate_empty(capsys, tmp_path):
@@ -403,10 +417,10 @@ def test_parse_angles_range_is_unchanged():
     angles = cli._parse_angles("-90:90:0.2")
     assert angles.size == 901 and angles[0] == -90.0 and angles[-1] == 90.0
     np.testing.assert_array_equal(angles, np.minimum(np.arange(-90.0, 90.0 + 2e-10, 0.2), 90.0))
-    assert cli._parse_angles(f"0:{cli._MAX_ANGLES - 1}:1").size == cli._MAX_ANGLES
+    assert cli._parse_angles(f"0:{cli._MAX_PROBES - 1}:1").size == cli._MAX_PROBES
 
 
-@pytest.mark.parametrize("spec", ["-90:90:1e-7", f"0:{cli._MAX_ANGLES}:1", "0:inf:1"])
+@pytest.mark.parametrize("spec", ["-90:90:1e-7", f"0:{cli._MAX_PROBES}:1", "0:inf:1"])
 def test_ber_sweep_refuses_a_range_with_too_many_probes(capsys, spec):
     # -90:90:1e-7 used to ask np.arange for 1.8e9 floats (13.4 GiB)
     tracemalloc.start()
@@ -417,8 +431,18 @@ def test_ber_sweep_refuses_a_range_with_too_many_probes(capsys, spec):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert "probes" in err and str(cli._MAX_ANGLES) in err
+    assert "probes" in err and str(cli._MAX_PROBES) in err
     assert peak < 1_000_000
+
+
+def test_ber_sweep_refuses_an_empty_range(capsys, tmp_path):
+    # STOP below START used to exit 0 and write a CSV of the header alone
+    path = tmp_path / "ber.csv"
+    code, out, err = run(capsys, "ber-sweep", "--angles=10:0:1", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert "empty" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf", "4000", "-4000"])

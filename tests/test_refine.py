@@ -55,7 +55,9 @@ def pattern_for(cfg):
 # subspace pieces
 
 
-@pytest.mark.parametrize("name, value", [("num_sources", 0), ("num_sources", -2)])
+@pytest.mark.parametrize(
+    "name, value", [("num_sources", 0), ("num_sources", -2), ("num_sources", True)]
+)
 def test_refine_options_refuse_bad_values(name, value):
     # refused up front, not misread (0 sources as "auto") or failing deep
     # inside a stage with an unrelated error
@@ -277,7 +279,6 @@ def test_refine_ranges_zero_residual_on_candidate_lattice(small_cfg):
     assert fit.values[0] == pytest.approx(truth, abs=1e-9)
     assert fit.residual == pytest.approx(0.0, abs=1e-9 * energy)
     # pinning the source to the coarse center must fit strictly worse
-    assert fit.coarse_values[0] == pytest.approx(2 * res, abs=1e-9)
     assert fit.coarse_residual > fit.residual
     assert not any(fit.on_boundary)
 
@@ -470,7 +471,7 @@ def test_combination_search_does_not_depend_on_slab_size(monkeypatch, small_cfg,
     whole = fit_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
     monkeypatch.setattr(refine, "_SLAB_COMBINATIONS", slab)
     slabbed = fit_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
-    for name in ("values", "coarse_values", "gains"):
+    for name in ("values", "gains"):
         np.testing.assert_array_equal(getattr(slabbed, name), getattr(whole, name))
     assert slabbed.residual == whole.residual
     assert slabbed.coarse_residual == whole.coarse_residual
@@ -880,6 +881,17 @@ def test_estimate_targets_three_forced_sources(ref_cfg, ref_pattern, ref_frame):
     estimates = estimate_targets(received, data, ref_pattern, ref_cfg, options=options)
     bins = [row.angle_bin for row in estimates.refined]
     assert sorted(bins) == [6, 6, 6, 20, 20, 20]
+
+
+def test_estimate_targets_refuse_more_forced_sources_than_the_dimension(
+    ref_cfg, ref_pattern, ref_frame
+):
+    # the frame's signal subspace has dimension 3; a fourth source per bin
+    # used to be cut to 3 without a word
+    data, received = ref_frame
+    options = RefineOptions(num_sources=4)
+    with pytest.raises(SubspaceError, match="4 forced sources .* dimension of 3"):
+        estimate_targets(received, data, ref_pattern, ref_cfg, options=options)
 
 
 def test_four_sources_on_a_default_window_are_refused_before_any_search(

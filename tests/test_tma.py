@@ -431,11 +431,14 @@ def test_duty_cycle_energy_fraction(ref_cfg):
 
 # --- the three-clause condition ---------------------------------------------------
 
+# the defaults of dm-check's --rel-tol and --floor
+TOLERANCES = {"rel_tol": 1e-10, "off_steer_floor": 1e-3}
+
 
 def test_condition_holds_for_reference_pattern(ref_cfg):
     pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
     report = check_dm_condition(
-        pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0, -40.0, 75.0]
+        pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0, -40.0, 75.0], **TOLERANCES
     )
     assert report.ok
     assert report.failed_clauses == ()
@@ -444,7 +447,7 @@ def test_condition_holds_for_reference_pattern(ref_cfg):
 
 def test_always_on_array_fails_the_scrambling_clause(ref_cfg):
     report = check_dm_condition(
-        all_on_pattern(ref_cfg.num_tx_antennas), ref_cfg, 0.0, [25.0, -25.0]
+        all_on_pattern(ref_cfg.num_tx_antennas), ref_cfg, 0.0, [25.0, -25.0], **TOLERANCES
     )
     assert not report.ok
     assert report.failed_clauses == (3,)
@@ -454,7 +457,7 @@ def test_random_onsets_leak_at_the_steer(ref_cfg):
     rng = np.random.default_rng(1)
     base = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
     pattern = dataclasses.replace(base, tau_on=rng.uniform(0.0, 1.0, base.num_elements))
-    report = check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0])
+    report = check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0], **TOLERANCES)
     assert 2 in report.failed_clauses
 
 
@@ -462,7 +465,7 @@ def test_condition_needs_a_probe(ref_cfg):
     # with no probes clause (3) would hold vacuously
     pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
     with pytest.raises(ValueError, match="probe"):
-        check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [])
+        check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [], **TOLERANCES)
 
 
 @pytest.mark.parametrize(
@@ -477,14 +480,16 @@ def test_condition_needs_a_probe(ref_cfg):
 def test_condition_refuses_bad_tolerances(ref_cfg, tolerances):
     pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
     with pytest.raises(ValueError, match=next(iter(tolerances))):
-        check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0], **tolerances)
+        check_dm_condition(
+            pattern, ref_cfg, ref_cfg.cu_angle_deg, [0.0], **{**TOLERANCES, **tolerances}
+        )
 
 
 def test_aliased_probe_rejected(ref_cfg):
     pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
     alias = 180.0 - ref_cfg.cu_angle_deg  # same sine, different angle
     with pytest.raises(ValueError, match="alias"):
-        check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [alias])
+        check_dm_condition(pattern, ref_cfg, ref_cfg.cu_angle_deg, [alias], **TOLERANCES)
 
 
 # --- time-domain route -------------------------------------------------------------
