@@ -54,7 +54,6 @@ from .model import (
     load_config,
     range_ramp,
     range_resolution_m,
-    save_config,
     slow_time_rotation,
     steering_vector,
     validate_target,
@@ -81,7 +80,6 @@ from .scene import (
     load_scene,
     radar_returns,
     read_grid,
-    save_scene,
     scene_from_dict,
     scene_to_dict,
     validate_scene,
@@ -95,8 +93,6 @@ from .tma import (
     design_pattern,
     element_gains,
     harmonic_coefficients,
-    load_pattern,
-    save_pattern,
     scramble_symbols,
     time_domain_demod,
 )

@@ -131,7 +131,7 @@ def _triple(row) -> dict:
     return {"angle_deg": row.angle_deg, "range_m": row.range_m, "velocity_mps": row.velocity_mps}
 
 
-_MAX_PROBES = 100_000  # per ber-sweep range (~1.3 ms each) or dm-check (~3 KB each)
+_MAX_PROBES = 100_000  # per ber-sweep range (~1.3 ms each) or dm-check run
 
 
 def _parse_angles(spec: str) -> np.ndarray:
@@ -147,6 +147,9 @@ def _parse_angles(spec: str) -> np.ndarray:
         count = (stop - start) / step + 1.0
         if count > _MAX_PROBES:
             raise ValueError(f"angle range {spec!r} asks for {count:.3g} probes, over {_MAX_PROBES}")
+        # NaN passes every test above, and so does an infinite STEP
+        if not np.isfinite([start, stop, step]).all():
+            raise ValueError(f"angle range {spec!r} needs a finite START, STOP and STEP")
         # arange accumulates rounding (-90:90:0.2 ends at 90.0000000000026),
         # which must not push the last probe past STOP and out of [-90, 90]
         return np.minimum(np.arange(start, stop + step * 1e-9, step), stop)

@@ -361,37 +361,17 @@ class EstimateSet:
     # the estimator's coarse.CoarseResult, spectra included; not in the document
     coarse_result: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
-    def validate(self) -> "EstimateSet":
-        bins = {row.angle_bin for row in self.coarse}
-        for row in self.refined:
-            if row.angle_bin not in bins:
-                raise ValueError(
-                    f"refined estimate traces to angle bin {row.angle_bin} "
-                    f"which holds no coarse detection"
-                )
-        return self
-
     def to_dict(self) -> dict:
         return {
             "coarse": [dataclasses.asdict(row) for row in self.coarse],
             "refined": [dataclasses.asdict(row) for row in self.refined],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EstimateSet":
-        def rows(kind):
-            return lambda value: decode_list(
-                value, lambda row: decode_object(kind, row, ValueError)
-            )
-
-        convert = {"coarse": rows(CoarseEstimate), "refined": rows(RefinedEstimate)}
-        return decode_object(cls, data, ValueError, convert).validate()
-
 
 # --- JSON documents ------------------------------------------------------------
-# Config, scene, pattern and report files all share one format: written by
-# write_document, read by read_document, turned into a dataclass by
-# decode_object.
+# Config and scene files and the CLI's reports all share one format: written
+# by write_document, read by read_document, and a config or scene turned into
+# its dataclass by decode_object.
 
 
 def document_text(data) -> str:
@@ -503,10 +483,6 @@ def config_from_dict(data: dict) -> SystemConfig:
 
 def load_config(path) -> SystemConfig:
     return config_from_dict(read_document(path))
-
-
-def save_config(cfg: SystemConfig, path) -> None:
-    write_document(config_to_dict(cfg), path)
 
 
 def config_hash(cfg: SystemConfig) -> str:

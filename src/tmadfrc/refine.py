@@ -552,6 +552,6 @@ def estimate_targets(
                     velocity_mps=float(velocity_fit.values[q]),
                 )
             )
-    estimates = EstimateSet(coarse=list(coarse.estimates), refined=refined).validate()
+    estimates = EstimateSet(coarse=list(coarse.estimates), refined=refined)
     estimates.coarse_result = coarse
     return estimates

@@ -43,7 +43,6 @@ from .model import (
     snr_adds_noise,
     steering_vector,
     validate_target,
-    write_document,
 )
 from .tma import SwitchingPattern, scramble_symbols
 
@@ -53,7 +52,10 @@ class Scene:
     """Targets plus the noise realization parameters.
 
     ``snr_db`` of None defers to ``cfg.snr_db``; +inf disables noise
-    entirely, and NaN or -inf is refused.
+    entirely.  A scene checks its seed and SNR when it is built and raises
+    :class:`SceneError` for a seed that is no non-negative integer and for an
+    SNR that :func:`model.snr_adds_noise` refuses (NaN, -inf, or beyond the
+    float range).  The targets need the config: :func:`validate_scene`.
     """
 
     targets: tuple
@@ -62,14 +64,14 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
+        check_integer(self.seed, 0, "Scene seed", SceneError)
+        if self.snr_db is not None:
+            snr_adds_noise(self.snr_db, SceneError)
 
 
 def validate_scene(scene: Scene, cfg: SystemConfig) -> Scene:
-    """Check the seed, the SNR, every target and the angle-identifiability
-    bound."""
-    check_integer(scene.seed, 0, "Scene seed", SceneError)
-    if scene.snr_db is not None:
-        snr_adds_noise(scene.snr_db, SceneError)
+    """Check every target and the angle-identifiability bound against
+    ``cfg``."""
     for target in scene.targets:
         validate_target(target, cfg)
     distinct = {float(np.sin(np.radians(t.angle_deg))) for t in scene.targets}
@@ -154,17 +156,11 @@ def scene_from_dict(data) -> Scene:
     if isinstance(data, list):
         data = {"targets": data}
     convert = {"targets": lambda value: decode_list(value, _target_from_dict)}
-    scene = decode_object(Scene, data, SceneError, convert)
-    check_integer(scene.seed, 0, "Scene seed", SceneError)
-    return scene
+    return decode_object(Scene, data, SceneError, convert)
 
 
 def load_scene(path) -> Scene:
     return scene_from_dict(read_document(path))
-
-
-def save_scene(scene: Scene, path) -> None:
-    write_document(scene_to_dict(scene), path)
 
 
 # --- binary grid storage -------------------------------------------------------

@@ -23,16 +23,7 @@ import math
 
 import numpy as np
 
-from .model import (
-    SystemConfig,
-    check_symbol_grid,
-    decode_complex,
-    decode_list,
-    decode_number,
-    decode_object,
-    read_document,
-    write_document,
-)
+from .model import SystemConfig, check_symbol_grid
 
 
 class PatternError(ValueError):
@@ -243,6 +234,11 @@ def scramble_symbols(
 
 # --- steered-direction condition --------------------------------------------
 
+# Probe directions per harmonic_coefficients call in check_dm_condition: the
+# (probes, 2 N_s - 2) harmonics of one block are alive at a time, about 2 MB
+# on the reference config, whatever the probe count.
+_PROBE_BLOCK = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class DmConditionReport:
@@ -301,8 +297,11 @@ def check_dm_condition(
     fundamental = abs(at_steer[~nonzero][0])
     max_at_steer = float(np.max(np.abs(at_steer[nonzero]))) if nonzero.any() else 0.0
 
-    off = np.abs(harmonic_coefficients(pattern, cfg, orders[nonzero], probes))  # (P, M)
-    min_off = float(off.max(axis=1).min())
+    min_off = math.inf
+    for start in range(0, probes.size, _PROBE_BLOCK):
+        block = probes[start : start + _PROBE_BLOCK]
+        off = np.abs(harmonic_coefficients(pattern, cfg, orders[nonzero], block))  # (P, M)
+        min_off = min(min_off, float(off.max(axis=1).min()))
 
     failed = []
     if not fundamental > 1e-12 * pattern.num_elements:
@@ -408,31 +407,3 @@ def time_domain_demod(
     coeffs = combined_gate @ (phase * width)  # (2*ns-1,)
 
     return _toeplitz(coeffs) @ data
-
-
-# --- serialization ------------------------------------------------------------
-
-
-def pattern_to_dict(pattern: SwitchingPattern) -> dict:
-    return {
-        "tau_on": pattern.tau_on.tolist(),
-        "duty": pattern.duty.tolist(),
-        "weights": [[w.real, w.imag] for w in pattern.weights],
-    }
-
-
-def pattern_from_dict(data: dict) -> SwitchingPattern:
-    convert = {
-        "tau_on": lambda value: decode_list(value, decode_number),
-        "duty": lambda value: decode_list(value, decode_number),
-        "weights": lambda value: decode_list(value, decode_complex),
-    }
-    return decode_object(SwitchingPattern, data, PatternError, convert)
-
-
-def save_pattern(pattern: SwitchingPattern, path) -> None:
-    write_document(pattern_to_dict(pattern), path)
-
-
-def load_pattern(path) -> SwitchingPattern:
-    return pattern_from_dict(read_document(path))

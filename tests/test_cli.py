@@ -70,7 +70,6 @@ def test_dm_check_single_element_is_config_error(capsys):
     [
         pytest.param(("--probes", "0"), id="zero_probes"),
         pytest.param(("--probes", "-3"), id="negative_probes"),
-        # ~3 KB of harmonics a probe: 10**7 probes would need ~30 GB
         pytest.param(("--probes", str(cli._MAX_PROBES + 1)), id="too_many_probes"),
         # offsets that leave no sine interval to draw from would loop forever
         pytest.param(("--min-sin-offset", "2"), id="offset_2"),
@@ -249,6 +248,16 @@ def test_estimate_rejects_mismatched_shape(capsys, tmp_path):
     code, _, err = run(capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path))
     assert code == 2
     assert "does not match" in err
+
+
+def test_estimate_refuses_a_receive_grid_as_the_payload(capsys, tmp_path):
+    grid_path = tmp_path / "g.grid"
+    code, _, _ = run(capsys, "simulate", "--out", str(grid_path))
+    assert code == 0
+    code, out, err = run(capsys, "estimate", "--grid", str(grid_path), "--data", str(grid_path))
+    assert code == 2
+    assert out == ""
+    assert "transmit grid shape (24, 64, 256) does not match" in err
 
 
 def simulate_small(capsys, tmp_path):
@@ -445,6 +454,27 @@ def test_ber_sweep_refuses_an_empty_range(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("0:1", "START:STOP:STEP"),
+        ("0:1:2:3", "START:STOP:STEP"),
+        ("0:1:0", "step must be positive"),
+        ("0:1:-1", "step must be positive"),
+        # these four used to reach np.arange, which refused them in its own words
+        *(
+            (spec, f"angle range {spec!r} needs a finite START, STOP and STEP")
+            for spec in ("0:1:nan", "nan:1:1", "0:nan:1", "0:1:inf")
+        ),
+    ],
+)
+def test_ber_sweep_refuses_a_malformed_range(capsys, spec, message):
+    code, out, err = run(capsys, "ber-sweep", f"--angles={spec}")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("snr", ["nan", "-inf", "4000", "-4000"])
 def test_ber_sweep_refuses_snr_without_a_noise_level(capsys, snr):
     # nan and -inf used to report BER 0 at the steer, as if noise-free, and
@@ -527,6 +557,14 @@ def test_set_requires_key_value(capsys):
     code, _, err = run(capsys, "dm-check", "--set", "num_tx_antennas")
     assert code == 2
     assert "KEY=VALUE" in err
+
+
+def test_set_keeps_a_non_json_value_as_text(capsys):
+    # the text reaches the config decoder, which refuses it for a float field
+    code, out, err = run(capsys, "dm-check", "--set", "cu_angle_deg=abc")
+    assert code == 2
+    assert out == ""
+    assert "must be a number, got 'abc'" in err
 
 
 def test_unknown_config_key_rejected(capsys):

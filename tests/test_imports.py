@@ -1,13 +1,17 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used by the module that imports it, and every
+public name of the package has a reader.
 
-No linter ships with the package, so this scan is the guard.  ``__init__.py``
-is skipped: it imports names only to re-export them.
+No linter ships with the package, so these scans are the guard.
+``__init__.py`` is skipped: it imports names only to re-export them.
 """
 
 import ast
 import pathlib
+import types
 
 import pytest
+
+import tmadfrc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -44,3 +48,36 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Public names kept for the tests alone: independent oracles of a fast route.
+ORACLES = {"qpsk_awgn_ber", "time_domain_demod"}
+
+
+def names_read(source: str) -> set:
+    """Every name that ``source`` loads and every attribute it names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_scan_finds_names_read():
+    assert names_read("x = a.b(c)\ndef d(e): return f\n") == {"a", "b", "c", "f"}
+
+
+def test_every_public_name_has_a_reader():
+    readers = [
+        *(path for path in MODULES if path.parent.name == "tmadfrc"),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
+    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in readers))
+    public = {
+        name
+        for name in tmadfrc.__all__
+        if not isinstance(getattr(tmadfrc, name), types.ModuleType)
+    }
+    assert sorted(public - read - ORACLES) == []

@@ -10,10 +10,7 @@ import numpy as np
 import pytest
 
 from tmadfrc import (
-    CoarseEstimate,
     ConfigError,
-    EstimateSet,
-    RefinedEstimate,
     Scene,
     SceneError,
     Target,
@@ -23,7 +20,6 @@ from tmadfrc import (
     derived_resolutions,
     load_config,
     range_resolution_m,
-    save_config,
     validate_scene,
     validate_target,
     velocity_resolution_mps,
@@ -38,6 +34,7 @@ from tmadfrc.model import (
     document_text,
     signed_bin_index,
     wrapped_bin_frequency,
+    write_document,
 )
 
 
@@ -304,30 +301,21 @@ def test_config_hash_tracks_content(ref_cfg):
 
 def test_config_file_roundtrip(tmp_path, ref_cfg):
     path = tmp_path / "cfg.json"
-    save_config(ref_cfg, path)
+    write_document(config_to_dict(ref_cfg), path)
     assert load_config(path) == ref_cfg
     # the file is plain JSON with the documented keys
     data = json.loads(path.read_text())
     assert data["num_subcarriers"] == 64
 
 
-def test_estimate_set_traceability():
-    coarse = [CoarseEstimate(5, 19.47, 3, 58.59, -4, -9.38)]
-    good = RefinedEstimate(5, 20.0, 50.0, -10.08)
-    EstimateSet(coarse=coarse, refined=[good]).validate()
-    stray = RefinedEstimate(7, 20.0, 50.0, -10.08)
-    with pytest.raises(ValueError, match="angle bin 7"):
-        EstimateSet(coarse=coarse, refined=[stray]).validate()
-
-
-def test_estimate_set_dict_roundtrip():
-    est = EstimateSet(
-        coarse=[CoarseEstimate(5, 19.47, 3, 58.59, -4, -9.38)],
-        refined=[RefinedEstimate(5, 20.0, 50.0, -10.08)],
-    )
-    again = EstimateSet.from_dict(est.to_dict())
-    assert again.coarse == est.coarse
-    assert again.refined == est.refined
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+def test_estimate_set_traceability(ref_cfg, ref_pattern, ref_frame):
+    # every refined row comes from an angle bin that holds a coarse detection
+    data, received = ref_frame
+    estimates = refine.estimate_targets(received, data, ref_pattern, ref_cfg)
+    assert estimates.refined
+    bins = {row.angle_bin for row in estimates.coarse}
+    assert {row.angle_bin for row in estimates.refined} <= bins
 
 
 def test_grid_shape_checks(small_cfg):

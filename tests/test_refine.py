@@ -596,6 +596,22 @@ def test_estimate_targets_reference_frame(ref_cfg, ref_pattern, ref_frame):
     assert matched == set(truth)
 
 
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+def test_estimate_targets_falls_back_to_the_coarse_count_without_an_eigen_gap(
+    monkeypatch, ref_cfg, ref_pattern, ref_frame
+):
+    # no gap reaches the ratio, so the dimension is the coarse detection count
+    data, received = ref_frame
+    default = estimate_targets(received, data, ref_pattern, ref_cfg)
+    monkeypatch.setattr(refine, "_MIN_EIGEN_RATIO", 1e12)
+    eigenvalues = np.linalg.eigvalsh(refine.sample_covariance(received))
+    with pytest.raises(SubspaceError, match="eigenvalue gap"):
+        estimate_n_sources(eigenvalues, max_sources=ref_cfg.num_rx_antennas - 1)
+    fallback = estimate_targets(received, data, ref_pattern, ref_cfg)
+    assert len(fallback.refined) == 3
+    assert fallback.refined == default.refined
+
+
 def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):
     pattern = pattern_for(small_cfg)
     data = qpsk_frame(small_cfg, seed=20)

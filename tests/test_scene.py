@@ -26,13 +26,13 @@ from tmadfrc import (
     read_grid,
     scramble_symbols,
     harmonic_coefficients,
-    save_scene,
     load_scene,
     scene_from_dict,
     scene_to_dict,
     validate_scene,
     write_grid,
 )
+from tmadfrc.model import write_document
 
 from conftest import qpsk_frame
 
@@ -328,7 +328,7 @@ def test_endfire_direction_is_a_direction(small_cfg, small_pattern, site):
 
 def test_scene_file_roundtrip(tmp_path, ref_scene):
     path = tmp_path / "scene.json"
-    save_scene(ref_scene, path)
+    write_document(scene_to_dict(ref_scene), path)
     again = load_scene(path)
     assert again == ref_scene
 
@@ -349,17 +349,19 @@ def test_scene_dict_rejects_unknown_keys():
 
 
 @pytest.mark.parametrize("seed", [-1, True, False, 1.0])
-def test_scene_refuses_a_seed_that_is_no_non_negative_integer(small_cfg, seed):
+def test_scene_refuses_a_seed_that_is_no_non_negative_integer(seed):
     # a negative seed used to decode and then fail inside NumPy, True to
     # synthesize as seed 1
     with pytest.raises(SceneError, match="seed"):
         scene_from_dict({"targets": [], "seed": seed})
     with pytest.raises(SceneError, match="seed"):
-        validate_scene(Scene((), seed=seed), small_cfg)
+        Scene((), seed=seed)
+    with pytest.raises(SceneError, match="seed"):
+        dataclasses.replace(Scene(()), seed=seed)
 
 
-def test_scene_accepts_a_numpy_integer_seed(small_cfg):
-    assert validate_scene(Scene((), seed=np.int64(3)), small_cfg).seed == 3
+def test_scene_accepts_a_numpy_integer_seed():
+    assert Scene((), seed=np.int64(3)).seed == 3
 
 
 def test_scene_dict_restores_complex_reflectivity():

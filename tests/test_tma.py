@@ -9,6 +9,7 @@ package implementation.
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from tmadfrc import (
     design_pattern,
     element_gains,
     harmonic_coefficients,
-    load_pattern,
-    save_pattern,
     scramble_symbols,
     time_domain_demod,
 )
@@ -461,6 +460,34 @@ def test_random_onsets_leak_at_the_steer(ref_cfg):
     assert 2 in report.failed_clauses
 
 
+def test_a_vanishing_fundamental_fails_the_first_clause(ref_cfg):
+    # two co-located elements in antiphase cancel at broadside, fundamental
+    # and harmonics alike, but not at 30 deg
+    pattern = SwitchingPattern(tau_on=[0.0, 0.0], duty=[0.5, 0.5], weights=[1.0, -1.0])
+    report = check_dm_condition(pattern, ref_cfg, 0.0, [30.0], **TOLERANCES)
+    assert report.fundamental_at_steer == 0.0
+    assert not report.ok
+    assert report.failed_clauses == (1,)
+
+
+def test_condition_memory_does_not_grow_with_the_probe_count(ref_cfg, ref_pattern):
+    # all 20 000 probes at once would hold about 60 MB of harmonics
+    probes = np.random.default_rng(0).uniform(-89.0, 55.0, 20_000)
+    tracemalloc.start()
+    try:
+        report = check_dm_condition(
+            ref_pattern, ref_cfg, ref_cfg.cu_angle_deg, probes, **TOLERANCES
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    ns = ref_cfg.num_subcarriers
+    orders = np.arange(-(ns - 1), ns)
+    one_shot = np.abs(harmonic_coefficients(ref_pattern, ref_cfg, orders[orders != 0], probes))
+    assert report.min_off_steer_harmonic == float(one_shot.max(axis=1).min())
+
+
 def test_condition_needs_a_probe(ref_cfg):
     # with no probes clause (3) would hold vacuously
     pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
@@ -552,25 +579,3 @@ def test_gate_window_wraps_around_period():
     pattern = SwitchingPattern(tau_on=[0.75], duty=[0.5], weights=[1.0])
     gates = gate_matrix(pattern, 8)
     assert np.array_equal(gates[0], [1, 1, 0, 0, 0, 0, 1, 1])
-
-
-# --- serialization -----------------------------------------------------------------
-
-
-def test_pattern_file_roundtrip(tmp_path, ref_cfg):
-    pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
-    path = tmp_path / "pattern.json"
-    save_pattern(pattern, path)
-    again = load_pattern(path)
-    assert np.array_equal(again.tau_on, pattern.tau_on)
-    assert np.array_equal(again.duty, pattern.duty)
-    assert np.array_equal(again.weights, pattern.weights)
-
-
-def test_pattern_dict_rejects_unknown_keys(ref_cfg):
-    from tmadfrc.tma import pattern_from_dict, pattern_to_dict
-
-    data = pattern_to_dict(design_pattern(ref_cfg, 0.0))
-    data["extra"] = 1
-    with pytest.raises(PatternError):
-        pattern_from_dict(data)
