@@ -54,6 +54,7 @@ from .model import (
     load_config,
     range_ramp,
     range_resolution_m,
+    sample_covariance,
     slow_time_rotation,
     steering_vector,
     validate_target,
@@ -72,7 +73,6 @@ from .refine import (
     music_search_grid,
     refine_ranges,
     refine_velocities,
-    sample_covariance,
 )
 from .scene import (
     GridFormatError,

@@ -223,7 +223,7 @@ def _export_spectra(prefix, result, cfg) -> None:
         raise NoPeaksError("no angle bin rises above the detection threshold")
     with open(f"{prefix}.angle.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bin", "angle_deg", "magnitude"])
+        writer.writerow(["bin", "angle_deg", "power"])
         angle_grid = bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg)
         for k, value in enumerate(result.spectrum):
             writer.writerow([k, f"{angle_grid[k]:.6f}", f"{value:.9e}"])

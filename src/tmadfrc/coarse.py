@@ -1,10 +1,14 @@
 """Coarse angle/range/velocity estimation on the receive grid.
 
 The pipeline is three nested discrete transforms, each followed by peak
-picking on a magnitude profile:
+picking on an amplitude profile:
 
 1. an unnormalized DFT across receive elements localizes targets in angle
-   (bin k corresponds to sin(theta) = -wrap(k / N_r) / spacing),
+   (bin k corresponds to sin(theta) = -wrap(k / N_r) / spacing); its beam
+   power, the mean of |DFT|^2 over all subcarriers and symbols, is
+   real(F R F^H)[k, k] for the DFT matrix F and the frame's spatial sample
+   covariance R, and peaks are picked on its square root, the RMS beam
+   amplitude,
 2. within each detected angle bin the beamformed rows are descrambled by
    element-wise division with the direction-matched transmit symbols, and an
    IDFT across subcarriers turns the residual range ramp into a complex range
@@ -112,35 +116,22 @@ def detect_peaks(profile: np.ndarray, keep_tallest: bool = False) -> np.ndarray:
     return np.flatnonzero((profile >= threshold) & _local_maxima(profile, wrap=True))
 
 
-# Snapshots (subcarrier-symbol pairs) per block of the receive-axis DFT: an
-# (N_r, 2048) block is 768 KB on the 24-element reference array, against the
-# 6 MB of a whole beam cube.
-_SNAPSHOT_BLOCK = 2048
-
-
-def _snapshot_blocks(grid: np.ndarray):
-    """Column blocks of the (N_r, N_s * N_p) receive matrix, one snapshot per
-    column and at most ``_SNAPSHOT_BLOCK`` columns each, as views."""
-    flat = grid.reshape(grid.shape[0], -1)
-    for start in range(0, flat.shape[1], _SNAPSHOT_BLOCK):
-        yield flat[:, start : start + _SNAPSHOT_BLOCK]
+def _dft_weights(angle_bins, n_rx: int) -> np.ndarray:
+    """Receive-axis DFT weights exp(-2j pi k m / N_r) of angle bin(s) k,
+    shape (N_r,) or (..., N_r)."""
+    return np.exp(-2j * np.pi * (np.multiply.outer(angle_bins, np.arange(n_rx)) % n_rx) / n_rx)
 
 
 def angle_spectrum(frame: Frame) -> np.ndarray:
-    """Beamform across receive elements: the DFT magnitude per angle bin,
-    summed over all subcarriers and symbols.
-
-    The receive-axis DFT runs one snapshot block at a time, and the
-    magnitudes go through one reused buffer, so no cube-sized temporary is
-    allocated.  :func:`beam_rows` gives one bin's complex rows.
-    """
-    grid = frame.grid
-    spectrum = np.zeros(grid.shape[0])
-    magnitude = np.empty((grid.shape[0], min(_SNAPSHOT_BLOCK, grid[0].size)))
-    for block in _snapshot_blocks(grid):
-        beams = dft(block, axis=0)
-        spectrum += np.abs(beams, out=magnitude[:, : block.shape[1]]).sum(axis=1)
-    return spectrum
+    """Beam power per angle bin: real(diag(F R F^H)) for the receive-axis DFT
+    matrix F and the frame's sample covariance R, which is the mean |DFT|^2
+    over all subcarriers and symbols.  Rounding can leave an empty bin a hair
+    below zero, so the power is clipped at 0.  :func:`beam_rows` gives one
+    bin's complex rows."""
+    n_rx = frame.cfg.num_rx_antennas
+    weights = _dft_weights(np.arange(n_rx), n_rx)
+    power = ((weights @ frame.covariance) * weights.conj()).sum(axis=1).real
+    return np.maximum(power, 0.0)
 
 
 def beam_rows(frame: Frame, angle_bin: int) -> np.ndarray:
@@ -148,9 +139,8 @@ def beam_rows(frame: Frame, angle_bin: int) -> np.ndarray:
     times the receive cube as one product, in an array of their own."""
     grid = frame.grid
     n_rx = grid.shape[0]
-    weights = np.exp(-2j * np.pi * (angle_bin * np.arange(n_rx) % n_rx) / n_rx)
     rows = np.empty(grid.shape[1:], dtype=np.complex128)
-    np.matmul(weights, grid.reshape(n_rx, -1), out=rows.reshape(-1))
+    np.matmul(_dft_weights(angle_bin, n_rx), grid.reshape(n_rx, -1), out=rows.reshape(-1))
     return rows
 
 
@@ -220,7 +210,7 @@ class BinPipeline:
 @dataclasses.dataclass(frozen=True)
 class CoarseResult:
     estimates: tuple
-    spectrum: np.ndarray
+    spectrum: np.ndarray  # beam power per angle bin (angle_spectrum)
     bins: tuple
 
 
@@ -234,7 +224,7 @@ def coarse_pipeline(frame: Frame) -> CoarseResult:
     """
     cfg = frame.cfg
     spectrum = angle_spectrum(frame)
-    angle_bins = detect_peaks(spectrum)
+    angle_bins = detect_peaks(np.sqrt(spectrum))  # the rule reads amplitudes
     angles = bin_to_angle_deg(angle_bins, cfg)
     angle_bins, angles = angle_bins[~np.isnan(angles)], angles[~np.isnan(angles)]
     if angle_bins.size == 0:

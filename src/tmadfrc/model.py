@@ -215,27 +215,41 @@ def bin_to_velocity_mps(velocity_bin, cfg: SystemConfig):
 # m, subcarrier s, OFDM symbol mu.  Synthesis and both fits use only these.
 
 
+def _phase_powers(step, n: int) -> np.ndarray:
+    """exp(j step k) for k = 0 .. n-1 (n >= 1), shape step.shape + (n,).
+
+    With k = L a + b and L = ceil(sqrt(n)), each power is the product of
+    exp(j step L a) and exp(j step b), so a step takes about 2 sqrt(n)
+    complex exponentials instead of n.
+    """
+    step = np.asarray(step, dtype=float)
+    fine_len = math.isqrt(n - 1) + 1
+    coarse_len = -(-n // fine_len)
+    coarse = np.exp(1j * np.multiply.outer(step, fine_len * np.arange(coarse_len)))
+    fine = np.exp(1j * np.multiply.outer(step, np.arange(fine_len)))
+    powers = coarse[..., :, None] * fine[..., None, :]
+    return powers.reshape(*step.shape, coarse_len * fine_len)[..., :n]
+
+
 def steering_vector(cfg: SystemConfig, theta_deg) -> np.ndarray:
     """Receive-array response exp(-2j pi m d_r sin(theta)), shape
     (num_rx_antennas,) or (..., num_rx_antennas)."""
     sin_theta = np.sin(np.radians(np.asarray(theta_deg, dtype=float)))
-    m = np.arange(cfg.num_rx_antennas)
-    return np.exp(-2j * np.pi * np.multiply.outer(sin_theta, m) * cfg.rx_spacing_wavelengths)
+    return _phase_powers(-2.0 * np.pi * cfg.rx_spacing_wavelengths * sin_theta, cfg.num_rx_antennas)
 
 
 def range_ramp(cfg: SystemConfig, range_m) -> np.ndarray:
     """Subcarrier phase ramp exp(-2j pi s f_s 2R/c), shape (num_subcarriers,)
     or (..., num_subcarriers)."""
-    s = np.arange(cfg.num_subcarriers)
     delay = 2.0 * np.asarray(range_m, dtype=float) / cfg.c
-    return np.exp(-2j * np.pi * np.multiply.outer(delay, s * cfg.subcarrier_spacing_hz))
+    return _phase_powers(-2.0 * np.pi * cfg.subcarrier_spacing_hz * delay, cfg.num_subcarriers)
 
 
 def slow_time_rotation(cfg: SystemConfig, doppler_hz) -> np.ndarray:
     """Slow-time Doppler rotation exp(+2j pi mu T_p f_D) for Doppler
     frequencies in Hz, shape (num_ofdm_symbols,) or (..., num_ofdm_symbols)."""
-    mu = np.arange(cfg.num_ofdm_symbols)
-    return np.exp(2j * np.pi * cfg.symbol_duration_s * np.multiply.outer(doppler_hz, mu))
+    step = 2.0 * np.pi * cfg.symbol_duration_s * np.asarray(doppler_hz, dtype=float)
+    return _phase_powers(step, cfg.num_ofdm_symbols)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,6 +316,31 @@ def check_antenna_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
     return _checked_grid(values, cfg.returns_shape, "antenna grid")
 
 
+# Snapshots (subcarrier-symbol pairs) per block of the covariance product: an
+# (N_r, 2048) block is 768 KB on the 24-element reference array, against the
+# 6 MB of the whole cube.
+_SNAPSHOT_BLOCK = 2048
+
+
+def _snapshot_blocks(grid: np.ndarray):
+    """Column blocks of the (N_r, N_s * N_p) receive matrix, one snapshot per
+    column and at most ``_SNAPSHOT_BLOCK`` columns each, as views."""
+    flat = grid.reshape(grid.shape[0], -1)
+    for start in range(0, flat.shape[1], _SNAPSHOT_BLOCK):
+        yield flat[:, start : start + _SNAPSHOT_BLOCK]
+
+
+def sample_covariance(grid: np.ndarray) -> np.ndarray:
+    """Spatial sample covariance R = Y Y^H / N with every subcarrier of every
+    OFDM symbol as one of the N snapshots, accumulated one snapshot block at a
+    time."""
+    grid = np.asarray(grid, dtype=np.complex128)
+    covariance = np.zeros((grid.shape[0], grid.shape[0]), dtype=np.complex128)
+    for block in _snapshot_blocks(grid):
+        covariance += block @ block.conj().T
+    return covariance / (grid.size // grid.shape[0])
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Frame:
     """One received frame and the payload it carried: the receive cube
@@ -310,20 +349,26 @@ class Frame:
 
     Both grids are validated and converted to complex once, when the frame is
     built, so the estimation stages that take a frame need not check them
-    again.  ``energy`` is ||grid||^2.
+    again.  The cube is then read once more, for ``covariance``, the spatial
+    sample covariance R over its N = N_s N_p snapshots
+    (:func:`sample_covariance`); ``energy`` = ||grid||^2 = N trace(R).
     """
 
     grid: np.ndarray
     data: np.ndarray
     pattern: "SwitchingPattern"  # tma's; named as a string because tma imports this module
     cfg: SystemConfig
+    covariance: np.ndarray = dataclasses.field(init=False)
     energy: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         grid = check_antenna_grid(self.cfg, self.grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "data", check_symbol_grid(self.cfg, self.data))
-        object.__setattr__(self, "energy", float(np.vdot(grid, grid).real))
+        covariance = sample_covariance(grid)
+        snapshots = grid.size // grid.shape[0]
+        object.__setattr__(self, "covariance", covariance)
+        object.__setattr__(self, "energy", float(snapshots * np.trace(covariance).real))
 
 
 @dataclasses.dataclass(frozen=True)

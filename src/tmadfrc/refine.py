@@ -60,10 +60,10 @@ import warnings
 
 import numpy as np
 
+from . import model
 from .coarse import (
     NoPeaksError,
     _local_maxima,
-    _snapshot_blocks,
     coarse_pipeline,
     descramble,
     range_response,
@@ -87,6 +87,10 @@ from .model import (
     velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
+
+# A Frame computes its covariance once, when it is built; the stage keeps its
+# name here as well, beside the stages that read the covariance.
+sample_covariance = model.sample_covariance
 
 
 class SubspaceError(RuntimeError):
@@ -119,16 +123,6 @@ class RefineOptions:
     def __post_init__(self):
         if self.num_sources is not None:
             check_integer(self.num_sources, 1, "RefineOptions.num_sources")
-
-
-def sample_covariance(grid: np.ndarray) -> np.ndarray:
-    """Spatial sample covariance with every subcarrier of every OFDM symbol
-    as a snapshot, accumulated one snapshot block at a time."""
-    grid = np.asarray(grid, dtype=np.complex128)
-    covariance = np.zeros((grid.shape[0], grid.shape[0]), dtype=np.complex128)
-    for block in _snapshot_blocks(grid):
-        covariance += block @ block.conj().T
-    return covariance / (grid.size // grid.shape[0])
 
 
 def estimate_n_sources(eigenvalues, max_sources: int) -> int:
@@ -495,13 +489,15 @@ def estimate_targets(
     An empty frame (nothing above the detection threshold) yields an empty
     estimate set rather than an error; otherwise it keeps ``coarse_result``.
 
-    The covariance pools every subcarrier of every OFDM symbol.  The
-    signal-subspace dimension is frame-global: the eigenvalue gap of that
-    covariance, floored at the number of occupied bins and capped at
-    num_rx_antennas - 1.  Each bin then contributes as many refined sources
-    as its pseudospectrum window shows qualifying peaks, capped at the
-    dimension, or exactly ``options.num_sources`` when that override is set;
-    a forced count above the dimension raises :class:`SubspaceError`.
+    The covariance is the frame's own: :class:`Frame` computes it once, and
+    the coarse angle stage reads its beam power from it.  It pools every
+    subcarrier of every OFDM symbol.  The signal-subspace dimension is
+    frame-global: the eigenvalue gap of that covariance, floored at the
+    number of occupied bins and capped at num_rx_antennas - 1.  Each bin
+    then contributes as many refined sources as its pseudospectrum window
+    shows qualifying peaks, capped at the dimension, or exactly
+    ``options.num_sources`` when that override is set; a forced count above
+    the dimension raises :class:`SubspaceError`.
 
     The cube and payload are validated once, as one :class:`Frame`, which
     every stage then takes as it is.  A bin's refined angles are scrambled in
@@ -514,10 +510,9 @@ def estimate_targets(
     except NoPeaksError:
         return EstimateSet(coarse=[], refined=[])
 
-    covariance = sample_covariance(frame.grid)
     max_dim = cfg.num_rx_antennas - 1
     try:
-        dimension = estimate_n_sources(np.linalg.eigvalsh(covariance), max_sources=max_dim)
+        dimension = estimate_n_sources(np.linalg.eigvalsh(frame.covariance), max_sources=max_dim)
     except SubspaceError:
         dimension = len(coarse.estimates)
     dimension = min(max(dimension, len(coarse.bins)), max_dim)
@@ -530,7 +525,7 @@ def estimate_targets(
     refined = []
     for bin_result in coarse.bins:
         search = music_search_grid(bin_result.angle_bin, cfg)
-        spectrum = music_pseudospectrum(covariance, dimension, cfg, search)
+        spectrum = music_pseudospectrum(frame.covariance, dimension, cfg, search)
         count = options.num_sources or max(1, min(_peak_count(spectrum), dimension))
         angles = search[_top_local_maxima(spectrum, count)]  # ascending
         scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)

@@ -276,6 +276,9 @@ def check_dm_condition(
         rel_tol, off_steer_floor: the multiples of the fundamental that bound
             the harmonics in clauses (2) and (3); ``dm-check`` passes its
             ``--rel-tol`` and ``--floor`` (defaults 1e-10 and 1e-3).
+
+    A single subcarrier has no in-band harmonic to leak into, so clause (3)
+    fails there with a leakage of 0.
     """
     # Written so that NaN, which fails every comparison, is refused too.
     if not (0.0 <= rel_tol < math.inf and 0.0 <= off_steer_floor < math.inf):
@@ -301,7 +304,7 @@ def check_dm_condition(
     for start in range(0, probes.size, _PROBE_BLOCK):
         block = probes[start : start + _PROBE_BLOCK]
         off = np.abs(harmonic_coefficients(pattern, cfg, orders[nonzero], block))  # (P, M)
-        min_off = min(min_off, float(off.max(axis=1).min()))
+        min_off = min(min_off, float(off.max(axis=1, initial=0.0).min()))
 
     failed = []
     if not fundamental > 1e-12 * pattern.num_elements:

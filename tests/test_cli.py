@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from tmadfrc import (
+    Frame,
     RefineOptions,
     derived_resolutions,
+    design_pattern,
     estimate_targets,
     modulate,
     qpsk,
@@ -63,6 +65,18 @@ def test_dm_check_single_element_is_config_error(capsys):
     code, _, err = run(capsys, "dm-check", "--set", "num_tx_antennas=1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_dm_check_single_subcarrier_fails_clause_3(capsys, tmp_path):
+    # one subcarrier leaves no in-band harmonic to leak into: clause (3)
+    # fails with a leakage of 0, not with NumPy's zero-size reduction error
+    report = tmp_path / "check.json"
+    code, out, err = run(capsys, "dm-check", "--set", "num_subcarriers=1", "--out", str(report))
+    assert (code, err) == (1, "")
+    assert "condition: VIOLATED (clauses 3)" in out
+    payload = json.loads(report.read_text())["report"]
+    assert payload["failed_clauses"] == [3]
+    assert payload["min_off_steer_harmonic"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -310,8 +324,15 @@ def test_estimate_export_spectra(capsys, tmp_path, ref_cfg):
     assert code == 0
     cfg = dataclasses.replace(ref_cfg, num_rx_antennas=8, num_ofdm_symbols=16)
     with open(f"{prefix}.angle.csv", newline="", encoding="utf-8") as fh:
-        angles = [float(row["angle_deg"]) for row in csv.DictReader(fh)]
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["bin", "angle_deg", "power"]
+    angles = [float(row["angle_deg"]) for row in rows]
     np.testing.assert_allclose(angles, derived_resolutions(cfg)[2], rtol=0, atol=5e-7)
+    # the power column is the stored frame's beam power, to the 10 digits written
+    pattern = design_pattern(cfg, cfg.cu_angle_deg)
+    frame = Frame(read_grid(str(grid_path)), read_grid(str(data_path))[0], pattern, cfg)
+    powers = [float(row["power"]) for row in rows]
+    np.testing.assert_allclose(powers, coarse.angle_spectrum(frame), rtol=1e-9)
     velocity_files = sorted(tmp_path.glob("spec.bin*.l*.velocity.csv"))
     assert velocity_files
     for path in velocity_files:

@@ -40,7 +40,7 @@ from tmadfrc.coarse import (
     range_response,
     velocity_spectrum,
 )
-from tmadfrc import coarse
+from tmadfrc import model
 from tmadfrc.model import derived_resolutions
 from tmadfrc.transforms import dft
 
@@ -190,13 +190,18 @@ def test_bin_mapping_matches_derived_angle_grid(ref_cfg, changes):
 
 
 def test_angle_spectrum_concentrates_on_grid_target(on_grid):
-    cfg, pattern, data, grid, _ = on_grid
+    # the occupied bin's power is N_r^2 times the mean scrambled power
+    cfg, pattern, data, grid, target = on_grid
     frame = Frame(grid, data, pattern, cfg)
     spectrum = angle_spectrum(frame)
     assert spectrum.shape == (cfg.num_rx_antennas,)
     assert beam_cube(frame).shape == cfg.returns_shape
     assert int(np.argmax(spectrum)) == 7
+    scrambled = scramble_symbols(data, pattern, cfg, target.angle_deg)
+    expected = cfg.num_rx_antennas**2 * np.mean(np.abs(scrambled) ** 2)
+    assert spectrum[7] == pytest.approx(expected, rel=1e-10)
     others = np.delete(spectrum, 7)
+    assert others.min() >= 0.0
     assert others.max() < 1e-9 * spectrum[7]
 
 
@@ -217,14 +222,42 @@ def test_angle_spectrum_beams_match_steered_sum(on_grid):
 
 
 def test_noise_only_grid_raises_no_peaks(small_cfg):
+    # 50 white-noise cubes: no angle bin rises above the threshold in any
     rng = np.random.default_rng(0)
-    grid = rng.standard_normal(small_cfg.returns_shape) + 1j * rng.standard_normal(
-        small_cfg.returns_shape
-    )
     data = qpsk_frame(small_cfg, seed=1)
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
-    with pytest.raises(NoPeaksError):
-        coarse_pipeline(Frame(grid, data, pattern, small_cfg))
+    for _ in range(50):
+        grid = rng.standard_normal(small_cfg.returns_shape) + 1j * rng.standard_normal(
+            small_cfg.returns_shape
+        )
+        with pytest.raises(NoPeaksError):
+            coarse_pipeline(Frame(grid, data, pattern, small_cfg))
+
+
+def oracle_angle_bins(grid, cfg):
+    """Angle bins of the statistic the beam power replaced, the |DFT| across
+    receive elements summed over subcarriers and symbols, under the same
+    peak rule and the same visible-bin filter."""
+    bins = detect_peaks(np.abs(np.fft.fft(grid, axis=0)).sum((1, 2)))
+    return bins[~np.isnan(bin_to_angle_deg(bins, cfg))].tolist()
+
+
+@pytest.mark.parametrize(
+    "beta", [(1, 1, 1), (0.5, 1, 1), (1, 0.5, 1), (1, 1, 0.5), (1, 1, 0.3)], ids=str
+)
+def test_beam_power_detects_the_bins_of_the_magnitude_oracle(
+    ref_cfg, ref_scene, ref_pattern, beta
+):
+    # reflectivities beta for the (20, 22, -30 deg) targets, 10 dB SNR
+    targets = tuple(
+        dataclasses.replace(t, reflectivity=complex(b)) for t, b in zip(ref_scene.targets, beta)
+    )
+    data = qpsk_frame(ref_cfg, seed=7)
+    for seed in range(5):
+        grid = radar_returns(data, ref_pattern, ref_cfg, Scene(targets, seed=seed))
+        result = coarse_pipeline(Frame(grid, data, ref_pattern, ref_cfg))
+        expected = oracle_angle_bins(grid, ref_cfg)
+        assert expected and [b.angle_bin for b in result.bins] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +461,22 @@ def ragged_frame(small_cfg):
     pattern = design_pattern(cfg, cfg.cu_angle_deg)
     data = qpsk_frame(cfg, seed=3)
     grid = radar_returns(data, pattern, cfg, Scene(targets, seed=5, snr_db=10.0))
-    assert (cfg.num_subcarriers * cfg.num_ofdm_symbols) % coarse._SNAPSHOT_BLOCK != 0
+    assert (cfg.num_subcarriers * cfg.num_ofdm_symbols) % model._SNAPSHOT_BLOCK != 0
     return cfg, pattern, data, grid
 
 
 @pytest.mark.parametrize("block", [None, 7])
 def test_blocked_angle_stage_matches_full_cube_dft(monkeypatch, ragged_frame, block):
-    """The snapshot-blocked spectrum and the per-bin beamforming product agree
-    with one DFT of the whole cube (only the summation order differs)."""
+    """The beam power from the snapshot-blocked covariance and the per-bin
+    beamforming product agree with one DFT of the whole cube (only the
+    summation order differs)."""
     if block is not None:
-        monkeypatch.setattr(coarse, "_SNAPSHOT_BLOCK", block)
+        monkeypatch.setattr(model, "_SNAPSHOT_BLOCK", block)
     cfg, pattern, data, grid = ragged_frame
     full = dft(grid, axis=0)
     frame = Frame(grid, data, pattern, cfg)
     spectrum = angle_spectrum(frame)
-    np.testing.assert_allclose(spectrum, np.abs(full).sum(axis=(1, 2)), rtol=1e-12)
+    np.testing.assert_allclose(spectrum, np.mean(np.abs(full) ** 2, axis=(1, 2)), rtol=1e-12)
     np.testing.assert_allclose(beam_cube(frame), full, rtol=1e-12)
     result = coarse_pipeline(frame)
     assert [b.angle_bin for b in result.bins] == [8, 10]

@@ -252,7 +252,31 @@ def test_echo_factor_phase_law(ref_cfg, factor, values, axis, phase):
     np.testing.assert_allclose(stacked, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 64, 256, 257])
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (3, 64)], ids=str)
+def test_phase_powers_match_direct_exponentials(n, shape):
+    # every phase step * k lies within +-60 rad, as the echo factors' do
+    step = np.random.default_rng(n).uniform(-60.0, 60.0, size=shape) / max(n - 1, 1)
+    powers = model._phase_powers(step, n)
+    direct = np.exp(1j * np.multiply.outer(step, np.arange(n)))
+    assert powers.shape == direct.shape == (*shape, n)
+    np.testing.assert_allclose(powers, direct, rtol=1e-13)
+
+
+def test_echo_factors_keep_their_shapes(ref_cfg):
+    n_r, n_s, n_p = ref_cfg.returns_shape
+    assert model.steering_vector(ref_cfg, 20.0).shape == (n_r,)
+    assert model.steering_vector(ref_cfg, [20.0, -30.0]).shape == (2, n_r)
+    assert model.steering_vector(ref_cfg, []).shape == (0, n_r)
+    assert model.range_ramp(ref_cfg, [[1.0, 2.0, 3.0]]).shape == (1, 3, n_s)
+    assert model.range_ramp(ref_cfg, []).shape == (0, n_s)
+    # per-subcarrier Doppler of K targets, as the wideband synthesis passes it
+    assert model.slow_time_rotation(ref_cfg, np.ones((3, n_s))).shape == (3, n_s, n_p)
+    assert model.slow_time_rotation(ref_cfg, np.ones((0, n_s))).shape == (0, n_s, n_p)
+
+
 def test_moved_names_keep_their_old_import_paths():
+    assert refine.sample_covariance is model.sample_covariance is tmadfrc.sample_covariance
     assert refine.steering_vector is model.steering_vector is tmadfrc.steering_vector
     assert coarse.bin_to_range_m is model.bin_to_range_m is tmadfrc.bin_to_range_m
     assert coarse.bin_to_velocity_mps is model.bin_to_velocity_mps is tmadfrc.bin_to_velocity_mps

@@ -93,10 +93,10 @@ def test_sample_covariance_matches_full_cube_product(monkeypatch, block):
     """Accumulating over snapshot blocks, the last one ragged, agrees with
     one product of the whole receive matrix."""
     if block is not None:
-        monkeypatch.setattr(coarse, "_SNAPSHOT_BLOCK", block)
+        monkeypatch.setattr(model, "_SNAPSHOT_BLOCK", block)
     rng = np.random.default_rng(3)
     grid = rng.standard_normal((12, 48, 50)) + 1j * rng.standard_normal((12, 48, 50))
-    assert (48 * 50) % coarse._SNAPSHOT_BLOCK != 0
+    assert (48 * 50) % model._SNAPSHOT_BLOCK != 0
     flat = grid.reshape(12, -1)
     expected = flat @ flat.conj().T / flat.shape[1]
     np.testing.assert_allclose(sample_covariance(grid), expected, rtol=1e-12)
@@ -768,8 +768,9 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     monkeypatch, ref_cfg, ref_pattern, ref_frame
 ):
     data, received = ref_frame
-    scrambled_at, cube_checks = [], []
+    scrambled_at, cube_checks, covariances = [], [], []
     scramble, check = refine.scramble_symbols, model.check_antenna_grid
+    covariance = model.sample_covariance
 
     def counting_scramble(data, pattern, cfg, theta_deg):
         # one entry per direction: a call may scramble a whole array of them
@@ -779,6 +780,10 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     def counting_check(cfg, values):
         cube_checks.append(np.shape(values))
         return check(cfg, values)
+
+    def counting_covariance(grid):
+        covariances.append(np.shape(grid))
+        return covariance(grid)
 
     for module in (coarse, refine):
         monkeypatch.setattr(module, "scramble_symbols", counting_scramble)
@@ -790,6 +795,8 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
         return descramble_stage(rows, reference, cfg, theta_deg)
 
     monkeypatch.setattr(model, "check_antenna_grid", counting_check)
+    for module in (model, refine):
+        monkeypatch.setattr(module, "sample_covariance", counting_covariance)
     for module in (coarse, refine):
         monkeypatch.setattr(module, "descramble", counting_descramble)
     with pytest.warns(RuntimeWarning, match="velocity hit the edge"):
@@ -801,6 +808,8 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     assert len(scrambled_at) == 5
     assert sorted(scrambled_at) == sorted([*bin_centers, *refined_angles])
     assert cube_checks == [ref_cfg.returns_shape]
+    # one covariance, read by the angle stage and by MUSIC alike
+    assert covariances == [ref_cfg.returns_shape]
     # the same 5 directions again, one descramble each
     assert sorted(descrambled_at) == sorted(scrambled_at)
 
