@@ -103,6 +103,14 @@ def _write_report(path, cfg, report: dict, **meta) -> None:
     _write_meta(path, cfg, **meta)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV table: the ``header`` row, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _qpsk_payload(cfg, seed) -> np.ndarray:
     """A frame of QPSK symbols, shape ``cfg.grid_shape``, bits drawn from ``seed``."""
     constellation = qpsk()
@@ -132,6 +140,7 @@ def _triple(row) -> dict:
 
 
 _MAX_PROBES = 100_000  # per ber-sweep range (~1.3 ms each) or dm-check run
+_MAX_SYMBOLS = 2**20  # per ber-sweep direction: 64 reference frames
 
 
 def _parse_angles(spec: str) -> np.ndarray:
@@ -221,29 +230,17 @@ def _cmd_simulate(args) -> int:
 def _export_spectra(prefix, result, cfg) -> None:
     if result is None:
         raise NoPeaksError("no angle bin rises above the detection threshold")
-    with open(f"{prefix}.angle.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "angle_deg", "power"])
-        angle_grid = bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg)
-        for k, value in enumerate(result.spectrum):
-            writer.writerow([k, f"{angle_grid[k]:.6f}", f"{value:.9e}"])
+    angle_grid = bin_to_angle_deg(np.arange(cfg.num_rx_antennas), cfg)
+    rows = ((k, f"{angle_grid[k]:.6f}", f"{v:.9e}") for k, v in enumerate(result.spectrum))
+    _write_csv(f"{prefix}.angle.csv", ["bin", "angle_deg", "power"], rows)
+    signed = signed_bin_index(np.arange(cfg.num_ofdm_symbols), cfg.num_ofdm_symbols)
     for bin_result in result.bins:
         tag = f"{prefix}.bin{bin_result.angle_bin}"
-        with open(f"{tag}.range.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin", "magnitude"])
-            writer.writerows(
-                (l, f"{v:.9e}") for l, v in enumerate(bin_result.range_profile)
-            )
-        n = cfg.num_ofdm_symbols
-        signed = signed_bin_index(np.arange(n), n)
+        rows = enumerate(f"{v:.9e}" for v in bin_result.range_profile)
+        _write_csv(f"{tag}.range.csv", ["bin", "magnitude"], rows)
         for range_bin, spectrum in zip(bin_result.range_bins, bin_result.velocity_spectra):
-            with open(f"{tag}.l{int(range_bin)}.velocity.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["signed_bin", "magnitude"])
-                writer.writerows(
-                    (signed[k], f"{v:.9e}") for k, v in enumerate(spectrum)
-                )
+            rows = zip(signed, (f"{v:.9e}" for v in spectrum))
+            _write_csv(f"{tag}.l{int(range_bin)}.velocity.csv", ["signed_bin", "magnitude"], rows)
 
 
 def _cmd_estimate(args) -> int:
@@ -274,6 +271,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_ber_sweep(args) -> int:
+    if args.symbols is not None and args.symbols > _MAX_SYMBOLS:
+        raise ValueError(f"--symbols must be at most {_MAX_SYMBOLS}, got {args.symbols}")
     cfg = _load_cfg(args)
     pattern = design_pattern(cfg, cfg.cu_angle_deg)
     angles = _parse_angles(args.angles)
@@ -289,10 +288,8 @@ def _cmd_ber_sweep(args) -> int:
     for angle, rate in zip(angles, rates):
         print(f"{angle:9.3f} deg  BER {rate:.6f}")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["angle_deg", "ber"])
-            writer.writerows((f"{a:.6f}", f"{r:.9f}") for a, r in zip(angles, rates))
+        rows = ((f"{a:.6f}", f"{r:.9f}") for a, r in zip(angles, rates))
+        _write_csv(args.out, ["angle_deg", "ber"], rows)
         _write_meta(args.out, cfg, seed=args.seed, role="ber-sweep")
     return 0
 

@@ -322,23 +322,17 @@ def check_antenna_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
 _SNAPSHOT_BLOCK = 2048
 
 
-def _snapshot_blocks(grid: np.ndarray):
-    """Column blocks of the (N_r, N_s * N_p) receive matrix, one snapshot per
-    column and at most ``_SNAPSHOT_BLOCK`` columns each, as views."""
-    flat = grid.reshape(grid.shape[0], -1)
-    for start in range(0, flat.shape[1], _SNAPSHOT_BLOCK):
-        yield flat[:, start : start + _SNAPSHOT_BLOCK]
-
-
 def sample_covariance(grid: np.ndarray) -> np.ndarray:
     """Spatial sample covariance R = Y Y^H / N with every subcarrier of every
-    OFDM symbol as one of the N snapshots, accumulated one snapshot block at a
-    time."""
+    OFDM symbol as one of the N snapshots, accumulated over column blocks of
+    the (N_r, N) receive matrix, ``_SNAPSHOT_BLOCK`` snapshots at a time."""
     grid = np.asarray(grid, dtype=np.complex128)
+    flat = grid.reshape(grid.shape[0], -1)
     covariance = np.zeros((grid.shape[0], grid.shape[0]), dtype=np.complex128)
-    for block in _snapshot_blocks(grid):
+    for start in range(0, flat.shape[1], _SNAPSHOT_BLOCK):
+        block = flat[:, start : start + _SNAPSHOT_BLOCK]
         covariance += block @ block.conj().T
-    return covariance / (grid.size // grid.shape[0])
+    return covariance / flat.shape[1]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

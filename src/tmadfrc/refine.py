@@ -6,8 +6,8 @@ evaluated on a fine degree grid around the bin, using the receive sample
 covariance.  Co-bin targets that the coarse DFT merged are separated here —
 their slow-time Doppler rotation decorrelates them across OFDM symbols, so
 averaging the covariance over the whole frame keeps the signal subspace well
-conditioned even for closely spaced directions.  The noise projector is built
-once per frame from the *global* signal-subspace dimension: when several bins
+conditioned even for closely spaced directions.  Every bin's noise subspace
+has the same, frame-global dimension, set once per frame: when several bins
 are occupied, sizing the subspace per bin would leave the other bins' signal
 eigenvectors inside the noise subspace and bias the peaks by a few tenths of
 a degree.
@@ -78,7 +78,6 @@ from .model import (
     bin_to_sine,
     bin_to_velocity_mps,
     check_integer,
-    check_symbol_grid,
     range_ramp,
     range_resolution_m,
     signed_bin_index,
@@ -223,7 +222,6 @@ class CombinationFit:
     coarse_residual: float
     grids: tuple
     on_boundary: tuple
-    gains: np.ndarray | None
 
 
 def _window_union(centers, res: float, points: int) -> np.ndarray:
@@ -254,7 +252,7 @@ _SLAB_COMBINATIONS = 65_536
 
 def _mesh_residuals(mesh, u, gram, energy, fit_gains):
     """Residual of every combination of an open index mesh (``np.ix_`` of
-    each source's grid indices), and the fitted gains (..., Q) or None."""
+    each source's grid indices)."""
     n_sources = len(u)
     if not fit_gains:
         residual = energy
@@ -264,7 +262,7 @@ def _mesh_residuals(mesh, u, gram, energy, fit_gains):
         for q in range(n_sources):
             for p in range(q + 1, n_sources):
                 residual += 2.0 * gram[q, p].real[mesh[q], mesh[p]]  # no extra temporary
-        return residual, None
+        return residual
 
     v = np.stack(np.broadcast_arrays(*(u[q][mesh[q]] for q in range(n_sources))), axis=-1)
     g = np.empty((*v.shape, n_sources), dtype=complex)
@@ -282,23 +280,21 @@ def _mesh_residuals(mesh, u, gram, energy, fit_gains):
                 gains[idx] = np.linalg.solve(g[idx], v[idx])
             except np.linalg.LinAlgError:
                 gains[idx] = np.linalg.lstsq(g[idx], v[idx], rcond=None)[0]
-    residual = energy - (v.conj()[..., None, :] @ gains[..., :, None])[..., 0, 0].real
-    return residual, gains
+    return energy - (v.conj()[..., None, :] @ gains[..., :, None])[..., 0, 0].real
 
 
 def _mesh_minimum(indices, u, gram, energy, fit_gains):
     """First minimum, in C order, over the mesh where every source takes one
     of the grid ``indices``, scored in slabs along the first source:
-    (grid index per source, residual, gains or None)."""
+    (grid index per source, residual)."""
     rows = max(1, _SLAB_COMBINATIONS // indices.size ** (len(u) - 1))
-    best = None, np.inf, None
+    best = None, np.inf
     for start in range(0, indices.size, rows):
         mesh = np.ix_(indices[start : start + rows], *[indices] * (len(u) - 1))
-        residual, gains = _mesh_residuals(mesh, u, gram, energy, fit_gains)
+        residual = _mesh_residuals(mesh, u, gram, energy, fit_gains)
         at = np.unravel_index(np.argmin(residual), residual.shape)
         if residual[at] < best[1]:
-            combo = indices[[start + at[0], *at[1:]]]
-            best = combo, float(residual[at]), None if gains is None else gains[at].copy()
+            best = indices[[start + at[0], *at[1:]]], float(residual[at])
     return best
 
 
@@ -314,16 +310,15 @@ def _search_combinations(u, gram, energy, candidates, centers, fit_gains):
         )
     if not len(candidates):
         raise ValueError("the candidate grid is empty")
-    best, residual, gains = _mesh_minimum(np.arange(len(candidates)), u, gram, energy, fit_gains)
+    best, residual = _mesh_minimum(np.arange(len(candidates)), u, gram, energy, fit_gains)
     center_idx = np.argmin(np.abs(np.subtract.outer(np.atleast_1d(centers), candidates)), axis=1)
-    _, coarse_residual, _ = _mesh_minimum(center_idx, u, gram, energy, fit_gains)
+    _, coarse_residual = _mesh_minimum(center_idx, u, gram, energy, fit_gains)
     return CombinationFit(
         values=candidates[best],
         residual=residual,
         coarse_residual=coarse_residual,
         grids=(candidates,) * n_sources,
         on_boundary=tuple(i in (0, len(candidates) - 1) for i in best),
-        gains=gains,
     )
 
 
@@ -336,10 +331,11 @@ def _joint_fit(kind, steer, atoms, projections, pair_weight, energy, candidates,
     All sources search ``candidates``, with ``centers`` as coarse baseline.
     """
     n_sources = len(steer)
-    u = [atoms.conj().T @ projections[q] for q in range(n_sources)]
+    atoms_h = atoms.conj().T
+    u = [atoms_h @ projections[q] for q in range(n_sources)]
     array_gram = steer.conj() @ steer.T  # (Q, Q)
     gram = {
-        (q, p): array_gram[q, p] * (atoms.conj().T @ (pair_weight(q, p)[:, None] * atoms))
+        (q, p): array_gram[q, p] * (atoms_h @ (pair_weight(q, p)[:, None] * atoms))
         for q in range(n_sources)
         for p in range(q, n_sources)
     }
@@ -360,15 +356,8 @@ def _checked_scrambled(cfg: SystemConfig, angles_deg, scrambled):
     stack, refused unless ``scrambled`` holds one finite payload grid per
     angle."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    scrambled = np.asarray(scrambled, dtype=np.complex128)
-    if scrambled.shape[:1] != angles.shape:
-        raise ValueError(
-            f"need one scrambled payload per angle: {angles.size} angles, "
-            f"scrambled shape {scrambled.shape}"
-        )
-    for payload in scrambled:
-        check_symbol_grid(cfg, payload)
-    return angles, scrambled
+    what = "one scrambled payload per angle: scrambled"
+    return angles, model._checked_grid(scrambled, (angles.size, *cfg.grid_shape), what)
 
 
 def refine_ranges(

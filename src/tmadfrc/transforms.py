@@ -9,12 +9,5 @@ carries the 1/N factor, so ``idft(dft(x)) == x``.
 
 import numpy as np
 
-
-def dft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Forward DFT along ``axis``, unnormalized."""
-    return np.fft.fft(np.asarray(x, dtype=np.complex128), axis=axis)
-
-
-def idft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse DFT along ``axis`` with the 1/N normalization."""
-    return np.fft.ifft(np.asarray(x, dtype=np.complex128), axis=axis)
+dft = np.fft.fft
+idft = np.fft.ifft

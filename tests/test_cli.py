@@ -17,6 +17,8 @@ import pytest
 from tmadfrc import (
     Frame,
     RefineOptions,
+    ber_vs_angle,
+    bin_to_angle_deg,
     derived_resolutions,
     design_pattern,
     estimate_targets,
@@ -429,6 +431,33 @@ def test_ber_sweep_writes_csv(capsys, tmp_path):
     assert float(rows[1][1]) > 0.2  # far off-steer: scrambled
 
 
+def test_csv_outputs_match_the_in_memory_results_byte_for_byte(capsys, tmp_path, ref_cfg):
+    # csv.writer ends every row, the header too, with CRLF
+    grid_path, data_path = simulate_small(capsys, tmp_path)
+    prefix = tmp_path / "spec"
+    code, _, _ = run(
+        capsys, "estimate", *SMALL, "--grid", str(grid_path), "--data", str(data_path),
+        "--export-spectra", str(prefix),
+    )
+    assert code == 0
+    cfg = dataclasses.replace(ref_cfg, num_rx_antennas=8, num_ofdm_symbols=16)
+    pattern = design_pattern(cfg, cfg.cu_angle_deg)
+    frame = Frame(read_grid(str(grid_path)), read_grid(str(data_path))[0], pattern, cfg)
+    angles = bin_to_angle_deg(np.arange(8), cfg)
+    rows = [f"{k},{angles[k]:.6f},{v:.9e}" for k, v in enumerate(coarse.angle_spectrum(frame))]
+    expected = "".join(f"{row}\r\n" for row in ["bin,angle_deg,power", *rows])
+    assert (tmp_path / "spec.angle.csv").read_bytes() == expected.encode()
+
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "ber-sweep", "--angles", "60,40", "--symbols", "512", "--out", str(out))
+    assert code == 0
+    pattern = design_pattern(ref_cfg, ref_cfg.cu_angle_deg)
+    rates = ber_vs_angle(ref_cfg, pattern, qpsk(), [60.0, 40.0], num_symbols=512, seed=0)
+    rows = [f"{a:.6f},{r:.9f}" for a, r in zip([60.0, 40.0], rates)]
+    expected = "".join(f"{row}\r\n" for row in ["angle_deg,ber", *rows])
+    assert out.read_bytes() == expected.encode()
+
+
 def test_ber_sweep_range_syntax(capsys):
     code, out, _ = run(capsys, "ber-sweep", "--angles", "50:52:1", "--symbols", "512")
     assert code == 0
@@ -521,6 +550,29 @@ def test_ber_sweep_refuses_non_positive_symbol_count(capsys, count):
     assert code == 2
     assert "BER" not in out
     assert "positive" in err
+
+
+@pytest.mark.parametrize("over", [0, 64])
+def test_ber_sweep_bounds_the_symbol_count(capsys, monkeypatch, over):
+    # an unbounded count used to reach the payload draw: 2**33 symbols asked
+    # for a 2 GiB byte draw and a 17 GB bit array
+    calls = []
+
+    def probe(cfg, pattern, constellation, angles, **kwargs):
+        calls.append(kwargs["num_symbols"])
+        return np.zeros(len(angles))
+
+    monkeypatch.setattr(cli, "ber_vs_angle", probe)
+    count = cli._MAX_SYMBOLS + over  # the bound, then one OFDM symbol of 64 past it
+    code, out, err = run(capsys, "ber-sweep", "--angles", "60", f"--symbols={count}")
+    if over:
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and str(cli._MAX_SYMBOLS) in err
+        assert calls == []
+    else:
+        assert code == 0
+        assert calls == [count]
 
 
 # ---------------------------------------------------------------------------

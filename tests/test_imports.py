@@ -1,17 +1,20 @@
 """Every imported name is used by the module that imports it, and every
-public name of the package has a reader.
+public name of the package and every field of its stage results has a
+reader.
 
 No linter ships with the package, so these scans are the guard.
 ``__init__.py`` is skipped: it imports names only to re-export them.
 """
 
 import ast
+import dataclasses
 import pathlib
 import types
 
 import pytest
 
 import tmadfrc
+from tmadfrc.coarse import DescrambleResult
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -20,6 +23,12 @@ MODULES = sorted(
     for path in folder.glob("*.py")
     if path.name != "__init__.py"
 )
+# The package's own modules and the benchmark: the readers a name or a field
+# needs besides the tests.
+READERS = [
+    *(path for path in MODULES if path.parent.name == "tmadfrc"),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
 
 
 def unused_imports(source: str) -> list:
@@ -70,14 +79,43 @@ def test_scan_finds_names_read():
 
 
 def test_every_public_name_has_a_reader():
-    readers = [
-        *(path for path in MODULES if path.parent.name == "tmadfrc"),
-        *sorted((ROOT / "perfbench").glob("*.py")),
-    ]
-    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in readers))
+    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in READERS))
     public = {
         name
         for name in tmadfrc.__all__
         if not isinstance(getattr(tmadfrc, name), types.ModuleType)
     }
     assert sorted(public - read - ORACLES) == []
+
+
+def attributes_read(source: str) -> set:
+    """Every attribute that ``source`` loads."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_scan_finds_attributes_read():
+    assert attributes_read("a.b = c.d\ne = f.g.h\n") == {"d", "g", "h"}
+
+
+RESULTS = (
+    tmadfrc.CombinationFit,
+    tmadfrc.BinPipeline,
+    tmadfrc.CoarseResult,
+    DescrambleResult,
+    tmadfrc.Frame,
+)
+
+
+def test_every_result_field_has_a_reader():
+    read = set().union(*(attributes_read(path.read_text(encoding="utf-8")) for path in READERS))
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in RESULTS
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert unread == []

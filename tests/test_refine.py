@@ -292,8 +292,13 @@ def test_refine_ranges_fitted_gain_recovers_reflectivity(small_cfg):
         grid, data, pattern, small_cfg, [ON_GRID_ANGLE], [2],
         options=RefineOptions(fit_gains=True),
     )
-    assert fit.gains is not None
-    assert fit.gains[0] == pytest.approx(beta, abs=1e-9)
+    unit = fit_ranges(grid, data, pattern, small_cfg, [ON_GRID_ANGLE], [2])
+    energy = float(np.sum(np.abs(grid[:, :, 0]) ** 2))
+    # the fitted gain absorbs beta: the truth is reconstructed exactly, which
+    # unit gains cannot do (|beta - 1|^2 / |beta|^2 of the energy at the truth)
+    assert fit.values[0] == pytest.approx(2 * res, abs=1e-9)
+    assert fit.residual == pytest.approx(0.0, abs=1e-9 * energy)
+    assert unit.residual > 1e-2 * energy
 
 
 # complex reflectivities of the two oracle sources when the gains are fitted
@@ -301,25 +306,20 @@ FITTED_BETAS = (0.7 * np.exp(1j), -1.0)
 
 
 def oracle_pair_fit(observed, atom0, atom1, fit_gains):
-    """Residual and gains (None for unit gains) of one candidate pair,
-    reconstructed directly; fitted gains come from ``np.linalg.lstsq`` on
-    the two atoms."""
+    """Residual of one candidate pair, reconstructed directly; fitted gains
+    come from ``np.linalg.lstsq`` on the two atoms."""
     if not fit_gains:
-        return float(np.sum(np.abs(observed - (atom0 + atom1)) ** 2)), None
+        return float(np.sum(np.abs(observed - (atom0 + atom1)) ** 2))
     atoms = np.stack([atom0.ravel(), atom1.ravel()], axis=1)
     gains = np.linalg.lstsq(atoms, observed.ravel(), rcond=None)[0]
-    return float(np.sum(np.abs(observed.ravel() - atoms @ gains) ** 2)), gains
+    return float(np.sum(np.abs(observed.ravel() - atoms @ gains) ** 2))
 
 
-def assert_matches_oracle(fit, candidates, best, fit_gains):
-    residual, (i, j), gains = best
+def assert_matches_oracle(fit, candidates, best):
+    residual, (i, j) = best
     assert fit.values[0] == candidates[i]
     assert fit.values[1] == candidates[j]
     assert fit.residual == pytest.approx(residual, rel=1e-8)
-    if fit_gains:
-        np.testing.assert_allclose(fit.gains, gains, rtol=0, atol=1e-9)
-    else:
-        assert fit.gains is None
 
 
 def two_source_range_frame(cfg, fit_gains):
@@ -362,15 +362,15 @@ def test_refine_ranges_matches_enumeration_oracle(monkeypatch, small_cfg, fit_ga
             -2j * np.pi * s * small_cfg.subcarrier_spacing_hz * 2.0 * r / small_cfg.c
         )
 
-    best = (np.inf, None, None)
+    best = (np.inf, None)
     for i, r0 in enumerate(candidates):
         atom0 = steer[0][:, None] * (scrambled[0] * ramp(r0))[None, :]
         for j, r1 in enumerate(candidates):
             atom1 = steer[1][:, None] * (scrambled[1] * ramp(r1))[None, :]
-            residual, gains = oracle_pair_fit(snapshot, atom0, atom1, fit_gains)
+            residual = oracle_pair_fit(snapshot, atom0, atom1, fit_gains)
             if residual < best[0]:
-                best = (residual, (i, j), gains)
-    assert_matches_oracle(fit, candidates, best, fit_gains)
+                best = (residual, (i, j))
+    assert_matches_oracle(fit, candidates, best)
 
 
 @pytest.mark.parametrize("fit_gains", [False, True])
@@ -407,14 +407,14 @@ def test_refine_velocities_matches_enumeration_oracle(small_cfg, fit_gains):
         )
         return steer[q][:, None, None] * (base[q] * slow[None, :])[None, :, :]
 
-    best = (np.inf, None, None)
+    best = (np.inf, None)
     for i, v0 in enumerate(candidates):
         part = recon_one(0, v0)
         for j, v1 in enumerate(candidates):
-            residual, gains = oracle_pair_fit(grid, part, recon_one(1, v1), fit_gains)
+            residual = oracle_pair_fit(grid, part, recon_one(1, v1), fit_gains)
             if residual < best[0]:
-                best = (residual, (i, j), gains)
-    assert_matches_oracle(fit, candidates, best, fit_gains)
+                best = (residual, (i, j))
+    assert_matches_oracle(fit, candidates, best)
 
 
 def test_refine_ranges_duplicate_angles_solve_singular_members_one_by_one(
@@ -440,7 +440,7 @@ def test_refine_ranges_duplicate_angles_solve_singular_members_one_by_one(
     fit = fit_ranges(grid, data, pattern, small_cfg, [0.0, 0.0], [0, 1], options=options)
 
     u, gram, energy = captured["u"], captured["gram"], captured["energy"]
-    best, singular = (np.inf, None, None), 0
+    best, singular = (np.inf, None), 0
     for i, j in np.ndindex(len(u[0]), len(u[1])):
         v = np.array([u[0][i], u[1][j]])
         g = np.array(
@@ -453,12 +453,11 @@ def test_refine_ranges_duplicate_angles_solve_singular_members_one_by_one(
             gains = np.linalg.lstsq(g, v, rcond=None)[0]
         residual = float(energy - np.real(v.conj() @ gains))
         if residual < best[0]:
-            best = (residual, (i, j), gains)
+            best = (residual, (i, j))
     assert singular > 0  # the range-0 pair at least: its Gram entries are exactly real
-    residual, (i, j), gains = best
+    residual, (i, j) = best
     assert fit.values.tolist() == [fit.grids[0][i], fit.grids[1][j]]
     assert fit.residual == residual
-    np.testing.assert_array_equal(fit.gains, gains)
 
 
 @pytest.mark.parametrize("slab", [1, 70])
@@ -471,8 +470,7 @@ def test_combination_search_does_not_depend_on_slab_size(monkeypatch, small_cfg,
     whole = fit_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
     monkeypatch.setattr(refine, "_SLAB_COMBINATIONS", slab)
     slabbed = fit_ranges(grid, data, pattern, small_cfg, angles, [2, 5], options=options)
-    for name in ("values", "gains"):
-        np.testing.assert_array_equal(getattr(slabbed, name), getattr(whole, name))
+    np.testing.assert_array_equal(slabbed.values, whole.values)
     assert slabbed.residual == whole.residual
     assert slabbed.coarse_residual == whole.coarse_residual
     assert slabbed.on_boundary == whole.on_boundary
@@ -723,18 +721,21 @@ FIT_STAGES = ("refine_ranges", "refine_velocities")
             for name in ("coarse_pipeline", *ROW_STAGES, *FIT_STAGES)
             for where in ("grid", "payload")
         ),
+        *((name, "first payload") for name in FIT_STAGES),
     ],
 )
 def test_public_stages_reject_non_finite_input(small_cfg, name, where):
     # A NaN on the grid side (the cube, or a row stage's beamformed rows) or
     # the payload side (the payload, or the grids scrambled from it) of any
     # public stage fails loudly.  The frame-taking stages see the cube and
-    # payload only through a Frame, which checks them once.
+    # payload only through a Frame, which checks them once.  The fits check
+    # their Q scrambled grids as one stack: a NaN in the first or in the last
+    # grid is refused.
     pattern, data, grid, rows, reference, scrambled = stage_inputs(small_cfg)
     if name in ROW_STAGES:
         target = rows if where == "grid" else reference
-    elif name in FIT_STAGES and where == "payload":
-        target = scrambled[1]
+    elif name in FIT_STAGES and where != "grid":
+        target = scrambled[0 if where == "first payload" else -1]
     else:
         target = grid[0] if where == "grid" else data
     target[2, 3] = np.nan

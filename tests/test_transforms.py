@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from tmadfrc import dft, idft
+from tmadfrc import dft, idft, transforms
+
+
+def test_transforms_are_numpys_ffts():
+    assert transforms.dft is np.fft.fft
+    assert transforms.idft is np.fft.ifft
 
 
 def random_complex(rng, *shape):
