@@ -7,10 +7,11 @@ covariance.  Co-bin targets that the coarse DFT merged are separated here —
 their slow-time Doppler rotation decorrelates them across OFDM symbols, so
 averaging the covariance over the whole frame keeps the signal subspace well
 conditioned even for closely spaced directions.  Every bin's noise subspace
-has the same, frame-global dimension, set once per frame: when several bins
-are occupied, sizing the subspace per bin would leave the other bins' signal
-eigenvectors inside the noise subspace and bias the peaks by a few tenths of
-a degree.
+has the same, frame-global dimension, set once per frame by the minimum
+description length (MDL) of the covariance eigenvalues, with no tuned
+threshold: when several bins are occupied, sizing the subspace per bin would
+leave the other bins' signal eigenvectors inside the noise subspace and bias
+the peaks by a few tenths of a degree.
 
 Ranges and velocities follow by exhaustive least squares on candidate grids.
 The signal model for Q sources in one angle bin is
@@ -105,9 +106,6 @@ VELOCITY_POINTS = 11
 # Pseudospectrum maxima below this fraction of the tallest one do not count
 # as sources.
 _PEAK_REL_THRESHOLD = 1e-2
-# A frame's signal-subspace dimension sits at its largest consecutive-eigenvalue
-# ratio, which must reach this value to count as a gap.
-_MIN_EIGEN_RATIO = 3.0
 # Largest grid product one joint fit may search: three sources on one range
 # window.  It guards time and memory against a large forced source count.
 _MAX_COMBINATIONS = RANGE_POINTS**3
@@ -124,28 +122,28 @@ class RefineOptions:
             check_integer(self.num_sources, 1, "RefineOptions.num_sources")
 
 
-def estimate_n_sources(eigenvalues, max_sources: int) -> int:
-    """Source count, at most ``max_sources``, from the largest
-    consecutive-eigenvalue ratio.
+def estimate_n_sources(eigenvalues, snapshots: int) -> int:
+    """Wax & Kailath's MDL source count over N = ``snapshots``: the k in
+    0 .. M-1 minimizing N (M-k) log(mean / geomean of the M-k smallest
+    eigenvalues) + k (2M-k) log(N) / 2.  Eigenvalues are floored at 1e-15 of
+    the largest, so the zeros of a noise-free covariance stay finite.
 
     Raises:
-        SubspaceError: eigenvalues are degenerate or show no gap of at least
-            ``_MIN_EIGEN_RATIO`` (3).
+        SubspaceError: the eigenvalues are degenerate.
     """
+    check_integer(snapshots, 1, "snapshots")
     lam = np.sort(np.abs(np.asarray(eigenvalues, dtype=float)))[::-1]
     if lam.size < 2 or not np.all(np.isfinite(lam)) or lam[0] <= 0.0:
         raise SubspaceError("eigenvalue spectrum is degenerate")
-    upper = min(int(max_sources), lam.size - 1)
-    if upper < 1:
-        raise SubspaceError("need room for at least one source and one noise eigenvalue")
-    ratios = lam[:upper] / np.maximum(lam[1 : upper + 1], lam[0] * 1e-15)
-    best = int(np.argmax(ratios))
-    if ratios[best] < _MIN_EIGEN_RATIO:
-        raise SubspaceError(
-            f"largest eigenvalue gap {ratios[best]:.2f} is below {_MIN_EIGEN_RATIO:.2f}; "
-            f"cannot separate signal from noise"
-        )
-    return best + 1
+    lam = np.maximum(lam, lam[0] * 1e-15)
+    m = lam.size
+    k = np.arange(m)
+    tail = m - k  # noise eigenvalues under order k
+    tail_sum = np.cumsum(lam[::-1])[::-1]
+    tail_log_sum = np.cumsum(np.log(lam[::-1]))[::-1]
+    likelihood = snapshots * (tail * np.log(tail_sum / tail) - tail_log_sum)
+    penalty = 0.5 * k * (2 * m - k) * np.log(snapshots)
+    return int(np.argmin(likelihood + penalty))
 
 
 def music_search_grid(angle_bin: int, cfg: SystemConfig) -> np.ndarray:
@@ -481,8 +479,9 @@ def estimate_targets(
     The covariance is the frame's own: :class:`Frame` computes it once, and
     the coarse angle stage reads its beam power from it.  It pools every
     subcarrier of every OFDM symbol.  The signal-subspace dimension is
-    frame-global: the eigenvalue gap of that covariance, floored at the
-    number of occupied bins and capped at num_rx_antennas - 1.  Each bin
+    frame-global: the MDL order of that covariance's eigenvalues over its
+    N_s N_p snapshots (:func:`estimate_n_sources`), floored at the number of
+    occupied bins and capped at num_rx_antennas - 1.  Each bin
     then contributes as many refined sources as its pseudospectrum window
     shows qualifying peaks, capped at the dimension, or exactly
     ``options.num_sources`` when that override is set; a forced count above
@@ -500,11 +499,8 @@ def estimate_targets(
         return EstimateSet(coarse=[], refined=[])
 
     max_dim = cfg.num_rx_antennas - 1
-    try:
-        dimension = estimate_n_sources(np.linalg.eigvalsh(frame.covariance), max_sources=max_dim)
-    except SubspaceError:
-        dimension = len(coarse.estimates)
-    dimension = min(max(dimension, len(coarse.bins)), max_dim)
+    order = estimate_n_sources(np.linalg.eigvalsh(frame.covariance), frame.grid[0].size)
+    dimension = min(max(order, len(coarse.bins)), max_dim)
     if options.num_sources is not None and options.num_sources > dimension:
         raise SubspaceError(
             f"{options.num_sources} forced sources per bin exceed the frame's "

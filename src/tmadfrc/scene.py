@@ -168,6 +168,7 @@ def load_scene(path) -> Scene:
 GRID_MAGIC = b"TMAG"
 GRID_VERSION = 1
 _HEADER = struct.Struct("<4sIIIII")  # magic, version, n_rx, n_subcarriers, n_symbols, reserved
+_READ_CHUNK = 1 << 20
 
 
 class GridFormatError(ValueError):
@@ -196,26 +197,28 @@ def write_grid(path, values: np.ndarray) -> None:
 
 
 def read_grid(path) -> np.ndarray:
-    """Load a grid written by :func:`write_grid`; always returns 3-D."""
+    """Load a grid written by :func:`write_grid`; always returns 3-D.  The header
+    is checked first, then at most one byte past the payload it promises is read."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise GridFormatError(f"grid header truncated: {len(header)} of {_HEADER.size} bytes")
+        magic, version, n_rx, n_sub, n_sym, _ = _HEADER.unpack(header)
+        if magic != GRID_MAGIC:
+            raise GridFormatError(f"bad magic {magic!r} at byte 0 (expected {GRID_MAGIC!r})")
+        if version != GRID_VERSION:
+            raise GridFormatError(f"unsupported grid version {version}")
+        expected = n_rx * n_sub * n_sym * 16
+        raw, want = bytearray(), expected + 1
+        while len(raw) < want and (chunk := fh.read(min(want - len(raw), _READ_CHUNK))):
+            raw += chunk
+    if len(raw) != expected:
+        end = _HEADER.size + len(raw)
+        where = f"truncated at byte {end}" if len(raw) < expected else f"runs past byte {end - 1}"
         raise GridFormatError(
-            f"grid header truncated: need {_HEADER.size} bytes, file has {len(raw)}"
+            f"grid payload {where}: header promises {expected} bytes after byte {_HEADER.size}"
         )
-    magic, version, n_rx, n_sub, n_sym, _ = _HEADER.unpack_from(raw)
-    if magic != GRID_MAGIC:
-        raise GridFormatError(f"bad magic {magic!r} at byte 0 (expected {GRID_MAGIC!r})")
-    if version != GRID_VERSION:
-        raise GridFormatError(f"unsupported grid version {version}")
-    expected = n_rx * n_sub * n_sym * 16
-    payload = len(raw) - _HEADER.size
-    if payload != expected:
-        raise GridFormatError(
-            f"grid payload truncated at byte {len(raw)}: header promises "
-            f"{expected} bytes after byte {_HEADER.size}, found {payload}"
-        )
-    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    data = np.frombuffer(raw, dtype="<c16")
     if not np.isfinite(data).all():
         raise GridFormatError("grid payload contains non-finite values")
     return data.reshape(n_rx, n_sub, n_sym).astype(np.complex128)

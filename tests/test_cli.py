@@ -579,12 +579,34 @@ def test_ber_sweep_bounds_the_symbol_count(capsys, monkeypatch, over):
 # reproduce-table2
 
 
+# The whole stdout of `reproduce-table2` at the default seed: a change that
+# keeps the estimator's outputs keeps this text byte for byte.
+REPRODUCE_TABLE2_STDOUT = """\
+configuration hash 337174191b0b731b, noise/payload seed 2
+coarse detections: 3
+  bin (  6,  6,   9) ->  -30.000 deg    117.188 m    21.094 m/s
+  bin ( 20,  3,   4) ->   19.471 deg     58.594 m     9.375 m/s
+  bin ( 20,  3,  -4) ->   19.471 deg     58.594 m    -9.375 m/s
+refined targets:   3
+  from bin   6 ->  -30.000 deg   119.9219 m   19.9219 m/s
+  from bin  20 ->   20.000 deg    50.0000 m  -10.0781 m/s
+  from bin  20 ->   22.000 deg    59.9609 m   10.0781 m/s
+
+truth   20.000 deg    50.000 m  -10.000 m/s | expected   20.000 deg   50.0000 m  -10.0781 m/s | got   20.000 deg   50.0000 m  -10.0781 m/s | PASS
+truth   22.000 deg    60.000 m   10.000 m/s | expected   22.000 deg   59.9609 m   10.0781 m/s | got   22.000 deg   59.9609 m   10.0781 m/s | PASS
+truth  -30.000 deg   120.000 m   20.000 m/s | expected  -30.000 deg  119.9219 m   19.9219 m/s | got  -30.000 deg  119.9219 m   19.9219 m/s | PASS
+
+tolerances: angle 0.100 deg, range 0.200 m, velocity 0.234375 m/s (one refinement step); range grid step 0.195312 m
+reproduction: PASS
+"""
+
+
 @pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_reproduce_reference_passes(capsys, tmp_path):
     report = tmp_path / "repro.json"
     code, out, _ = run(capsys, "reproduce-table2", "--out", str(report))
     assert code == 0
-    assert "reproduction: PASS" in out
+    assert out == REPRODUCE_TABLE2_STDOUT
     payload = json.loads(report.read_text())
     assert payload["ok"] is True
     assert payload["seed"] == 2

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import qpsk_frame
-from tmadfrc import coarse, model, refine
+from tmadfrc import coarse, comms, model, refine
 from tmadfrc import (
     Frame,
     Scene,
@@ -102,24 +102,69 @@ def test_sample_covariance_matches_full_cube_product(monkeypatch, block):
     np.testing.assert_allclose(sample_covariance(grid), expected, rtol=1e-12)
 
 
-def test_estimate_n_sources_picks_largest_gap():
-    assert estimate_n_sources([10.0, 9.0, 8.0, 1.0, 1.0], max_sources=4) == 3
-    assert estimate_n_sources([50.0, 1.0, 1.0], max_sources=2) == 1
+def mdl_by_loop(eigenvalues, snapshots):
+    """Wax & Kailath's MDL, one order at a time: the reference for the
+    cumulative-sum form of ``estimate_n_sources``."""
+    lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    m = lam.size
+    scores = []
+    for k in range(m):
+        tail = lam[k:]
+        log_ratio = np.mean(np.log(tail)) - np.log(np.mean(tail))  # log(geomean / mean)
+        scores.append(-snapshots * (m - k) * log_ratio + 0.5 * k * (2 * m - k) * np.log(snapshots))
+    return int(np.argmin(scores))
 
 
-def test_estimate_n_sources_respects_max_sources_cap():
-    with pytest.raises(SubspaceError, match="gap"):
-        estimate_n_sources([10.0, 9.0, 8.0, 1.0, 1.0], max_sources=1)
+@pytest.mark.parametrize("order", range(8))
+def test_estimate_n_sources_counts_the_eigenvalues_above_the_noise_floor(order):
+    # order 0 is the flat spectrum: noise alone
+    spectrum = [100.0] * order + [1.0] * (8 - order)
+    assert estimate_n_sources(spectrum, 1000) == order
+    assert estimate_n_sources(spectrum[::-1], 1000) == order
 
 
-def test_estimate_n_sources_rejects_flat_spectrum():
-    with pytest.raises(SubspaceError, match="gap"):
-        estimate_n_sources([1.0, 1.0, 1.0], max_sources=2)
+def test_estimate_n_sources_matches_the_order_by_order_formula():
+    assert estimate_n_sources([10.0, 9.0, 8.0, 1.0, 1.0], 100) == 3
+    assert estimate_n_sources([50.0, 1.0, 1.0], 100) == 1
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m = int(rng.integers(2, 25))
+        spectrum = rng.exponential(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
+        snapshots = int(rng.integers(1, 20000))
+        assert estimate_n_sources(spectrum, snapshots) == mdl_by_loop(spectrum, snapshots)
 
 
 def test_estimate_n_sources_rejects_degenerate_spectrum():
-    with pytest.raises(SubspaceError, match="degenerate"):
-        estimate_n_sources([0.0, 0.0, 0.0], max_sources=2)
+    for spectrum in ([0.0, 0.0, 0.0], [1.0, np.nan, 0.5], [np.inf, 1.0], [2.0]):
+        with pytest.raises(SubspaceError, match="degenerate"):
+            estimate_n_sources(spectrum, 100)
+
+
+@pytest.mark.parametrize("snapshots", [0, -3, 2.5, True])
+def test_estimate_n_sources_refuses_a_snapshot_count_that_is_no_positive_integer(snapshots):
+    with pytest.raises(ValueError, match="snapshots"):
+        estimate_n_sources([2.0, 1.0], snapshots)
+
+
+def test_estimate_n_sources_on_a_rank_deficient_spectrum_stays_below_m_without_warnings():
+    rng = np.random.default_rng(8)
+    columns = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))  # N = 3 < M = 8
+    rank_three = np.linalg.eigvalsh(columns @ columns.conj().T / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_n_sources(rank_three, 3) <= 7
+        assert estimate_n_sources([5.0, 3.0, 0.0, 0.0], 1000) <= 3
+        assert estimate_n_sources([5.0, 0.0, 0.0, -1e-17], 1000) <= 3
+
+
+def test_estimate_n_sources_finds_no_source_in_noise_only_cubes(ref_cfg):
+    rng = np.random.default_rng(11)
+    cube = np.zeros((ref_cfg.num_rx_antennas, *ref_cfg.grid_shape), dtype=np.complex128)
+    for _ in range(100):
+        cube[...] = 0.0
+        comms.add_noise(cube, 1.0, rng)
+        eigenvalues = np.linalg.eigvalsh(sample_covariance(cube))
+        assert estimate_n_sources(eigenvalues, cube[0].size) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +639,24 @@ def test_estimate_targets_reference_frame(ref_cfg, ref_pattern, ref_frame):
     assert matched == set(truth)
 
 
+@pytest.mark.parametrize("betas", [(0.5, 1.0, 1.0), (1.0, 0.5, 1.0)])
 @pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
-def test_estimate_targets_falls_back_to_the_coarse_count_without_an_eigen_gap(
-    monkeypatch, ref_cfg, ref_pattern, ref_frame
-):
-    # no gap reaches the ratio, so the dimension is the coarse detection count
-    data, received = ref_frame
-    default = estimate_targets(received, data, ref_pattern, ref_cfg)
-    monkeypatch.setattr(refine, "_MIN_EIGEN_RATIO", 1e12)
-    eigenvalues = np.linalg.eigvalsh(refine.sample_covariance(received))
-    with pytest.raises(SubspaceError, match="eigenvalue gap"):
-        estimate_n_sources(eigenvalues, max_sources=ref_cfg.num_rx_antennas - 1)
-    fallback = estimate_targets(received, data, ref_pattern, ref_cfg)
-    assert len(fallback.refined) == 3
-    assert fallback.refined == default.refined
+def test_estimate_targets_separates_a_weaker_co_bin_target(betas, ref_cfg, ref_scene, ref_pattern):
+    """With one of the two co-bin targets at half amplitude, the signal
+    dimension still counts all three targets, so the 20 deg bin refines to
+    both of its sources on every noise seed."""
+    data = qpsk_frame(ref_cfg, 7)
+    targets = tuple(
+        dataclasses.replace(t, reflectivity=complex(b)) for t, b in zip(ref_scene.targets, betas)
+    )
+    truths = sorted(t.angle_deg for t in targets)
+    for seed in range(10):
+        frame = dataclasses.replace(ref_scene, targets=targets, seed=seed)
+        received = radar_returns(data, ref_pattern, ref_cfg, frame)
+        estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
+        angles = sorted(row.angle_deg for row in estimates.refined)
+        assert len(angles) == 3
+        np.testing.assert_allclose(angles, truths, atol=0.1 + 1e-9)
 
 
 def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):

@@ -32,6 +32,7 @@ from tmadfrc import (
     validate_scene,
     write_grid,
 )
+from tmadfrc import scene as scene_module
 from tmadfrc.model import write_document
 
 from conftest import qpsk_frame
@@ -451,4 +452,60 @@ def test_truncated_payload_names_byte_offset(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-17])
     with pytest.raises(GridFormatError, match=f"byte {len(raw) - 17}"):
+        read_grid(path)
+
+
+class EndlessStream:
+    """A file that never ends: ``head`` and then zero bytes, like a device or
+    a FIFO.  It counts what it hands out and fails on a read to the end or
+    past 1 MB, so a reader that does not stop at the size the header promises
+    fails here instead of exhausting memory."""
+
+    LIMIT = 1 << 20
+
+    def __init__(self, head=b""):
+        self.head = head
+        self.served = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self, size=-1):
+        if size < 0 or self.served + size > self.LIMIT:
+            raise AssertionError(f"read({size}) after {self.served} bytes of an endless stream")
+        out = (self.head[self.served :] + bytes(size))[:size]
+        self.served += size
+        return out
+
+
+def endless_open(monkeypatch, head=b""):
+    stream = EndlessStream(head)
+    monkeypatch.setattr(scene_module, "open", lambda path, mode: stream, raising=False)
+    return stream
+
+
+def test_read_grid_refuses_an_endless_zero_stream_after_its_header(monkeypatch):
+    stream = endless_open(monkeypatch)
+    with pytest.raises(GridFormatError, match="byte 0"):
+        read_grid("/dev/zero")
+    assert stream.served == scene_module._HEADER.size
+
+
+def test_read_grid_stops_one_byte_past_the_promised_payload(monkeypatch, tmp_path):
+    path = tmp_path / "head.grid"
+    write_grid(path, np.zeros((1, 2, 2), dtype=complex))
+    stream = endless_open(monkeypatch, path.read_bytes())
+    with pytest.raises(GridFormatError, match="runs past byte 88"):
+        read_grid("endless.grid")
+    assert stream.served == 24 + 64 + 1
+
+
+def test_read_grid_refuses_a_header_promising_more_than_the_file_holds(tmp_path):
+    path = tmp_path / "boast.grid"
+    header = scene_module._HEADER.pack(b"TMAG", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, 0)
+    path.write_bytes(header + bytes(32))
+    with pytest.raises(GridFormatError, match="truncated at byte 56"):
         read_grid(path)
