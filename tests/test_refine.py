@@ -865,7 +865,7 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
 
 
 # Refined (angle deg, range m, velocity m/s) of the reference scene with
-# payload seed 7 and noise seeds 0-4, with default options and with fitted
+# payload seed 7 and noise seeds 0-19, with default options and with fitted
 # gains.  Every value is a search-grid point, so the pins are exact.
 PINNED_REFINED = {
     0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
@@ -873,6 +873,21 @@ PINNED_REFINED = {
     2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
     3: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     4: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+    5: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
+    6: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    7: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    8: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    9: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    10: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    11: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    12: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    13: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    14: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    15: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    16: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    17: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    18: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    19: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
 }
 PINNED_REFINED_FIT_GAINS = {
     0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
@@ -880,6 +895,21 @@ PINNED_REFINED_FIT_GAINS = {
     2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     3: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
     4: [(-30.0, 120.1171875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.5703125, 10.078125)],
+    5: [(-30.0, 120.3125, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
+    6: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    7: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    8: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+    9: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    10: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    11: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    12: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    13: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
+    14: [(-30.0, 119.7265625, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    15: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    16: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    17: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.5703125, 10.078125)],
+    18: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    19: [(-30.0, 119.921875, 19.921875), (20.0, 50.390625, -10.078125), (22.0, 59.765625, 10.078125)],
 }
 
 
