@@ -20,8 +20,6 @@ from .coarse import (
     coarse_pipeline,
     descramble,
     detect_peaks,
-    range_response,
-    velocity_spectrum,
 )
 from .comms import (
     Constellation,

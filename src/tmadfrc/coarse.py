@@ -96,13 +96,13 @@ def peak_threshold(profile: np.ndarray, keep_tallest: bool = False) -> float:
 
 
 def _local_maxima(values, wrap: bool) -> np.ndarray:
-    """Mask of local maxima, a plateau counting at its rightmost sample.  With
-    ``wrap`` the values are circular, as a DFT profile is; otherwise, and for
-    a single value, both ends face -inf."""
+    """Mask of local maxima, a plateau counting at its rightmost sample.  Each
+    value meets its neighbours in the profile padded at both ends: with
+    ``wrap`` by its own far ends, as a circular DFT profile is; otherwise, and
+    for a single value, by -inf."""
     v = np.asarray(values, dtype=float)
-    if wrap and v.size > 1:
-        return (v >= np.roll(v, 1)) & (v > np.roll(v, -1))
-    padded = np.concatenate(([-np.inf], v, [-np.inf]))
+    left, right = (v[-1:], v[:1]) if wrap and v.size > 1 else ([-np.inf], [-np.inf])
+    padded = np.concatenate((left, v, right))
     return (v >= padded[:-2]) & (v > padded[2:])
 
 
@@ -176,21 +176,6 @@ def descramble(
     return DescrambleResult(symbols=quotient, masked=masked)
 
 
-def range_response(descrambled: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Complex range response r(l, mu): IDFT across subcarriers."""
-    return idft(check_symbol_grid(cfg, descrambled), axis=0)
-
-
-def velocity_spectrum(response_row: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Magnitude velocity spectrum of one range-response row, DFT bin order."""
-    row = np.asarray(response_row, dtype=np.complex128)
-    if row.shape != (cfg.num_ofdm_symbols,):
-        raise ValueError(
-            f"response row must have shape ({cfg.num_ofdm_symbols},), got {row.shape}"
-        )
-    return np.abs(dft(row))
-
-
 @dataclasses.dataclass(frozen=True)
 class BinPipeline:
     """Everything the coarse stage computed inside one detected angle bin.
@@ -236,15 +221,13 @@ def coarse_pipeline(frame: Frame) -> CoarseResult:
     for angle_bin, angle_deg, reference in zip(angle_bins, angles.tolist(), references):
         rows = beam_rows(frame, int(angle_bin))
         desc = descramble(rows, reference, cfg, angle_deg)
-        response = range_response(desc.symbols, cfg)
+        response = idft(desc.symbols, axis=0)  # r(l, mu)
         profile = np.abs(response).mean(axis=1)
         range_bins = detect_peaks(profile, keep_tallest=True)
-        spectra = []
+        spectra = np.abs(dft(response[range_bins], axis=1))  # one row per range bin
         velocity_bins = []
-        for range_bin in range_bins:
-            spec = velocity_spectrum(response[range_bin], cfg)
+        for range_bin, spec in zip(range_bins, spectra):
             signed = signed_bin_index(detect_peaks(spec, keep_tallest=True), cfg.num_ofdm_symbols)
-            spectra.append(spec)
             velocity_bins.append(signed)
             for velocity_bin in signed:
                 estimates.append(

@@ -62,14 +62,7 @@ import warnings
 import numpy as np
 
 from . import model
-from .coarse import (
-    NoPeaksError,
-    _local_maxima,
-    coarse_pipeline,
-    descramble,
-    range_response,
-    velocity_spectrum,
-)
+from .coarse import NoPeaksError, _local_maxima, coarse_pipeline, descramble
 from .model import (
     EstimateSet,
     Frame,
@@ -87,6 +80,7 @@ from .model import (
     velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
+from .transforms import dft, idft
 
 # A Frame computes its covariance once, when it is built; the stage keeps its
 # name here as well, beside the stages that read the covariance.
@@ -179,27 +173,14 @@ def music_pseudospectrum(
     return 1.0 / np.maximum(proj.sum(axis=0), np.finfo(float).tiny)
 
 
-def _top_local_maxima(values: np.ndarray, count: int, wrap: bool = False) -> list:
-    """Indices of the ``count`` tallest local maxima (circular with ``wrap``), topped up
-    with the tallest remaining samples when the landscape has too few bumps."""
-    v = np.asarray(values, dtype=float)
-    if count > v.size:
-        raise SubspaceError(f"cannot pick {count} peaks from {v.size} grid points")
-    peaks = np.flatnonzero(_local_maxima(v, wrap))
-    chosen = list(peaks[np.argsort(v[peaks])[::-1]][:count])
-    for idx in np.argsort(v)[::-1]:
-        if len(chosen) == count:
-            break
-        if idx not in chosen:
-            chosen.append(int(idx))
-    return sorted(int(i) for i in chosen)
-
-
-def _peak_count(spectrum: np.ndarray) -> int:
-    """Local maxima within ``_PEAK_REL_THRESHOLD`` of the tallest spectrum value."""
-    v = np.asarray(spectrum, dtype=float)
-    tall = v >= _PEAK_REL_THRESHOLD * v.max()
-    return int(np.count_nonzero(_local_maxima(v, wrap=False) & tall))
+def _top_peaks(values: np.ndarray, peaks: np.ndarray, count: int) -> np.ndarray:
+    """Ascending indices of the first ``count`` samples of ``values`` in peak
+    order: the local maxima of mask ``peaks`` tallest first, then the other
+    samples tallest first, so a landscape with too few bumps is topped up with
+    its tallest remaining samples.  Of equal values the rightmost comes first."""
+    if count > values.size:
+        raise SubspaceError(f"cannot pick {count} peaks from {values.size} grid points")
+    return np.sort(np.lexsort((values, peaks))[::-1][:count])
 
 
 # --- least-squares grid search -------------------------------------------------
@@ -453,11 +434,9 @@ def matched_velocity_bins(
     joint fit sort out the pairing avoids that coin flip.
     """
     desc = descramble(rows, reference, cfg, theta_deg)
-    response = range_response(desc.symbols, cfg)
-    res = range_resolution_m(cfg)
-    gate = int(np.rint(float(range_m) / res)) % cfg.num_subcarriers
-    spectrum = velocity_spectrum(response[gate], cfg)
-    tops = _top_local_maxima(spectrum, count, wrap=True)
+    gate = int(np.rint(float(range_m) / range_resolution_m(cfg))) % cfg.num_subcarriers
+    spectrum = np.abs(dft(idft(desc.symbols, axis=0)[gate]))
+    tops = _top_peaks(spectrum, _local_maxima(spectrum, wrap=True), count)
     return [int(signed_bin_index(int(i), cfg.num_ofdm_symbols)) for i in tops]
 
 
@@ -511,8 +490,10 @@ def estimate_targets(
     for bin_result in coarse.bins:
         search = music_search_grid(bin_result.angle_bin, cfg)
         spectrum = music_pseudospectrum(frame.covariance, dimension, cfg, search)
-        count = options.num_sources or max(1, min(_peak_count(spectrum), dimension))
-        angles = search[_top_local_maxima(spectrum, count)]  # ascending
+        peaks = _local_maxima(spectrum, wrap=False)
+        tall = np.count_nonzero(peaks & (spectrum >= _PEAK_REL_THRESHOLD * spectrum.max()))
+        count = options.num_sources or max(1, min(tall, dimension))
+        angles = search[_top_peaks(spectrum, peaks, count)]  # ascending
         scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)
         range_fit = refine_ranges(frame, angles, scrambled, bin_result.range_bins, options)
         velocity_bins = {int(b) for bins in bin_result.velocity_bins for b in bins}

@@ -106,11 +106,14 @@ def test_worker_refine_options_have_velocity_points():
 
 
 def test_estimate_targets_calls_every_traced_stage(monkeypatch, ref_cfg, ref_pattern, ref_frame):
-    """One estimate of the reference frame calls each traced ``coarse.*`` and
-    ``refine.*`` name, with each wrapped in every tmadfrc module namespace,
-    as the benchmark's tracer rebinds it."""
+    """One estimate of the reference frame calls each traced ``coarse.*``,
+    ``refine.*``, ``transforms.*`` and ``tma.*`` name, with each wrapped in
+    every tmadfrc module namespace, as the benchmark's tracer rebinds it.  A
+    stage that calls ``np.fft`` or a scrambler directly fails here instead of
+    reading 0 in every traced run."""
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "tmadfrc"]
-    stages = [name for name in traced_names() if name.split(".")[0] in ("coarse", "refine")]
+    families = ("coarse", "refine", "transforms", "tma")
+    stages = [name for name in traced_names() if name.split(".")[0] in families]
     calls = collections.Counter()
     for dotted in stages:
         module, _, name = dotted.partition(".")

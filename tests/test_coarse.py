@@ -37,8 +37,6 @@ from tmadfrc.coarse import (
     detect_peaks,
     median,
     peak_threshold,
-    range_response,
-    velocity_spectrum,
 )
 from tmadfrc import model
 from tmadfrc.model import derived_resolutions
@@ -335,18 +333,13 @@ def test_range_profile_single_bin(on_grid):
 
 def test_velocity_spectrum_single_bin_with_known_magnitude(on_grid):
     cfg, pattern, data, grid, target = on_grid
-    desc = descramble_on_grid(cfg, pattern, data, grid, target)
-    response = range_response(desc.symbols, cfg)
-    spec = velocity_spectrum(response[ON_GRID_RANGE_BIN], cfg)
+    (bin_result,) = coarse_pipeline(Frame(grid, data, pattern, cfg)).bins
+    assert bin_result.range_bins.tolist() == [ON_GRID_RANGE_BIN]
+    spec = bin_result.velocity_spectra[0]
     assert int(np.argmax(spec)) == ON_GRID_VELOCITY_BIN  # positive bin: DFT order
     assert spec[ON_GRID_VELOCITY_BIN] == pytest.approx(
         cfg.num_rx_antennas * cfg.num_ofdm_symbols, rel=1e-9
     )
-
-
-def test_velocity_spectrum_rejects_wrong_length(small_cfg):
-    with pytest.raises(ValueError, match="response row"):
-        velocity_spectrum(np.zeros(small_cfg.num_ofdm_symbols + 1), small_cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -610,6 +610,39 @@ def test_more_peaks_than_grid_points_is_refused(small_cfg):
         matched_velocity_bins(rows, reference, small_cfg, 10.0, 100.0, count)
 
 
+def top_up_picker(values, count, wrap):
+    """The picker ``refine._top_peaks`` replaced: the tallest local maxima,
+    then a Python loop topping up with the tallest remaining samples."""
+    v = np.asarray(values, dtype=float)
+    peaks = np.flatnonzero(coarse._local_maxima(v, wrap))
+    chosen = list(peaks[np.argsort(v[peaks])[::-1]][:count])
+    for idx in np.argsort(v)[::-1]:
+        if len(chosen) == count:
+            break
+        if idx not in chosen:
+            chosen.append(int(idx))
+    return sorted(int(i) for i in chosen)
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_top_peaks_matches_the_top_up_loop_on_random_profiles(wrap):
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        values = rng.standard_normal(int(rng.integers(1, 40)))
+        count = int(rng.integers(1, values.size + 1))
+        peaks = coarse._local_maxima(values, wrap)
+        got = refine._top_peaks(values, peaks, count)
+        assert got.tolist() == top_up_picker(values, count, wrap), (values, count)
+
+
+def test_top_peaks_takes_the_rightmost_of_equal_values():
+    values = np.array([3.0, 1.0, 3.0, 1.0])
+    peaks = coarse._local_maxima(values, wrap=False)  # bins 0 and 2
+    assert refine._top_peaks(values, peaks, 1).tolist() == [2]
+    # the top-up after both maxima takes bin 3 over the equal bin 1
+    assert refine._top_peaks(values, peaks, 3).tolist() == [0, 2, 3]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end estimation
 
