@@ -961,6 +961,108 @@ def test_estimate_targets_pinned_reference_estimates(ref_cfg, ref_scene, ref_pat
         assert got == expected, f"noise seed {noise_seed}"
 
 
+# Refined triples of the reference scene with its three reflectivities set to
+# ``betas`` (in the scene's target order), payload seed 7 and noise seeds 0-4,
+# with default options and with fitted gains.  With beta 0.3 on the -30 deg
+# target its bin stays below the angle detection threshold.
+PINNED_BETA_SCENES = {
+    (0.5, 1.0, 1.0): {
+        0: [(-30.0, 119.921875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.375, 9.84375)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.375, 9.84375)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 49.4140625, -10.078125), (22.0, 59.375, 9.84375)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.375, 9.84375)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 49.0234375, -10.078125), (22.0, 59.1796875, 9.84375)],
+    },
+    (1.0, 0.5, 1.0): {
+        0: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.546875, 10.078125)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.546875, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.7421875, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.546875, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.5859375, -9.84375), (22.0, 60.3515625, 10.078125)],
+    },
+    (1.0, 1.0, 0.3): {
+        0: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        1: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        2: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        3: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+    },
+    (1.0, 1.0, 0.5): {
+        0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+    },
+    (-1.0, 1.0, 1.0): {
+        0: [(-30.0, 119.921875, 19.921875), (20.0, 64.453125, -10.546875), (22.0, 60.7421875, 10.078125)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 64.2578125, -10.546875), (22.0, 60.7421875, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 64.6484375, -10.546875), (22.0, 60.546875, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 64.2578125, -10.546875), (22.0, 60.7421875, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 64.453125, -10.546875), (22.0, 60.546875, 10.078125)],
+    },
+}
+PINNED_BETA_SCENES_FIT_GAINS = {
+
+    (0.5, 1.0, 1.0): {
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.765625, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 120.1171875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.5703125, 10.078125)],
+    },
+    (1.0, 0.5, 1.0): {
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.765625, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 120.1171875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.375, 10.078125)],
+    },
+    (1.0, 1.0, 0.3): {
+        0: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        1: [(20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
+        2: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        3: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(20.0, 49.8046875, -10.078125), (22.0, 59.765625, 10.078125)],
+    },
+    (1.0, 1.0, 0.5): {
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        1: [(-30.0, 119.7265625, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 120.1171875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.765625, 10.078125)],
+    },
+    (-1.0, 1.0, 1.0): {
+        0: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
+        1: [(-30.0, 119.7265625, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.765625, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.5703125, 10.078125)],
+    },
+}
+
+
+@pytest.mark.parametrize("fit_gains", [False, True])
+@pytest.mark.parametrize("betas", list(PINNED_BETA_SCENES))
+def test_estimate_targets_pinned_beta_scene_estimates(
+    ref_cfg, ref_scene, ref_pattern, betas, fit_gains
+):
+    data = qpsk_frame(ref_cfg, seed=7)
+    options = RefineOptions(fit_gains=fit_gains)
+    pinned = (PINNED_BETA_SCENES_FIT_GAINS if fit_gains else PINNED_BETA_SCENES)[betas]
+    targets = tuple(
+        dataclasses.replace(t, reflectivity=complex(b)) for t, b in zip(ref_scene.targets, betas)
+    )
+    for noise_seed, expected in pinned.items():
+        frame = dataclasses.replace(ref_scene, targets=targets, seed=noise_seed)
+        received = radar_returns(data, ref_pattern, ref_cfg, frame)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"refined \w+ hit the edge", RuntimeWarning)
+            estimates = estimate_targets(received, data, ref_pattern, ref_cfg, options=options)
+        got = [(row.angle_deg, row.range_m, row.velocity_mps) for row in estimates.refined]
+        assert got == expected, f"noise seed {noise_seed}"
+
+
 @pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_target_order_and_fit_residuals_on_reference_frames(
     monkeypatch, ref_cfg, ref_scene, ref_pattern
