@@ -178,18 +178,16 @@ def descramble(
 
 @dataclasses.dataclass(frozen=True)
 class BinPipeline:
-    """Everything the coarse stage computed inside one detected angle bin.
-
-    ``velocity_spectra[i]`` and ``velocity_bins[i]`` belong to range bin
-    ``range_bins[i]``.
+    """The profiles and peaks the coarse stage found inside one detected angle
+    bin; ``velocity_spectra[i]`` belongs to range bin ``range_bins[i]``.
+    Refinement reads only ``angle_bin`` and ``range_bins``; the spectra are
+    kept for export.
     """
 
     angle_bin: int
-    rows: np.ndarray  # complex beamformed rows at this bin, (N_s, N_p)
     range_profile: np.ndarray  # |r(l, mu)| averaged over OFDM symbols
     range_bins: np.ndarray
     velocity_spectra: tuple  # one magnitude spectrum per detected range bin
-    velocity_bins: tuple  # one signed-bin array per detected range bin
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,16 +217,13 @@ def coarse_pipeline(frame: Frame) -> CoarseResult:
     bin_results = []
     references = scramble_symbols(frame.data, frame.pattern, cfg, angles)  # (bins, N_s, N_p)
     for angle_bin, angle_deg, reference in zip(angle_bins, angles.tolist(), references):
-        rows = beam_rows(frame, int(angle_bin))
-        desc = descramble(rows, reference, cfg, angle_deg)
+        desc = descramble(beam_rows(frame, int(angle_bin)), reference, cfg, angle_deg)
         response = idft(desc.symbols, axis=0)  # r(l, mu)
         profile = np.abs(response).mean(axis=1)
         range_bins = detect_peaks(profile, keep_tallest=True)
         spectra = np.abs(dft(response[range_bins], axis=1))  # one row per range bin
-        velocity_bins = []
         for range_bin, spec in zip(range_bins, spectra):
             signed = signed_bin_index(detect_peaks(spec, keep_tallest=True), cfg.num_ofdm_symbols)
-            velocity_bins.append(signed)
             for velocity_bin in signed:
                 estimates.append(
                     CoarseEstimate(
@@ -243,11 +238,9 @@ def coarse_pipeline(frame: Frame) -> CoarseResult:
         bin_results.append(
             BinPipeline(
                 angle_bin=int(angle_bin),
-                rows=rows,
                 range_profile=profile,
                 range_bins=range_bins,
                 velocity_spectra=tuple(spectra),
-                velocity_bins=tuple(velocity_bins),
             )
         )
     return CoarseResult(

@@ -42,13 +42,14 @@ resolution cell either side — because a merged range peak says nothing about
 which source produced it; the joint fit sorts that out.
 
 Velocity atoms use the whole frame with the refined angles and ranges frozen
-in, and the slow-time phase exp(+2j pi mu T_p 2 v f_c / c).  The candidate
-bins pool the coarse velocity peaks with each source's matched-spectrum peaks
-(see ``matched_velocity_bins``): the coarse spectra descramble at the
-bin-center angle, which decoheres a target sitting toward the edge of the
-bin, while the matched spectra restore it but cannot tell whose peak is
-whose.  All sources therefore share the union of candidate windows, of
-``VELOCITY_POINTS`` candidates each, and the joint fit assigns them.
+in, and the slow-time phase exp(+2j pi mu T_p 2 v f_c / c).  The fit beams
+the cube toward each refined angle, and each source's beam, descrambled
+toward that angle, gives its strongest slow-time bins (see
+``matched_velocity_bins``).  A beam is matched to its own source but cannot
+tell whose peak is whose, so all sources share the union of candidate
+windows, of ``VELOCITY_POINTS`` candidates each, and the joint fit assigns
+them.  From the coarse stage refinement reads only each bin's angle bin and
+range bins.
 
 Both window sizes are odd, so every grid contains the value it was centered
 on and refinement can never do worse than the coarse stage on the same
@@ -369,34 +370,33 @@ def refine_ranges(
 
 
 def refine_velocities(
-    frame: Frame,
-    angles_deg,
-    scrambled,
-    ranges_m,
-    velocity_bins,
-    options: RefineOptions = RefineOptions(),
+    frame: Frame, angles_deg, scrambled, ranges_m, options: RefineOptions = RefineOptions()
 ) -> CombinationFit:
     """Joint velocity fit for one angle bin, with angles and ranges frozen and
     ``scrambled[q]`` the payload scrambled toward ``angles_deg[q]``.
 
-    ``velocity_bins`` is the pooled set of candidate signed slow-time bins for
-    the whole angle bin.  Every source searches the union of the windows
-    around those bins and the joint fit decides which source sits where: the
-    per-source matched spectra cannot do that on their own, because a strong
-    bin mate survives re-descrambling at a neighbouring angle with nearly
-    full strength and can out-peak the source that the angle belongs to.
+    The cube is beamed toward every angle once.  Each source's beam gives its
+    top-Q matched velocity bins (:func:`matched_velocity_bins`); every source
+    searches the union of the windows around all of them, and those bins are
+    the coarse-center baseline.  The joint fit decides which source sits
+    where: the matched spectra cannot do that on their own, because a strong
+    bin mate survives the beam and the descramble of a neighbouring angle
+    with nearly full strength and can out-peak the source that the angle
+    belongs to.
     """
     cfg = frame.cfg
     angles, scrambled = _checked_scrambled(cfg, angles_deg, scrambled)
     ranges = np.atleast_1d(np.asarray(ranges_m, dtype=float))
     if angles.shape != ranges.shape:
         raise ValueError("need one refined range per angle")
-    candidates = candidate_velocity_grid(velocity_bins, cfg)
     steer = steering_vector(cfg, angles)  # (Q, N_r)
-    base = scrambled * range_ramp(cfg, ranges)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
-
     # Beamform the whole cube with one BLAS product: (Q, N_r) @ (N_r, N_s * N_p).
-    beamed = (steer.conj() @ frame.grid.reshape(cfg.num_rx_antennas, -1)).reshape(base.shape)
+    beamed = (steer.conj() @ frame.grid.reshape(cfg.num_rx_antennas, -1)).reshape(scrambled.shape)
+    count = len(angles)  # each source's top-Q velocity bins, read from its own beam
+    sources = zip(beamed, scrambled, angles, ranges)
+    bins = np.unique([matched_velocity_bins(b, s, cfg, a, r, count) for b, s, a, r in sources])
+    candidates = candidate_velocity_grid(bins, cfg)
+    base = scrambled * range_ramp(cfg, ranges)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
     h = np.einsum("qsp,qsp->qp", base.conj(), beamed)  # (Q, N_p)
     return _joint_fit(
         "velocity",
@@ -406,7 +406,7 @@ def refine_velocities(
         lambda q, p: np.einsum("sp,sp->p", base[q].conj(), base[p]),
         frame.energy,
         candidates,
-        bin_to_velocity_mps(velocity_bins, cfg),
+        bin_to_velocity_mps(bins, cfg),
         options,
     )
 
@@ -421,17 +421,16 @@ def matched_velocity_bins(
 ) -> list:
     """Signed slow-time bins of the strongest velocity peaks for one source,
     from beamformed ``rows`` descrambled by ``reference``, the payload
-    scrambled toward ``theta_deg``.
+    scrambled toward ``theta_deg``, at the range gate nearest ``range_m``.
 
-    The coarse velocity spectra divide by the scrambling reference at the
-    *bin center* angle, which decoheres a target sitting toward the edge of
-    the bin.  Re-descrambling the same beamformed rows at the refined angle
-    restores that target's slow-time ramp at nearly full strength, so its
-    peak is always among the top few.  It is not reliably the single tallest
-    one: a strong bin mate two degrees away also survives the re-descramble
-    at close to full strength, and which of the two wins depends on the
-    payload realization.  Returning the top ``count`` bins and letting the
-    joint fit sort out the pairing avoids that coin flip.
+    :func:`refine_velocities` passes the cube beamed toward ``theta_deg``,
+    the matched filter of the source there, so that source's slow-time ramp
+    comes through at full strength and its peak is always among the top few.
+    It is not reliably the single tallest one: a strong bin mate a few
+    degrees away also survives the beam and the descramble at close to full
+    strength, and which of the two wins depends on the payload realization.
+    Returning the top ``count`` bins and letting the joint fit sort out the
+    pairing avoids that coin flip.
     """
     desc = descramble(rows, reference, cfg, theta_deg)
     gate = int(np.rint(float(range_m) / range_resolution_m(cfg))) % cfg.num_subcarriers
@@ -459,17 +458,18 @@ def estimate_targets(
     the coarse angle stage reads its beam power from it.  It pools every
     subcarrier of every OFDM symbol.  The signal-subspace dimension is
     frame-global: the MDL order of that covariance's eigenvalues over its
-    N_s N_p snapshots (:func:`estimate_n_sources`), floored at the number of
-    occupied bins and capped at num_rx_antennas - 1.  Each bin
-    then contributes as many refined sources as its pseudospectrum window
-    shows qualifying peaks, capped at the dimension, or exactly
-    ``options.num_sources`` when that override is set; a forced count above
-    the dimension raises :class:`SubspaceError`.
+    N_s N_p snapshots (:func:`estimate_n_sources`), at least 1; MDL never
+    exceeds num_rx_antennas - 1.  Each bin then contributes as many refined
+    sources as its pseudospectrum window shows qualifying peaks, capped at
+    the dimension, or exactly ``options.num_sources`` when that override is
+    set; a forced count above the dimension raises :class:`SubspaceError`.
+    Refinement reads only each coarse bin's ``angle_bin`` and ``range_bins``.
 
     The cube and payload are validated once, as one :class:`Frame`, which
     every stage then takes as it is.  A bin's refined angles are scrambled in
-    one call for the range fit, the matched velocity spectra and the velocity
-    fit; the stages check only those scrambled grids and the beamformed rows.
+    one call for the range fit and the velocity fit, which reads its matched
+    velocity spectra from its own beams; the stages check only those
+    scrambled grids and the beamformed rows.
     """
     frame = Frame(grid, data, pattern, cfg)
     try:
@@ -477,9 +477,8 @@ def estimate_targets(
     except NoPeaksError:
         return EstimateSet(coarse=[], refined=[])
 
-    max_dim = cfg.num_rx_antennas - 1
     order = estimate_n_sources(np.linalg.eigvalsh(frame.covariance), frame.grid[0].size)
-    dimension = min(max(order, len(coarse.bins)), max_dim)
+    dimension = max(order, 1)
     if options.num_sources is not None and options.num_sources > dimension:
         raise SubspaceError(
             f"{options.num_sources} forced sources per bin exceed the frame's "
@@ -496,14 +495,7 @@ def estimate_targets(
         angles = search[_top_peaks(spectrum, peaks, count)]  # ascending
         scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)
         range_fit = refine_ranges(frame, angles, scrambled, bin_result.range_bins, options)
-        velocity_bins = {int(b) for bins in bin_result.velocity_bins for b in bins}
-        for reference, angle, range_m in zip(scrambled, angles.tolist(), range_fit.values):
-            velocity_bins.update(
-                matched_velocity_bins(bin_result.rows, reference, cfg, angle, range_m, len(angles))
-            )
-        velocity_fit = refine_velocities(
-            frame, angles, scrambled, range_fit.values, sorted(velocity_bins), options
-        )
+        velocity_fit = refine_velocities(frame, angles, scrambled, range_fit.values, options)
         for q, angle in enumerate(angles):
             refined.append(
                 RefinedEstimate(

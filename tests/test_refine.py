@@ -27,7 +27,7 @@ from tmadfrc import (
     scramble_symbols,
 )
 from tmadfrc.coarse import angle_spectrum, coarse_pipeline, descramble
-from tmadfrc.model import derived_resolutions
+from tmadfrc.model import derived_resolutions, range_ramp
 from tmadfrc.refine import (
     RefineOptions,
     SubspaceError,
@@ -299,11 +299,10 @@ def fit_ranges(grid, data, pattern, cfg, angles, range_bins, **kwargs):
     return refine_ranges(Frame(grid, data, pattern, cfg), angles, scrambled, range_bins, **kwargs)
 
 
-def fit_velocities(grid, data, pattern, cfg, angles, ranges, velocity_bins, **kwargs):
+def fit_velocities(grid, data, pattern, cfg, angles, ranges, **kwargs):
     """:func:`refine_velocities` of (grid, payload), scrambled toward each angle."""
     scrambled = scramble_symbols(data, pattern, cfg, angles)
-    frame = Frame(grid, data, pattern, cfg)
-    return refine_velocities(frame, angles, scrambled, ranges, velocity_bins, **kwargs)
+    return refine_velocities(Frame(grid, data, pattern, cfg), angles, scrambled, ranges, **kwargs)
 
 
 def single_target_frame(cfg, target, seed):
@@ -434,9 +433,11 @@ def test_refine_velocities_matches_enumeration_oracle(small_cfg, fit_gains):
     data = qpsk_frame(cfg, seed=14)
     grid = radar_returns(data, pattern, cfg, Scene(targets, snr_db=np.inf))
     options = RefineOptions(fit_gains=fit_gains)
-    fit = fit_velocities(grid, data, pattern, cfg, angles, ranges, [2, -3], options=options)
+    fit = fit_velocities(grid, data, pattern, cfg, angles, ranges, options=options)
 
-    candidates = candidate_velocity_grid([2, -3], cfg)
+    # the matched spectra of the two beams find both true bins
+    candidates = fit.grids[0]
+    assert np.isin(candidate_velocity_grid([2, -3], cfg), candidates).all()
     s = np.arange(cfg.num_subcarriers)
     mu = np.arange(cfg.num_ofdm_symbols)
     steer = steering_vector(cfg, angles)
@@ -547,7 +548,7 @@ def test_refine_velocities_warns_when_optimum_hits_window_edge(small_cfg):
     frame = Frame(grid, data, pattern, cfg)
     scrambled = scramble_symbols(data, pattern, cfg, [ON_GRID_ANGLE])
     with pytest.warns(RuntimeWarning, match="velocity hit the edge") as record:
-        fit = refine_velocities(frame, [ON_GRID_ANGLE], scrambled, [2 * res], [0])
+        fit = refine_velocities(frame, [ON_GRID_ANGLE], scrambled, [2 * res])
     assert [w.filename for w in record] == [__file__]  # the warning names this call
     assert any(fit.on_boundary)
     assert fit.values[0] == pytest.approx(0.5 * vres, abs=1e-9)
@@ -558,7 +559,7 @@ def test_refine_velocities_needs_one_range_per_angle(small_cfg):
     data = qpsk_frame(small_cfg, seed=17)
     grid = np.zeros(small_cfg.returns_shape, dtype=complex)
     with pytest.raises(ValueError, match="one refined range per angle"):
-        fit_velocities(grid, data, pattern, small_cfg, [0.0, 10.0], [100.0], [0])
+        fit_velocities(grid, data, pattern, small_cfg, [0.0, 10.0], [100.0])
 
 
 def test_combination_budget_is_enforced(monkeypatch, small_cfg):
@@ -692,6 +693,69 @@ def test_estimate_targets_separates_a_weaker_co_bin_target(betas, ref_cfg, ref_s
         np.testing.assert_allclose(angles, truths, atol=0.1 + 1e-9)
 
 
+def test_estimate_targets_gives_co_bin_sources_their_own_velocities(ref_cfg, ref_pattern):
+    """Two sources 3 deg apart share a coarse bin.  The velocity fit reads its
+    candidates from each source's own beam, so the weaker source at 5 deg is
+    not handed its bin mate's velocity: every refined velocity lies within
+    one velocity step of its own target's."""
+    _, vres, _ = derived_resolutions(ref_cfg)
+    step = vres / (refine.VELOCITY_POINTS - 1)  # 0.234375 m/s
+    data = qpsk_frame(ref_cfg, 7)
+    targets = (Target(5.0, 50.0, -40.0, reflectivity=0.5), Target(8.0, 60.0, 45.0, 1.0))
+    for seed in range(3):
+        received = radar_returns(data, ref_pattern, ref_cfg, Scene(targets, seed=seed, snr_db=15.0))
+        estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
+        assert len(estimates.refined) == 2
+        for row in estimates.refined:
+            target = min(targets, key=lambda t: abs(t.angle_deg - row.angle_deg))
+            assert abs(row.velocity_mps - target.velocity_mps) <= step, f"noise seed {seed}"
+
+
+def _refined_array(received, data, pattern, cfg, options):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"refined \w+ hit the edge", RuntimeWarning)
+        rows = estimate_targets(received, data, pattern, cfg, options=options).refined
+    return np.array([(row.angle_deg, row.range_m, row.velocity_mps) for row in rows])
+
+
+@pytest.mark.parametrize("fit_gains", [False, True])
+def test_estimate_targets_range_shift_moves_only_the_ranges(
+    ref_cfg, ref_scene, ref_pattern, fit_gains
+):
+    """Multiplying the cube by the range ramp of n range cells moves every
+    refined range by n cells (to rounding) and leaves angles and velocities
+    as they were: the ramp multiplies every subcarrier by one phase, which
+    the covariance does not see."""
+    res, _, _ = derived_resolutions(ref_cfg)
+    data = qpsk_frame(ref_cfg, seed=7)
+    options = RefineOptions(fit_gains=fit_gains)
+    for noise_seed in range(5):
+        frame = dataclasses.replace(ref_scene, seed=noise_seed)
+        received = radar_returns(data, ref_pattern, ref_cfg, frame)
+        base = _refined_array(received, data, ref_pattern, ref_cfg, options)
+        for n in (1, 2, -1):
+            shifted = received * range_ramp(ref_cfg, n * res)[None, :, None]
+            got = _refined_array(shifted, data, ref_pattern, ref_cfg, options)
+            np.testing.assert_allclose(
+                got, base + [0.0, n * res, 0.0], rtol=0.0, atol=1e-9, err_msg=f"seed {noise_seed}"
+            )
+
+
+def test_estimate_targets_fitted_gains_ignore_a_complex_gain(ref_cfg, ref_scene, ref_pattern):
+    """With fitted gains, scaling the cube by a complex constant leaves every
+    refined estimate unchanged: the gains absorb it.  (Unit gains do not:
+    their residual weighs the data energy against unit-amplitude atoms.)"""
+    data = qpsk_frame(ref_cfg, seed=7)
+    options = RefineOptions(fit_gains=True)
+    for noise_seed in range(5):
+        frame = dataclasses.replace(ref_scene, seed=noise_seed)
+        received = radar_returns(data, ref_pattern, ref_cfg, frame)
+        base = _refined_array(received, data, ref_pattern, ref_cfg, options)
+        for gain in (3.0, 2.7 * np.exp(0.6j), np.exp(1j)):
+            got = _refined_array(gain * received, data, ref_pattern, ref_cfg, options)
+            np.testing.assert_array_equal(got, base, err_msg=f"seed {noise_seed}, gain {gain}")
+
+
 def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):
     pattern = pattern_for(small_cfg)
     data = qpsk_frame(small_cfg, seed=20)
@@ -714,6 +778,24 @@ def test_estimate_targets_allocates_less_than_one_receive_cube(ref_cfg, ref_patt
     finally:
         tracemalloc.stop()
     assert peak < received.nbytes, f"peak {peak} B on a {received.nbytes} B cube"
+
+
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+def test_estimate_set_holds_no_beamformed_rows(ref_cfg, ref_pattern, ref_frame):
+    """The returned estimates keep the coarse profiles for export, but no
+    (N_s, N_p) beam rows: the set holds under 64 KiB on the reference frame,
+    where one bin's complex rows alone take 256 KiB."""
+    data, received = ref_frame
+    estimate_targets(received, data, ref_pattern, ref_cfg)  # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert estimates.refined
+    assert held < 64 * 1024, f"the estimate set holds {held} B"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -770,9 +852,7 @@ def _public_call(name, grid, data, pattern, cfg, rows, reference, scrambled):
         "descramble": lambda: descramble(rows, reference, cfg, 10.0),
         "matched_velocity_bins": lambda: matched_velocity_bins(rows, reference, cfg, 10.0, 100.0, 1),
         "refine_ranges": lambda: refine_ranges(frame(), STAGE_ANGLES, scrambled, [2]),
-        "refine_velocities": lambda: refine_velocities(
-            frame(), STAGE_ANGLES, scrambled, [100.0, 100.0], [1]
-        ),
+        "refine_velocities": lambda: refine_velocities(frame(), STAGE_ANGLES, scrambled, [100, 100]),
     }
     return calls[name]()
 
