@@ -109,11 +109,16 @@ def _local_maxima(values, wrap: bool) -> np.ndarray:
 def detect_peaks(profile: np.ndarray, keep_tallest: bool = False) -> np.ndarray:
     """Indices of circular local maxima at or above the stage threshold.
 
-    On an exact plateau only its rightmost bin counts as the local maximum.
+    On an exact plateau only its rightmost bin counts as the local maximum; a
+    flat profile is one plateau all round, and with ``keep_tallest`` its last
+    bin is kept.
     """
     profile = np.asarray(profile, dtype=float)
     threshold = peak_threshold(profile, keep_tallest)
-    return np.flatnonzero((profile >= threshold) & _local_maxima(profile, wrap=True))
+    maxima = _local_maxima(profile, wrap=True)
+    if keep_tallest and maxima.size and not maxima.any():
+        maxima[-1] = True
+    return np.flatnonzero((profile >= threshold) & maxima)
 
 
 def _dft_weights(angle_bins, n_rx: int) -> np.ndarray:
@@ -156,15 +161,16 @@ def descramble(
     """Divide beamformed rows by ``reference``, the payload scrambled toward
     ``theta_deg``.
 
-    Entries whose reference magnitude falls below ``_DESCRAMBLE_GUARD`` times
-    the median reference magnitude are zeroed instead of divided; if more
-    than ``_MAX_MASKED_FRACTION`` of the grid is affected the direction is too
-    close to a scrambling null to descramble at all.
+    Entries whose reference magnitude is at or below ``_DESCRAMBLE_GUARD``
+    times the median reference magnitude are zeroed instead of divided; if
+    more than ``_MAX_MASKED_FRACTION`` of the grid is affected the direction
+    is too close to a scrambling null to descramble at all.  A median of 0
+    therefore refuses the direction: at least half its symbols are 0.
     """
     rows = check_symbol_grid(cfg, rows)
     reference = check_symbol_grid(cfg, reference)
     magnitude = np.abs(reference)
-    masked = magnitude < _DESCRAMBLE_GUARD * median(magnitude)
+    masked = magnitude <= _DESCRAMBLE_GUARD * median(magnitude)
     fraction = float(masked.mean())
     if fraction > _MAX_MASKED_FRACTION:
         raise DegenerateBinError(

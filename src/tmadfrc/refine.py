@@ -43,13 +43,14 @@ which source produced it; the joint fit sorts that out.
 
 Velocity atoms use the whole frame with the refined angles and ranges frozen
 in, and the slow-time phase exp(+2j pi mu T_p 2 v f_c / c).  The fit beams
-the cube toward each refined angle, and each source's beam, descrambled
-toward that angle, gives its strongest slow-time bins (see
-``matched_velocity_bins``).  A beam is matched to its own source but cannot
-tell whose peak is whose, so all sources share the union of candidate
-windows, of ``VELOCITY_POINTS`` candidates each, and the joint fit assigns
-them.  From the coarse stage refinement reads only each bin's angle bin and
-range bins.
+the cube toward each refined angle and matches each beam to its source's
+atom without that phase; at the slow-time bin centres the projections of
+this matched product are its DFT, whose tallest peaks are the source's
+candidate bins (see ``matched_velocity_bins``).  A beam is matched to its
+own source but cannot tell whose peak is whose, so all sources share the
+union of candidate windows, of ``VELOCITY_POINTS`` candidates each, and the
+joint fit assigns them.  From the coarse stage refinement reads only each
+bin's angle bin and range bins.
 
 Both window sizes are odd, so every grid contains the value it was centered
 on and refinement can never do worse than the coarse stage on the same
@@ -63,7 +64,7 @@ import warnings
 import numpy as np
 
 from . import model
-from .coarse import NoPeaksError, _local_maxima, coarse_pipeline, descramble
+from .coarse import NoPeaksError, _local_maxima, coarse_pipeline
 from .model import (
     EstimateSet,
     Frame,
@@ -81,7 +82,7 @@ from .model import (
     velocity_resolution_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
-from .transforms import dft, idft
+from .transforms import dft
 
 # A Frame computes its covariance once, when it is built; the stage keeps its
 # name here as well, beside the stages that read the covariance.
@@ -375,14 +376,15 @@ def refine_velocities(
     """Joint velocity fit for one angle bin, with angles and ranges frozen and
     ``scrambled[q]`` the payload scrambled toward ``angles_deg[q]``.
 
-    The cube is beamed toward every angle once.  Each source's beam gives its
-    top-Q matched velocity bins (:func:`matched_velocity_bins`); every source
-    searches the union of the windows around all of them, and those bins are
-    the coarse-center baseline.  The joint fit decides which source sits
-    where: the matched spectra cannot do that on their own, because a strong
-    bin mate survives the beam and the descramble of a neighbouring angle
-    with nearly full strength and can out-peak the source that the angle
-    belongs to.
+    The cube is beamed toward every angle once and matched to each source's
+    atom without the slow-time phase, h_q[mu] = sum_s conj(scrambled_q(s, mu)
+    ramp_q(s)) beam_q(s, mu); the fit projects h_q onto the velocity atoms,
+    which at the slow-time bin centres is DFT(h_q).  Each source's top-Q
+    peaks of |DFT(h_q)| (:func:`matched_velocity_bins`) centre the windows
+    that every source searches, and are the coarse-center baseline.  The
+    joint fit decides which source sits where: a strong bin mate survives
+    the beam toward a neighbouring angle with nearly full strength and can
+    out-peak the source that the angle belongs to.
     """
     cfg = frame.cfg
     angles, scrambled = _checked_scrambled(cfg, angles_deg, scrambled)
@@ -392,12 +394,10 @@ def refine_velocities(
     steer = steering_vector(cfg, angles)  # (Q, N_r)
     # Beamform the whole cube with one BLAS product: (Q, N_r) @ (N_r, N_s * N_p).
     beamed = (steer.conj() @ frame.grid.reshape(cfg.num_rx_antennas, -1)).reshape(scrambled.shape)
-    count = len(angles)  # each source's top-Q velocity bins, read from its own beam
-    sources = zip(beamed, scrambled, angles, ranges)
-    bins = np.unique([matched_velocity_bins(b, s, cfg, a, r, count) for b, s, a, r in sources])
-    candidates = candidate_velocity_grid(bins, cfg)
     base = scrambled * range_ramp(cfg, ranges)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
     h = np.einsum("qsp,qsp->qp", base.conj(), beamed)  # (Q, N_p)
+    bins = np.unique([matched_velocity_bins(row, len(angles)) for row in h])
+    candidates = candidate_velocity_grid(bins, cfg)
     return _joint_fit(
         "velocity",
         steer,
@@ -411,32 +411,18 @@ def refine_velocities(
     )
 
 
-def matched_velocity_bins(
-    rows: np.ndarray,
-    reference: np.ndarray,
-    cfg: SystemConfig,
-    theta_deg: float,
-    range_m: float,
-    count: int,
-) -> list:
-    """Signed slow-time bins of the strongest velocity peaks for one source,
-    from beamformed ``rows`` descrambled by ``reference``, the payload
-    scrambled toward ``theta_deg``, at the range gate nearest ``range_m``.
-
-    :func:`refine_velocities` passes the cube beamed toward ``theta_deg``,
-    the matched filter of the source there, so that source's slow-time ramp
-    comes through at full strength and its peak is always among the top few.
-    It is not reliably the single tallest one: a strong bin mate a few
-    degrees away also survives the beam and the descramble at close to full
-    strength, and which of the two wins depends on the payload realization.
-    Returning the top ``count`` bins and letting the joint fit sort out the
-    pairing avoids that coin flip.
-    """
-    desc = descramble(rows, reference, cfg, theta_deg)
-    gate = int(np.rint(float(range_m) / range_resolution_m(cfg))) % cfg.num_subcarriers
-    spectrum = np.abs(dft(idft(desc.symbols, axis=0)[gate]))
+def matched_velocity_bins(slow_time, count: int) -> list:
+    """Signed bins of the ``count`` tallest circular peaks of
+    |DFT(``slow_time``)|, topped up with the tallest other bins; the row is
+    one source's matched slow-time product (:func:`refine_velocities`)."""
+    row = np.asarray(slow_time)
+    if row.ndim != 1:
+        raise ValueError(f"a slow-time row must be 1-D, got shape {row.shape}")
+    if not np.all(np.isfinite(row)):
+        raise ValueError("the slow-time row holds non-finite values")
+    spectrum = np.abs(dft(row))
     tops = _top_peaks(spectrum, _local_maxima(spectrum, wrap=True), count)
-    return [int(signed_bin_index(int(i), cfg.num_ofdm_symbols)) for i in tops]
+    return signed_bin_index(tops, row.size).tolist()
 
 
 # --- full estimation -------------------------------------------------------------
@@ -467,9 +453,9 @@ def estimate_targets(
 
     The cube and payload are validated once, as one :class:`Frame`, which
     every stage then takes as it is.  A bin's refined angles are scrambled in
-    one call for the range fit and the velocity fit, which reads its matched
-    velocity spectra from its own beams; the stages check only those
-    scrambled grids and the beamformed rows.
+    one call for the range fit and the velocity fit, which picks its velocity
+    bins from its own matched products; the stages check only those
+    scrambled grids.
     """
     frame = Frame(grid, data, pattern, cfg)
     try:

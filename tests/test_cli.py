@@ -212,6 +212,19 @@ def test_estimate_refuses_more_forced_sources_than_the_dimension(capsys, tmp_pat
     assert err.startswith("analysis failed: 4 forced sources") and "dimension of 3" in err
 
 
+def test_estimate_with_an_all_zero_payload_fails_the_analysis(capsys, tmp_path):
+    # a valid payload with nothing to descramble by is an analysis failure
+    # (exit 1), not bad input (exit 2)
+    grid_path, data_path = tmp_path / "received.grid", tmp_path / "transmit.grid"
+    code, _, _ = run(capsys, "simulate", "--out", str(grid_path), "--data", str(data_path))
+    assert code == 0
+    write_grid(str(data_path), np.zeros_like(read_grid(str(data_path))))
+    code, out, err = run(capsys, "estimate", "--grid", str(grid_path), "--data", str(data_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("analysis failed: ") and "reference symbols" in err
+
+
 def simulate_empty(capsys, tmp_path):
     """Receive and transmit grid paths of a frame with no target."""
     scene_path = tmp_path / "empty.json"

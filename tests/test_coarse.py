@@ -148,6 +148,28 @@ def test_detect_peaks_singleton_profile():
     assert detect_peaks(profile).size == 0
 
 
+def test_detect_peaks_flat_profile_keeps_its_last_bin():
+    # a flat circular profile is one plateau all round; the plateau rule keeps
+    # its rightmost bin when the tallest must be kept, and nothing otherwise
+    assert detect_peaks(np.ones(8), keep_tallest=True).tolist() == [7]
+    assert detect_peaks(np.ones(8)).size == 0
+    assert detect_peaks(np.zeros(8)).size == 0
+
+
+def test_pipeline_keeps_a_range_bin_of_an_echo_on_one_subcarrier(ref_cfg, ref_pattern, ref_frame):
+    # with the echo on subcarrier 0 alone every range bin of a detected angle
+    # bin has the same magnitude; the flat profile still yields one range bin
+    data, received = ref_frame
+    grid = np.zeros_like(received)
+    grid[:, 0] = received[:, 0]
+    result = coarse_pipeline(Frame(grid, data, ref_pattern, ref_cfg))
+    assert result.bins
+    for bin_result in result.bins:
+        profile = bin_result.range_profile
+        np.testing.assert_allclose(profile, profile[0], rtol=1e-12)
+        assert bin_result.range_bins.tolist() == [ref_cfg.num_subcarriers - 1]
+
+
 # ---------------------------------------------------------------------------
 # bin-to-physical-value mappings
 
@@ -314,6 +336,19 @@ def test_descramble_rejects_degenerate_direction(small_cfg):
     rows = np.ones(small_cfg.grid_shape, dtype=complex)
     with pytest.raises(DegenerateBinError, match="guard"):
         descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), small_cfg, 0.0)
+
+
+@pytest.mark.parametrize("nonzero", [0, 1])
+def test_descramble_refuses_a_reference_that_is_mostly_zero(small_cfg, nonzero):
+    # a median magnitude of 0 puts the guard at 0; the guard masks the zeros
+    # at or below it, at least half the grid, so an all-zero payload or a
+    # payload with one non-zero symbol is refused instead of divided by 0
+    pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
+    data = np.zeros(small_cfg.grid_shape, dtype=complex)
+    data[2, 3] = nonzero
+    rows = np.ones(small_cfg.grid_shape, dtype=complex)
+    with pytest.raises(DegenerateBinError, match="guard"):
+        descramble(rows, scramble_symbols(data, pattern, small_cfg, 10.0), small_cfg, 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from conftest import qpsk_frame
 from tmadfrc import coarse, comms, model, refine
 from tmadfrc import (
+    EstimateSet,
     Frame,
     Scene,
     Target,
@@ -26,7 +27,7 @@ from tmadfrc import (
     radar_returns,
     scramble_symbols,
 )
-from tmadfrc.coarse import angle_spectrum, coarse_pipeline, descramble
+from tmadfrc.coarse import DegenerateBinError, angle_spectrum, coarse_pipeline, descramble
 from tmadfrc.model import derived_resolutions, range_ramp
 from tmadfrc.refine import (
     RefineOptions,
@@ -574,6 +575,13 @@ def test_combination_budget_is_enforced(monkeypatch, small_cfg):
             fit_ranges(grid, data, pattern, small_cfg, [0.0, 10.0], [2, 5], options=options)
 
 
+def matched_row(rows, reference, cfg, range_m):
+    """One source's matched slow-time product: beamformed ``rows`` against
+    the conjugate of the scrambled ``reference`` times the range ramp."""
+    atom = reference * range_ramp(cfg, range_m)[:, None]
+    return np.einsum("sp,sp->p", atom.conj(), rows)
+
+
 def test_matched_velocity_bins_recovers_true_bin(small_cfg):
     cfg = dataclasses.replace(small_cfg, narrowband_doppler=True)
     res, vres, _ = derived_resolutions(cfg)
@@ -583,8 +591,7 @@ def test_matched_velocity_bins_recovers_true_bin(small_cfg):
         "m,msp->sp", np.exp(2j * np.pi * np.arange(cfg.num_rx_antennas) * 0.5 * ON_GRID_SIN), grid
     )
     reference = scramble_symbols(data, pattern, cfg, ON_GRID_ANGLE)
-    bins = matched_velocity_bins(rows, reference, cfg, ON_GRID_ANGLE, target.range_m, count=1)
-    assert bins == [3]
+    assert matched_velocity_bins(matched_row(rows, reference, cfg, target.range_m), 1) == [3]
 
 
 def test_matched_velocity_peak_straddling_bin_zero_counts_once(small_cfg):
@@ -599,16 +606,59 @@ def test_matched_velocity_peak_straddling_bin_zero_counts_once(small_cfg):
     grid = radar_returns(data, pattern, cfg, Scene(targets, snr_db=np.inf))
     rows = grid.sum(axis=0)  # beamformed at 0 deg
     reference = scramble_symbols(data, pattern, cfg, 0.0)
-    assert matched_velocity_bins(rows, reference, cfg, 0.0, 2 * res, count=2) == [0, 4]
+    assert matched_velocity_bins(matched_row(rows, reference, cfg, 2 * res), 2) == [0, 4]
 
 
 def test_more_peaks_than_grid_points_is_refused(small_cfg):
     # a bin with more refined angles than slow-time bins asks each matched
     # spectrum for more peaks than it has points
-    _, _, _, rows, reference, _ = stage_inputs(small_cfg)
     count = small_cfg.num_ofdm_symbols + 1
     with pytest.raises(SubspaceError, match="peaks"):
-        matched_velocity_bins(rows, reference, small_cfg, 10.0, 100.0, count)
+        matched_velocity_bins(np.ones(small_cfg.num_ofdm_symbols, dtype=complex), count)
+
+
+@pytest.mark.parametrize("shape", [(), (16, 1), (8, 16)], ids=["scalar", "column", "grid"])
+def test_matched_velocity_bins_refuses_a_row_that_is_not_1d(shape):
+    with pytest.raises(ValueError, match="1-D"):
+        matched_velocity_bins(np.ones(shape, dtype=complex), 1)
+
+
+def test_refine_velocities_searches_around_the_top_bins_of_the_matched_product(
+    ref_cfg, ref_pattern, ref_frame
+):
+    """Oracle for the candidate grid: every source of the 20 deg bin searches
+    the union of the velocity windows around the top-Q slow-time bins of each
+    source's matched product h_q[mu] = sum_(m,s) conj(a_m(theta_q)
+    scrambled_q(s, mu) ramp_q(s)) y(m, s, mu), transformed by an explicit DFT
+    matrix and picked with a plain loop over circular local maxima."""
+    cfg = ref_cfg
+    data, received = ref_frame
+    angles, ranges = [20.0, 22.0], [50.0, 60.0]
+    scrambled = scramble_symbols(data, ref_pattern, cfg, angles)
+    atoms = (
+        steering_vector(cfg, angles)[:, :, None, None]
+        * (scrambled * range_ramp(cfg, ranges)[:, :, None])[:, None]
+    )  # (Q, N_r, N_s, N_p)
+    h = np.einsum("qmsp,msp->qp", atoms.conj(), received)
+    n = cfg.num_ofdm_symbols
+    dft_matrix = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    bins = set()
+    for spectrum in np.abs(h @ dft_matrix.T):
+        maxima = [
+            k for k in range(n)
+            if spectrum[k] >= spectrum[k - 1] and spectrum[k] > spectrum[(k + 1) % n]
+        ]
+        tallest = sorted(maxima, key=lambda k: spectrum[k], reverse=True)[: len(angles)]
+        bins.update(k - n if k >= n // 2 else k for k in tallest)
+    _, vres, _ = derived_resolutions(cfg)
+    half = np.linspace(-0.5, 0.5, refine.VELOCITY_POINTS)
+    expected = np.unique(np.concatenate([(b + half) * vres for b in sorted(bins)]))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"refined \w+ hit the edge", RuntimeWarning)
+        fit = refine_velocities(Frame(received, data, ref_pattern, cfg), angles, scrambled, ranges)
+    assert len(bins) >= 2
+    for grid in fit.grids:
+        np.testing.assert_allclose(grid, expected, rtol=0, atol=1e-9)
 
 
 def top_up_picker(values, count, wrap):
@@ -764,6 +814,51 @@ def test_estimate_targets_empty_frame_returns_empty_set(small_cfg):
     assert estimates.coarse == [] and estimates.refined == []
 
 
+def degenerate_input(name, cfg, pattern, data, received):
+    """(cube, payload) of one degenerate input on the reference frame."""
+    if name == "zero payload":
+        return received, np.zeros_like(data)
+    if name == "one-symbol payload":
+        payload = np.zeros_like(data)
+        payload[3, 5] = data[3, 5]
+        return received, payload
+    if name == "one-subcarrier echo":
+        cube = np.zeros_like(received)
+        cube[:, 0] = received[:, 0]
+        return cube, data
+    snr_db = 10.0 if name == "noise-only cube" else np.inf  # an empty scene: zero cube
+    return radar_returns(data, pattern, cfg, Scene((), seed=3, snr_db=snr_db)), data
+
+
+@pytest.mark.parametrize(
+    "name, outcome",
+    [
+        ("zero payload", DegenerateBinError),
+        ("one-symbol payload", DegenerateBinError),
+        ("one-subcarrier echo", "estimates"),
+        ("noise-only cube", "empty"),
+        ("empty scene", "empty"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+def test_estimate_targets_fails_on_degenerate_input_in_its_own_words(
+    ref_cfg, ref_pattern, ref_frame, name, outcome
+):
+    """A degenerate frame gives an estimate set or one of the package's
+    analysis errors, never a bare NumPy error: a payload that is mostly zero
+    leaves nothing to descramble by, and an echo on one subcarrier gives a
+    flat range profile, which still yields its last range bin.  The suite's
+    float-warning filters stay errors here."""
+    grid, payload = degenerate_input(name, ref_cfg, ref_pattern, *ref_frame)
+    if outcome is DegenerateBinError:
+        with pytest.raises(DegenerateBinError, match="descrambling guard"):
+            estimate_targets(grid, payload, ref_pattern, ref_cfg)
+        return
+    estimates = estimate_targets(grid, payload, ref_pattern, ref_cfg)
+    assert isinstance(estimates, EstimateSet)
+    assert bool(estimates.refined) == (outcome == "estimates")
+
+
 @pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
 def test_estimate_targets_allocates_less_than_one_receive_cube(ref_cfg, ref_pattern, ref_frame):
     """The frame path streams the cube in blocks: no beam cube, no conjugated
@@ -840,8 +935,9 @@ STAGE_ANGLES = [10.0, 12.0]
 
 def _public_call(name, grid, data, pattern, cfg, rows, reference, scrambled):
     """One call of a public stage.  The frame-taking stages get a Frame of
-    (grid, payload); the row stages take ``rows`` and ``reference``, and the
-    fits ``scrambled``, one payload per angle of STAGE_ANGLES."""
+    (grid, payload); the row stages take ``rows`` and ``reference`` (the
+    velocity picker their matched product), and the fits ``scrambled``, one
+    payload per angle of STAGE_ANGLES."""
 
     def frame():
         return Frame(grid, data, pattern, cfg)
@@ -850,7 +946,9 @@ def _public_call(name, grid, data, pattern, cfg, rows, reference, scrambled):
         "angle_spectrum": lambda: angle_spectrum(frame()),
         "coarse_pipeline": lambda: coarse_pipeline(frame()),
         "descramble": lambda: descramble(rows, reference, cfg, 10.0),
-        "matched_velocity_bins": lambda: matched_velocity_bins(rows, reference, cfg, 10.0, 100.0, 1),
+        "matched_velocity_bins": lambda: matched_velocity_bins(
+            matched_row(rows, reference, cfg, 100.0), 1
+        ),
         "refine_ranges": lambda: refine_ranges(frame(), STAGE_ANGLES, scrambled, [2]),
         "refine_velocities": lambda: refine_velocities(frame(), STAGE_ANGLES, scrambled, [100, 100]),
     }
@@ -907,10 +1005,12 @@ def test_public_stages_reject_non_finite_input(small_cfg, name, where):
 
 @pytest.mark.parametrize(
     "name, where",
-    [*((name, where) for name in ROW_STAGES for where in ("rows", "reference")),
+    [*(("descramble", where) for where in ("rows", "reference")),
      *((name, "scrambled") for name in FIT_STAGES)],
 )
 def test_public_stages_reject_mis_shaped_input(small_cfg, name, where):
+    # The velocity picker takes one slow-time row, not rows and a reference;
+    # test_matched_velocity_bins_refuses_a_row_that_is_not_1d checks its shape.
     pattern, data, grid, rows, reference, scrambled = stage_inputs(small_cfg)
     inputs = {"rows": rows, "reference": reference, "scrambled": scrambled}
     inputs[where] = inputs[where][..., :-1]  # one OFDM symbol short
@@ -960,8 +1060,7 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     monkeypatch.setattr(model, "check_antenna_grid", counting_check)
     for module in (model, refine):
         monkeypatch.setattr(module, "sample_covariance", counting_covariance)
-    for module in (coarse, refine):
-        monkeypatch.setattr(module, "descramble", counting_descramble)
+    monkeypatch.setattr(coarse, "descramble", counting_descramble)
     with pytest.warns(RuntimeWarning, match="velocity hit the edge"):
         estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
     # 2 bin centers for the coarse descramble, then 3 refined angles
@@ -973,8 +1072,9 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     assert cube_checks == [ref_cfg.returns_shape]
     # one covariance, read by the angle stage and by MUSIC alike
     assert covariances == [ref_cfg.returns_shape]
-    # the same 5 directions again, one descramble each
-    assert sorted(descrambled_at) == sorted(scrambled_at)
+    # only the coarse stage descrambles, once per bin center; the velocity
+    # fit picks its bins from its own matched product
+    assert sorted(descrambled_at) == sorted(bin_centers)
 
 
 # Refined (angle deg, range m, velocity m/s) of the reference scene with
