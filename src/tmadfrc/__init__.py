@@ -15,11 +15,7 @@ from .coarse import (
     CoarseResult,
     DegenerateBinError,
     NoPeaksError,
-    angle_spectrum,
-    beam_rows,
     coarse_pipeline,
-    descramble,
-    detect_peaks,
 )
 from .comms import (
     Constellation,
@@ -59,18 +55,9 @@ from .model import (
     velocity_resolution_mps,
 )
 from .refine import (
-    CombinationFit,
     RefineOptions,
     SubspaceError,
-    candidate_range_grid,
-    candidate_velocity_grid,
-    estimate_n_sources,
     estimate_targets,
-    matched_velocity_bins,
-    music_pseudospectrum,
-    music_search_grid,
-    refine_ranges,
-    refine_velocities,
 )
 from .scene import (
     GridFormatError,

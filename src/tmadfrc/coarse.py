@@ -36,11 +36,9 @@ import numpy as np
 from .model import (
     CoarseEstimate,
     Frame,
-    SystemConfig,
     bin_to_angle_deg,
     bin_to_range_m,
     bin_to_velocity_mps,
-    check_symbol_grid,
     signed_bin_index,
 )
 from .tma import scramble_symbols
@@ -89,7 +87,6 @@ def peak_threshold(profile: np.ndarray, keep_tallest: bool = False) -> float:
     is capped at the profile maximum, so the tallest local maximum always
     qualifies — for stages that run inside an already-detected angle bin,
     where the question is not "is anything there?" but "how many?"."""
-    profile = np.asarray(profile, dtype=float)
     top = float(np.max(profile, initial=0.0))
     threshold = max(_MEDIAN_FACTOR * median(profile), _MAX_FACTOR * top)
     return min(threshold, top) if keep_tallest else threshold
@@ -113,7 +110,6 @@ def detect_peaks(profile: np.ndarray, keep_tallest: bool = False) -> np.ndarray:
     flat profile is one plateau all round, and with ``keep_tallest`` its last
     bin is kept.
     """
-    profile = np.asarray(profile, dtype=float)
     threshold = peak_threshold(profile, keep_tallest)
     maxima = _local_maxima(profile, wrap=True)
     if keep_tallest and maxima.size and not maxima.any():
@@ -155,11 +151,9 @@ class DescrambleResult:
     masked: np.ndarray  # bool grid of entries zeroed by the small-divisor guard
 
 
-def descramble(
-    rows: np.ndarray, reference: np.ndarray, cfg: SystemConfig, theta_deg: float
-) -> DescrambleResult:
-    """Divide beamformed rows by ``reference``, the payload scrambled toward
-    ``theta_deg``.
+def descramble(rows: np.ndarray, reference: np.ndarray, theta_deg: float) -> DescrambleResult:
+    """Divide beamformed (N_s, N_p) rows by ``reference``, the payload
+    scrambled toward ``theta_deg``.
 
     Entries whose reference magnitude is at or below ``_DESCRAMBLE_GUARD``
     times the median reference magnitude are zeroed instead of divided; if
@@ -167,8 +161,6 @@ def descramble(
     is too close to a scrambling null to descramble at all.  A median of 0
     therefore refuses the direction: at least half its symbols are 0.
     """
-    rows = check_symbol_grid(cfg, rows)
-    reference = check_symbol_grid(cfg, reference)
     magnitude = np.abs(reference)
     masked = magnitude <= _DESCRAMBLE_GUARD * median(magnitude)
     fraction = float(masked.mean())
@@ -223,7 +215,7 @@ def coarse_pipeline(frame: Frame) -> CoarseResult:
     bin_results = []
     references = scramble_symbols(frame.data, frame.pattern, cfg, angles)  # (bins, N_s, N_p)
     for angle_bin, angle_deg, reference in zip(angle_bins, angles.tolist(), references):
-        desc = descramble(beam_rows(frame, int(angle_bin)), reference, cfg, angle_deg)
+        desc = descramble(beam_rows(frame, int(angle_bin)), reference, angle_deg)
         response = idft(desc.symbols, axis=0)  # r(l, mu)
         profile = np.abs(response).mean(axis=1)
         range_bins = detect_peaks(profile, keep_tallest=True)

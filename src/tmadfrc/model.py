@@ -345,7 +345,9 @@ class Frame:
     built, so the estimation stages that take a frame need not check them
     again.  The cube is then read once more, for ``covariance``, the spatial
     sample covariance R over its N = N_s N_p snapshots
-    (:func:`sample_covariance`); ``energy`` = ||grid||^2 = N trace(R).
+    (:func:`sample_covariance`); ``energy`` = ||grid||^2 = N trace(R).  A
+    finite cube whose power overflows is refused with a ``ValueError``, so
+    every stage reads a finite covariance and energy.
     """
 
     grid: np.ndarray
@@ -359,10 +361,14 @@ class Frame:
         grid = check_antenna_grid(self.cfg, self.grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "data", check_symbol_grid(self.cfg, self.data))
-        covariance = sample_covariance(grid)
         snapshots = grid.size // grid.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            covariance = sample_covariance(grid)
+            energy = float(snapshots * np.trace(covariance).real)
+        if not (np.isfinite(energy) and np.isfinite(covariance).all()):
+            raise ValueError("antenna grid power overflows: its covariance is not finite")
         object.__setattr__(self, "covariance", covariance)
-        object.__setattr__(self, "energy", float(snapshots * np.trace(covariance).real))
+        object.__setattr__(self, "energy", energy)
 
 
 @dataclasses.dataclass(frozen=True)

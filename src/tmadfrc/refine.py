@@ -31,8 +31,9 @@ rather than once per combination.  One evaluator scores a whole mesh of
 combinations in either mode, for the search and its coarse-center baseline.
 
 Range atoms live on the antenna-by-subcarrier slice of OFDM symbol 0, where
-the slow-time Doppler phase of every target is exactly 1 (at later symbols a
-moving target's range ramp is displaced by its migration v * mu * T_p):
+the slow-time Doppler phase of every target is exactly 1: the velocities are
+not known yet when the ranges are fitted, so symbol 0 is the one slice whose
+phase needs none.
 
     atom_q(R)[m, s] = scrambled_q(s, 0) * a_m(theta_q) * exp(-2j pi s f_s 2R/c).
 
@@ -127,7 +128,6 @@ def estimate_n_sources(eigenvalues, snapshots: int) -> int:
     Raises:
         SubspaceError: the eigenvalues are degenerate.
     """
-    check_integer(snapshots, 1, "snapshots")
     lam = np.sort(np.abs(np.asarray(eigenvalues, dtype=float)))[::-1]
     if lam.size < 2 or not np.all(np.isfinite(lam)) or lam[0] <= 0.0:
         raise SubspaceError("eigenvalue spectrum is degenerate")
@@ -158,19 +158,10 @@ def music_search_grid(angle_bin: int, cfg: SystemConfig) -> np.ndarray:
 def music_pseudospectrum(
     covariance: np.ndarray, n_sources: int, cfg: SystemConfig, grid_deg: np.ndarray
 ) -> np.ndarray:
-    """1 / ||E_noise^H a(theta)||^2 over ``grid_deg``."""
-    covariance = np.asarray(covariance, dtype=np.complex128)
-    n_rx = cfg.num_rx_antennas
-    if covariance.shape != (n_rx, n_rx):
-        raise ValueError(f"covariance must be {(n_rx, n_rx)}, got {covariance.shape}")
-    if not np.all(np.isfinite(covariance)):
-        raise SubspaceError("covariance contains non-finite entries")
-    if not 1 <= n_sources < n_rx:
-        raise SubspaceError(
-            f"{n_sources} sources leave no noise subspace on {n_rx} receive elements"
-        )
+    """1 / ||E_noise^H a(theta)||^2 over ``grid_deg``, for 1 <= ``n_sources``
+    < num_rx_antennas and the finite covariance of a :class:`Frame`."""
     _, vecs = np.linalg.eigh(covariance)  # ascending eigenvalues
-    noise = vecs[:, : n_rx - n_sources]
+    noise = vecs[:, : cfg.num_rx_antennas - n_sources]
     proj = np.abs(noise.conj().T @ steering_vector(cfg, grid_deg).T) ** 2
     return 1.0 / np.maximum(proj.sum(axis=0), np.finfo(float).tiny)
 
@@ -289,8 +280,6 @@ def _search_combinations(u, gram, energy, candidates, centers, fit_gains):
             f"{n_sources} sources on {len(candidates)} candidates need {int(n_combinations)} "
             f"grid combinations, over the limit of {_MAX_COMBINATIONS}; force fewer sources"
         )
-    if not len(candidates):
-        raise ValueError("the candidate grid is empty")
     best, residual = _mesh_minimum(np.arange(len(candidates)), u, gram, energy, fit_gains)
     center_idx = np.argmin(np.abs(np.subtract.outer(np.atleast_1d(centers), candidates)), axis=1)
     _, coarse_residual = _mesh_minimum(center_idx, u, gram, energy, fit_gains)
@@ -332,30 +321,17 @@ def _joint_fit(kind, steer, atoms, projections, pair_weight, energy, candidates,
     return fit
 
 
-def _checked_scrambled(cfg: SystemConfig, angles_deg, scrambled):
-    """(angles, scrambled) as a float vector and a complex (Q, N_s, N_p)
-    stack, refused unless ``scrambled`` holds one finite payload grid per
-    angle."""
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    what = "one scrambled payload per angle: scrambled"
-    return angles, model._checked_grid(scrambled, (angles.size, *cfg.grid_shape), what)
-
-
 def refine_ranges(
-    frame: Frame, angles_deg, scrambled, range_bins, options: RefineOptions = RefineOptions()
+    frame: Frame, angles_deg, range_bins, options: RefineOptions = RefineOptions()
 ) -> CombinationFit:
     """Joint range fit for the sources of one angle bin (see module docstring),
-    with ``scrambled[q]`` the payload scrambled toward ``angles_deg[q]``.
-
-    Uses only OFDM symbol 0, where Doppler-induced range migration is zero.
-    """
+    on OFDM symbol 0 of the payload scrambled toward each of ``angles_deg``."""
     cfg = frame.cfg
-    angles, scrambled = _checked_scrambled(cfg, angles_deg, scrambled)
-    symbol0 = scrambled[:, :, 0]  # (Q, N_s)
+    symbol0 = scramble_symbols(frame.data[:, :1], frame.pattern, cfg, angles_deg)[:, :, 0]
     candidates = candidate_range_grid(range_bins, cfg)
     snapshot = frame.grid[:, :, 0]  # (N_r, N_s)
     energy = float(np.sum(np.abs(snapshot) ** 2))
-    steer = steering_vector(cfg, angles)  # (Q, N_r)
+    steer = steering_vector(cfg, angles_deg)  # (Q, N_r)
     beamed = steer.conj() @ snapshot  # (Q, N_s)
     return _joint_fit(
         "range",
@@ -371,32 +347,28 @@ def refine_ranges(
 
 
 def refine_velocities(
-    frame: Frame, angles_deg, scrambled, ranges_m, options: RefineOptions = RefineOptions()
+    frame: Frame, angles_deg, ranges_m, options: RefineOptions = RefineOptions()
 ) -> CombinationFit:
-    """Joint velocity fit for one angle bin, with angles and ranges frozen and
-    ``scrambled[q]`` the payload scrambled toward ``angles_deg[q]``.
+    """Joint velocity fit for one angle bin, with one frozen range per angle
+    and scrambled_q the payload scrambled toward ``angles_deg[q]``.
 
     The cube is beamed toward every angle once and matched to each source's
     atom without the slow-time phase, h_q[mu] = sum_s conj(scrambled_q(s, mu)
-    ramp_q(s)) beam_q(s, mu); the fit projects h_q onto the velocity atoms,
-    which at the slow-time bin centres is DFT(h_q).  Each source's top-Q
-    peaks of |DFT(h_q)| (:func:`matched_velocity_bins`) centre the windows
-    that every source searches, and are the coarse-center baseline.  The
-    joint fit decides which source sits where: a strong bin mate survives
-    the beam toward a neighbouring angle with nearly full strength and can
-    out-peak the source that the angle belongs to.
+    ramp_q(s)) beam_q(s, mu), whose projections at the slow-time bin centres
+    are DFT(h_q).  Each source's top-Q peaks of |DFT(h_q)|
+    (:func:`matched_velocity_bins`) centre the windows that every source
+    searches, and are the coarse-center baseline: a strong bin mate survives
+    the beam toward a neighbouring angle and can out-peak the source that
+    the angle belongs to, so the joint fit decides which source sits where.
     """
     cfg = frame.cfg
-    angles, scrambled = _checked_scrambled(cfg, angles_deg, scrambled)
-    ranges = np.atleast_1d(np.asarray(ranges_m, dtype=float))
-    if angles.shape != ranges.shape:
-        raise ValueError("need one refined range per angle")
-    steer = steering_vector(cfg, angles)  # (Q, N_r)
+    scrambled = scramble_symbols(frame.data, frame.pattern, cfg, angles_deg)  # (Q, N_s, N_p)
+    steer = steering_vector(cfg, angles_deg)  # (Q, N_r)
     # Beamform the whole cube with one BLAS product: (Q, N_r) @ (N_r, N_s * N_p).
     beamed = (steer.conj() @ frame.grid.reshape(cfg.num_rx_antennas, -1)).reshape(scrambled.shape)
-    base = scrambled * range_ramp(cfg, ranges)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
+    base = scrambled * range_ramp(cfg, ranges_m)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
     h = np.einsum("qsp,qsp->qp", base.conj(), beamed)  # (Q, N_p)
-    bins = np.unique([matched_velocity_bins(row, len(angles)) for row in h])
+    bins = np.unique([matched_velocity_bins(row, len(h)) for row in h])
     candidates = candidate_velocity_grid(bins, cfg)
     return _joint_fit(
         "velocity",
@@ -415,17 +387,30 @@ def matched_velocity_bins(slow_time, count: int) -> list:
     """Signed bins of the ``count`` tallest circular peaks of
     |DFT(``slow_time``)|, topped up with the tallest other bins; the row is
     one source's matched slow-time product (:func:`refine_velocities`)."""
-    row = np.asarray(slow_time)
-    if row.ndim != 1:
-        raise ValueError(f"a slow-time row must be 1-D, got shape {row.shape}")
-    if not np.all(np.isfinite(row)):
-        raise ValueError("the slow-time row holds non-finite values")
-    spectrum = np.abs(dft(row))
+    spectrum = np.abs(dft(slow_time))
     tops = _top_peaks(spectrum, _local_maxima(spectrum, wrap=True), count)
-    return signed_bin_index(tops, row.size).tolist()
+    return signed_bin_index(tops, spectrum.size).tolist()
 
 
 # --- full estimation -------------------------------------------------------------
+
+
+def _affordable_count(count: int, candidates: int) -> int:
+    """The largest source count up to ``count`` whose range fit on
+    ``candidates`` stays within ``_MAX_COMBINATIONS`` (at least 1), with a
+    ``RuntimeWarning`` when that is fewer than ``count``."""
+    fitting = count
+    while fitting > 1 and candidates**fitting > _MAX_COMBINATIONS:
+        fitting -= 1
+    if fitting < count:
+        warnings.warn(
+            f"{count} sources on {candidates} range candidates need {candidates**count} "
+            f"grid combinations, over the limit of {_MAX_COMBINATIONS}; refining the "
+            f"{fitting} tallest",
+            RuntimeWarning,
+            stacklevel=3,  # caller of estimate_targets
+        )
+    return fitting
 
 
 def estimate_targets(
@@ -435,27 +420,26 @@ def estimate_targets(
     cfg: SystemConfig,
     options: RefineOptions = RefineOptions(),
 ) -> EstimateSet:
-    """Coarse pipeline plus per-bin refinement; the top-level estimator.
+    """Coarse pipeline plus per-bin refinement: the estimator, which with
+    :class:`Frame` and :func:`coarse_pipeline` is the package's estimation API.
 
     An empty frame (nothing above the detection threshold) yields an empty
-    estimate set rather than an error; otherwise it keeps ``coarse_result``.
+    estimate set; otherwise the set keeps ``coarse_result``.
 
-    The covariance is the frame's own: :class:`Frame` computes it once, and
-    the coarse angle stage reads its beam power from it.  It pools every
-    subcarrier of every OFDM symbol.  The signal-subspace dimension is
-    frame-global: the MDL order of that covariance's eigenvalues over its
-    N_s N_p snapshots (:func:`estimate_n_sources`), at least 1; MDL never
-    exceeds num_rx_antennas - 1.  Each bin then contributes as many refined
+    The signal-subspace dimension is frame-global: the MDL order of the
+    frame's covariance eigenvalues over its N_s N_p snapshots
+    (:func:`estimate_n_sources`), at least 1.  Each bin refines as many
     sources as its pseudospectrum window shows qualifying peaks, capped at
-    the dimension, or exactly ``options.num_sources`` when that override is
-    set; a forced count above the dimension raises :class:`SubspaceError`.
-    Refinement reads only each coarse bin's ``angle_bin`` and ``range_bins``.
+    the dimension, or exactly ``options.num_sources``; a forced count above
+    the dimension raises :class:`SubspaceError`.  A counted bin whose range
+    fit would search more than ``_MAX_COMBINATIONS`` combinations refines the
+    largest count that fits, its tallest peaks, with a ``RuntimeWarning``; a
+    forced count over it raises ``ValueError``.
 
-    The cube and payload are validated once, as one :class:`Frame`, which
-    every stage then takes as it is.  A bin's refined angles are scrambled in
-    one call for the range fit and the velocity fit, which picks its velocity
-    bins from its own matched products; the stages check only those
-    scrambled grids.
+    The cube and payload are checked once, as one :class:`Frame`.  The stages
+    behind it take what this function builds as it is, read only each coarse
+    bin's ``angle_bin`` and ``range_bins``, and scramble the payload toward
+    their own angles.
     """
     frame = Frame(grid, data, pattern, cfg)
     try:
@@ -477,11 +461,12 @@ def estimate_targets(
         spectrum = music_pseudospectrum(frame.covariance, dimension, cfg, search)
         peaks = _local_maxima(spectrum, wrap=False)
         tall = np.count_nonzero(peaks & (spectrum >= _PEAK_REL_THRESHOLD * spectrum.max()))
-        count = options.num_sources or max(1, min(tall, dimension))
+        count = options.num_sources or _affordable_count(
+            max(1, min(tall, dimension)), candidate_range_grid(bin_result.range_bins, cfg).size
+        )
         angles = search[_top_peaks(spectrum, peaks, count)]  # ascending
-        scrambled = scramble_symbols(frame.data, pattern, cfg, angles)  # (Q, N_s, N_p)
-        range_fit = refine_ranges(frame, angles, scrambled, bin_result.range_bins, options)
-        velocity_fit = refine_velocities(frame, angles, scrambled, range_fit.values, options)
+        range_fit = refine_ranges(frame, angles, bin_result.range_bins, options)
+        velocity_fit = refine_velocities(frame, angles, range_fit.values, options)
         for q, angle in enumerate(angles):
             refined.append(
                 RefinedEstimate(

@@ -288,12 +288,7 @@ def test_numerical_property_suite(monkeypatch, ref_cfg, ref_pattern, ref_frame, 
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
     payload = qpsk_frame(small_cfg, seed=30)
     frame = radar_returns(payload, pattern, small_cfg, Scene((target,), snr_db=np.inf))
-    fit = refine_ranges(
-        Frame(frame, payload, pattern, small_cfg),
-        [target.angle_deg],
-        scramble_symbols(payload, pattern, small_cfg, [target.angle_deg]),
-        [2],
-    )
+    fit = refine_ranges(Frame(frame, payload, pattern, small_cfg), [target.angle_deg], [2])
     energy = float(np.sum(np.abs(frame[:, :, 0]) ** 2))
     assert fit.residual < 1e-9 * energy
     assert fit.values[0] == pytest.approx(truth, abs=1e-9)
@@ -311,12 +306,7 @@ def test_numerical_property_suite(monkeypatch, ref_cfg, ref_pattern, ref_frame, 
     )
     payload = qpsk_frame(small_cfg, seed=31)
     frame = radar_returns(payload, pattern, small_cfg, scene)
-    fit = refine_ranges(
-        Frame(frame, payload, pattern, small_cfg),
-        angles,
-        scramble_symbols(payload, pattern, small_cfg, angles),
-        [2, 5],
-    )
+    fit = refine_ranges(Frame(frame, payload, pattern, small_cfg), angles, [2, 5])
     candidates = candidate_range_grid([2, 5], small_cfg)
     snapshot = frame[:, :, 0]
     s = np.arange(small_cfg.num_subcarriers)

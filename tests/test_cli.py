@@ -318,6 +318,18 @@ def test_estimate_rejects_non_finite_grid(capsys, tmp_path):
     assert "non-finite" in err
 
 
+def test_estimate_refuses_a_grid_whose_power_overflows(capsys, tmp_path):
+    # every sample is finite, so the file reads; its power is not, and used
+    # to come out as overflow warnings and "refined targets: 0" (exit 1)
+    grid_path, data_path = simulate_small(capsys, tmp_path)
+    write_grid(str(grid_path), read_grid(str(grid_path)) * 1e160)
+    code, out, err = run(
+        capsys, "estimate", *SMALL, "--grid", str(grid_path), "--data", str(data_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "overflows" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_estimate_refuses_non_positive_source_count(capsys, tmp_path, count):
     grid_path, data_path = simulate_small(capsys, tmp_path)
@@ -638,6 +650,23 @@ def test_reproduce_degrades_gracefully_in_heavy_noise(capsys):
     code, out, err = run(capsys, "reproduce-table2", "--set", "snr_db=-20")
     assert code == 1
     assert ("reproduction: FAIL" in out) or err.startswith("analysis failed:")
+
+
+def test_reproduce_clustered_scene_is_no_bad_input(capsys, tmp_path):
+    # three sources in one angle bin whose range windows exceed the
+    # combination budget: a valid scene, which used to exit 2
+    scene_path = tmp_path / "clustered.json"
+    targets = [
+        {"angle_deg": -35.98, "range_m": 237.0, "velocity_mps": 78.9},
+        {"angle_deg": -34.08, "range_m": 15.4, "velocity_mps": -28.1},
+        {"angle_deg": -37.66, "range_m": 299.6, "velocity_mps": -71.2},
+    ]
+    scene_path.write_text(json.dumps({"targets": targets, "seed": 10, "snr_db": 10.0}))
+    with pytest.warns(RuntimeWarning, match="3 sources on 303 range candidates"):
+        code, out, err = run(capsys, "reproduce-table2", "--scene", str(scene_path))
+    assert code in (0, 1)
+    assert not err.startswith("error:")
+    assert "refined targets:" in out
 
 
 def test_reproduce_refuses_minus_infinite_snr(capsys):

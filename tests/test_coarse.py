@@ -288,7 +288,7 @@ def descramble_on_grid(cfg, pattern, data, grid, target):
     """Angle bin 7 of the on-grid frame, descrambled toward the target."""
     rows = beam_rows(Frame(grid, data, pattern, cfg), 7)
     reference = scramble_symbols(data, pattern, cfg, target.angle_deg)
-    return descramble(rows, reference, cfg, target.angle_deg)
+    return descramble(rows, reference, target.angle_deg)
 
 
 def test_descramble_recovers_pure_ramp(on_grid):
@@ -319,7 +319,7 @@ def test_descramble_masks_guarded_entries(small_cfg):
     flat[:n_zero] = 0.0
     data = flat.reshape(data.shape)
     rows = np.ones(small_cfg.grid_shape, dtype=complex)
-    result = descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), small_cfg, 0.0)
+    result = descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), 0.0)
     assert result.masked.mean() == pytest.approx(n_zero / flat.size, abs=1e-12)
     assert np.all(result.symbols[result.masked] == 0.0)
     np.testing.assert_allclose(result.symbols[~result.masked], 1.0 / (nt * data[~result.masked]))
@@ -335,7 +335,7 @@ def test_descramble_rejects_degenerate_direction(small_cfg):
     data = flat.reshape(data.shape)
     rows = np.ones(small_cfg.grid_shape, dtype=complex)
     with pytest.raises(DegenerateBinError, match="guard"):
-        descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), small_cfg, 0.0)
+        descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), 0.0)
 
 
 @pytest.mark.parametrize("nonzero", [0, 1])
@@ -348,7 +348,7 @@ def test_descramble_refuses_a_reference_that_is_mostly_zero(small_cfg, nonzero):
     data[2, 3] = nonzero
     rows = np.ones(small_cfg.grid_shape, dtype=complex)
     with pytest.raises(DegenerateBinError, match="guard"):
-        descramble(rows, scramble_symbols(data, pattern, small_cfg, 10.0), small_cfg, 10.0)
+        descramble(rows, scramble_symbols(data, pattern, small_cfg, 10.0), 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def test_pipeline_recovers_on_grid_target_exactly(on_grid):
     assert len(result.bins) == 1
     reference = scramble_symbols(data, pattern, cfg, est.angle_deg)
     rows = beam_rows(Frame(grid, data, pattern, cfg), est.angle_bin)
-    assert not descramble(rows, reference, cfg, est.angle_deg).masked.any()
+    assert not descramble(rows, reference, est.angle_deg).masked.any()
 
 
 def test_pipeline_pairs_velocities_with_their_range_bin(nb_cfg):

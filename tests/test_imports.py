@@ -15,6 +15,7 @@ import pytest
 
 import tmadfrc
 from tmadfrc.coarse import DescrambleResult
+from tmadfrc.refine import CombinationFit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -102,7 +103,7 @@ def test_scan_finds_attributes_read():
 
 
 RESULTS = (
-    tmadfrc.CombinationFit,
+    CombinationFit,
     tmadfrc.BinPipeline,
     tmadfrc.CoarseResult,
     DescrambleResult,

@@ -86,6 +86,65 @@ def test_returns_match_scalar_oracle(small_cfg, small_pattern):
     assert np.max(np.abs(got - expected)) < 1e-10
 
 
+def time_domain_echoes(data, pattern, cfg, targets, oversample=4):
+    """Noise-free receive grid of static targets, built in the time domain.
+
+    The waveform sent toward a target is its frame of in-band scrambled OFDM
+    symbols, each with its cyclic prefix: symbol mu is on air during
+    [mu T_p, (mu + 1) T_p), its prefix of T_cp = T_p - 1/f_s first.  Within a
+    symbol the waveform is (1/N_s) sum_s X[s, mu] exp(2j pi s f_s u) at time
+    u into the useful part; the sum is periodic in 1/f_s, so u in [-T_cp, 0)
+    gives the prefix, a copy of the useful part's tail.  The echo is that
+    waveform delayed by 2R/c, zero before the frame starts.  The receiver
+    drops each prefix, samples the useful part at L = ``oversample`` N_s
+    instants and takes an L-point FFT, whose first N_s bins scaled by N_s / L
+    are the subcarriers.  The carrier phase of the delay is one constant per
+    target, which the model's reflectivity holds.
+    """
+    n_s, n_p = cfg.grid_shape
+    period = cfg.symbol_duration_s
+    prefix = period - 1.0 / cfg.subcarrier_spacing_hz
+    samples = oversample * n_s
+    instants = prefix + np.arange(samples) / (samples * cfg.subcarrier_spacing_hz)
+    tones = np.arange(n_s) * cfg.subcarrier_spacing_hz
+    m = np.arange(cfg.num_rx_antennas)
+    out = np.zeros(cfg.returns_shape, dtype=complex)
+    for target in targets:
+        symbols = scramble_symbols(data, pattern, cfg, target.angle_deg)
+        received = np.zeros((n_s, n_p), dtype=complex)
+        for mu in range(n_p):
+            sent = mu * period + instants - 2.0 * target.range_m / cfg.c
+            on_air = np.floor(sent / period).astype(int)  # the symbol each sample hears
+            u = sent - on_air * period - prefix
+            wave = np.einsum(
+                "sl,sl->l", symbols[:, np.maximum(on_air, 0)], np.exp(2j * np.pi * np.outer(tones, u))
+            ) / n_s
+            wave[on_air < 0] = 0.0
+            received[:, mu] = np.fft.fft(wave)[:n_s] * n_s / samples
+        sin_theta = math.sin(math.radians(target.angle_deg))
+        steer = np.exp(-2j * np.pi * m * cfg.rx_spacing_wavelengths * sin_theta)
+        out += target.reflectivity * steer[:, None, None] * received[None]
+    return out
+
+
+@pytest.mark.parametrize("config", ["small", "reference"])
+def test_returns_match_time_domain_echo_oracle(config, small_cfg, small_pattern, ref_cfg, ref_pattern):
+    # static targets whose delays all lie inside the cyclic prefix
+    # (c T_cp / 2 = 312.5 m in both configs), where the model is exact
+    cfg, pattern = (small_cfg, small_pattern) if config == "small" else (ref_cfg, ref_pattern)
+    assert 2.0 * 312.0 / cfg.c < cfg.symbol_duration_s - 1.0 / cfg.subcarrier_spacing_hz
+    targets = (
+        Target(-40.0, 50.0, 0.0, reflectivity=0.8 + 0.3j),
+        Target(-12.0, 120.0, 0.0),
+        Target(15.0, 300.0, 0.0, reflectivity=-0.5j),
+        Target(47.0, 312.0, 0.0, reflectivity=1.2),
+    )
+    data = qpsk_frame(cfg, seed=27)
+    got = radar_returns(data, pattern, cfg, Scene(targets, snr_db=math.inf))
+    expected = time_domain_echoes(data, pattern, cfg, targets)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def test_superposition_of_targets(small_cfg, small_pattern):
     a = Target(5.0, 200.0, 10.0)
     b = Target(-40.0, 900.0, -120.0, reflectivity=2.0j)
