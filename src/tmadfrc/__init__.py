@@ -26,7 +26,6 @@ from .comms import (
     link_ber,
     modulate,
     qpsk,
-    qpsk_awgn_ber,
     square_qam,
 )
 from .model import (
@@ -79,7 +78,6 @@ from .tma import (
     element_gains,
     harmonic_coefficients,
     scramble_symbols,
-    time_domain_demod,
 )
 from .transforms import dft, idft
 

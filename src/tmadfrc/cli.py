@@ -294,6 +294,31 @@ def _cmd_ber_sweep(args) -> int:
     return 0
 
 
+def _pair_rows(targets, rows, range_res: float, velocity_res: float) -> list:
+    """The refined row paired with each target, in target order (None for a
+    target left without one).  Pairs are taken in ascending score over every
+    (target, row) pair, so the order of the targets only breaks ties.  The
+    score adds the angle error in degrees to the range and velocity errors in
+    resolution cells."""
+    scores = sorted(
+        (
+            abs(row.angle_deg - target.angle_deg)
+            + abs(row.range_m - target.range_m) / range_res
+            + abs(row.velocity_mps - target.velocity_mps) / velocity_res,
+            t,
+            r,
+        )
+        for t, target in enumerate(targets)
+        for r, row in enumerate(rows)
+    )
+    paired, taken = [None] * len(targets), set()
+    for _, t, r in scores:
+        if paired[t] is None and r not in taken:
+            paired[t] = rows[r]
+            taken.add(r)
+    return paired
+
+
 def _cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
     scene = load_scene(args.scene)
@@ -318,9 +343,9 @@ def _cmd_reproduce(args) -> int:
         print(
             f"expected {len(scene.targets)} refined targets, got {len(estimates.refined)}"
         )
-    rows = list(estimates.refined)
     report_rows = []
-    for target in scene.targets:
+    paired = _pair_rows(scene.targets, estimates.refined, range_res, velocity_res)
+    for target, row in zip(scene.targets, paired):
         expected_angle = round(target.angle_deg / MUSIC_STEP_DEG) * MUSIC_STEP_DEG
         range_bin = int(np.rint(target.range_m / range_res))
         velocity_bin = int(np.rint(target.velocity_mps / velocity_res))
@@ -330,21 +355,11 @@ def _cmd_reproduce(args) -> int:
         expected_velocity = float(
             velocity_grid[np.argmin(np.abs(velocity_grid - target.velocity_mps))]
         )
-        if rows:
-            scores = [
-                abs(row.angle_deg - target.angle_deg)
-                + abs(row.range_m - target.range_m) / range_res
-                + abs(row.velocity_mps - target.velocity_mps) / velocity_res
-                for row in rows
-            ]
-            row = rows.pop(int(np.argmin(scores)))
-            good = (
-                abs(row.angle_deg - expected_angle) <= 0.1 + 1e-9
-                and abs(row.range_m - expected_range) <= 0.2
-                and abs(row.velocity_mps - expected_velocity) <= velocity_step + 1e-9
-            )
-        else:
-            row, good = None, False
+        good = row is not None and (
+            abs(row.angle_deg - expected_angle) <= 0.1 + 1e-9
+            and abs(row.range_m - expected_range) <= 0.2
+            and abs(row.velocity_mps - expected_velocity) <= velocity_step + 1e-9
+        )
         ok = ok and good
         status = "PASS" if good else "FAIL"
         got = (

@@ -17,13 +17,19 @@ simplification 2 v_k f_c / c when ``cfg.narrowband_doppler`` is set.
 
 Noise is complex white Gaussian, calibrated so that
 mean(|signal|^2) / sigma^2 equals the linear SNR (reference power 1.0 when
-the scene is empty).  Sampling uses numpy's seeded PCG64 generator
-(``np.random.default_rng``; ziggurat-sampled normals), so grids are
-bit-reproducible for a given seed.
+the scene is empty).  The seed -> grid map: the flattened grid is split into
+two contiguous halves, ``flat[:size // 2]`` and ``flat[size // 2:]``, and
+half i gets :func:`comms.add_noise` from its own PCG64 stream,
+``np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[i])``
+(ziggurat-sampled normals).  The first half is drawn on a worker thread
+started and joined inside the call, the second on the calling thread; each
+half has its own generator, buffer and slice, so grids are bit-reproducible
+for a given seed whatever the thread timing.
 """
 
 import dataclasses
 import struct
+import threading
 
 import numpy as np
 
@@ -119,8 +125,34 @@ def radar_returns(
         signal_power = _mean_power(out)
         reference = signal_power if signal_power > 0.0 else 1.0
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
-        add_noise(out, sigma2, np.random.default_rng(scene.seed))
+        _add_noise_in_halves(out, sigma2, scene.seed)
     return out
+
+
+def _add_noise_in_halves(out: np.ndarray, sigma2: float, seed: int) -> None:
+    """Add the noise of the module docstring's seed map to the C-contiguous
+    ``out``: the first half on a worker thread, the second on this one (both
+    draws release the GIL).  An exception of either half re-raises here,
+    after the worker has been joined."""
+    flat = out.reshape(-1)
+    half = flat.size // 2
+    first, second = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    failed = []
+
+    def draw_first_half():
+        try:
+            add_noise(flat[:half], sigma2, first)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=draw_first_half)
+    worker.start()
+    try:
+        add_noise(flat[half:], sigma2, second)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 # --- scene serialization -----------------------------------------------------

@@ -2,11 +2,13 @@
 
 The reference frame (payload drawn from the scene seed, exactly as the
 reproduce subcommand builds it) is session-scoped because several modules and
-the acceptance suite all process the same frame.
+the acceptance suite all process the same frame.  Every test also runs under
+``no_leaked_threads``.
 """
 
 import json
 import importlib.resources
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +36,17 @@ def qpsk_frame(cfg: SystemConfig, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * cfg.num_subcarriers * cfg.num_ofdm_symbols)
     return modulate(bits, qpsk()).reshape(cfg.grid_shape)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves more threads running than it found: an unjoined
+    noise worker of ``radar_returns``, or a persistent pool, shows up here."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    if after > before:
+        pytest.fail(f"{after - before} thread(s) left running: {threading.enumerate()}")
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import qpsk_frame
+from oracles import time_domain_demod
 from tmadfrc import (
     Frame,
     Scene,
@@ -50,7 +51,7 @@ from tmadfrc.refine import (
     sample_covariance,
     steering_vector,
 )
-from tmadfrc.tma import check_dm_condition, time_domain_demod
+from tmadfrc.tma import check_dm_condition
 from tmadfrc.transforms import dft, idft
 
 EAVESDROP_ANGLE = math.degrees(math.asin(1.0 / 3.0))  # 19.47 deg, bin 20

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from tmadfrc import (
+    EstimateSet,
     Frame,
     RefineOptions,
+    RefinedEstimate,
     ber_vs_angle,
     bin_to_angle_deg,
     derived_resolutions,
@@ -667,6 +669,38 @@ def test_reproduce_clustered_scene_is_no_bad_input(capsys, tmp_path):
     assert code in (0, 1)
     assert not err.startswith("error:")
     assert "refined targets:" in out
+
+
+def test_reproduce_pairs_each_truth_with_its_own_row(capsys, tmp_path, monkeypatch):
+    # Two rows on the grid points the report expects for the -34.08 and
+    # -37.66 deg truths.  Pairing truths in scene order let the -35.98 deg
+    # truth, listed first, take the -34.1 deg row and failed all three; in
+    # ascending score each row goes to the truth whose band holds it.
+    rows = [
+        RefinedEstimate(7, -37.7, 299.609375, -71.25),
+        RefinedEstimate(7, -34.1, 15.4296875, -28.125),
+    ]
+    monkeypatch.setattr(cli, "estimate_targets", lambda *args: EstimateSet(refined=rows))
+    scene_path = tmp_path / "clustered.json"
+    targets = [
+        {"angle_deg": -35.98, "range_m": 237.0, "velocity_mps": 78.9},
+        {"angle_deg": -34.08, "range_m": 15.4, "velocity_mps": -28.1},
+        {"angle_deg": -37.66, "range_m": 299.6, "velocity_mps": -71.2},
+    ]
+    scene_path.write_text(json.dumps({"targets": targets, "seed": 10, "snr_db": 10.0}))
+    report = tmp_path / "repro.json"
+    code, out, _ = run(capsys, "reproduce-table2", "--scene", str(scene_path), "--out", str(report))
+    assert code == 1
+    lines = [line for line in out.splitlines() if line.startswith("truth")]
+    assert [line.split()[1] for line in lines] == ["-35.980", "-34.080", "-37.660"]
+    assert [line.rsplit("| ", 1)[1] for line in lines] == ["FAIL", "PASS", "PASS"]
+    payload = json.loads(report.read_text())
+    assert payload["ok"] is False
+    assert [row["refined"] for row in payload["targets"]] == [
+        None,
+        {"angle_deg": -34.1, "range_m": 15.4296875, "velocity_mps": -28.125},
+        {"angle_deg": -37.7, "range_m": 299.609375, "velocity_mps": -71.25},
+    ]
 
 
 def test_reproduce_refuses_minus_infinite_snr(capsys):

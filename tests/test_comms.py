@@ -29,9 +29,10 @@ from tmadfrc.comms import (
     ber,
     ber_vs_angle,
     demodulate,
-    qpsk_awgn_ber,
     square_qam,
 )
+
+from oracles import qpsk_awgn_ber
 
 
 def binomial_band(p, n, sigmas=4.0):

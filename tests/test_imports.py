@@ -60,10 +60,6 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Public names kept for the tests alone: independent oracles of a fast route.
-ORACLES = {"qpsk_awgn_ber", "time_domain_demod"}
-
-
 def names_read(source: str) -> set:
     """Every name that ``source`` loads and every attribute it names."""
     read = set()
@@ -86,7 +82,7 @@ def test_every_public_name_has_a_reader():
         for name in tmadfrc.__all__
         if not isinstance(getattr(tmadfrc, name), types.ModuleType)
     }
-    assert sorted(public - read - ORACLES) == []
+    assert sorted(public - read) == []
 
 
 def attributes_read(source: str) -> set:

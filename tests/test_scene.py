@@ -8,6 +8,8 @@ test_tma), so any indexing or sign slip in the vectorized synthesis shows up.
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from tmadfrc import (
     write_grid,
 )
 from tmadfrc import scene as scene_module
+from tmadfrc.comms import add_noise
 from tmadfrc.model import write_document
 
 from conftest import qpsk_frame
@@ -184,15 +187,64 @@ def test_empty_scene_noise_calibration(ref_cfg, ref_pattern):
 
 
 def test_empty_scene_noise_follows_documented_seed_map(ref_cfg, ref_pattern):
-    # The seed -> noise map, bit for bit: the real block, then the imaginary
-    # block, drawn from default_rng(seed) and scaled by sqrt(sigma^2 / 2).
+    # The seed -> noise map, bit for bit: the flattened grid in two contiguous
+    # halves, half i noised by add_noise from the i-th spawned child stream.
     data = qpsk_frame(ref_cfg, seed=24)
     got = radar_returns(data, ref_pattern, ref_cfg, Scene((), seed=3, snr_db=10.0))
     sigma2 = 1.0 / 10.0 ** (10.0 / 10.0)
-    rng = np.random.default_rng(3)
-    first = rng.standard_normal(ref_cfg.returns_shape)
-    second = rng.standard_normal(ref_cfg.returns_shape)
-    assert np.array_equal(got, np.sqrt(sigma2 / 2.0) * (first + 1j * second))
+    expected = np.zeros(ref_cfg.returns_shape, dtype=np.complex128)
+    flat = expected.reshape(-1)
+    half = flat.size // 2
+    children = np.random.SeedSequence(3).spawn(2)
+    add_noise(flat[:half], sigma2, np.random.default_rng(children[0]))
+    add_noise(flat[half:], sigma2, np.random.default_rng(children[1]))
+    assert np.array_equal(got, expected)
+
+
+def test_concurrent_syntheses_match_sequential_ones(ref_cfg, ref_pattern, ref_scene):
+    # Each call joins its own worker and owns its streams, so callers on
+    # several threads at once (six threads in all, with their workers, and a
+    # short switch interval) get the grids of sequential calls.
+    data = qpsk_frame(ref_cfg, seed=7)
+    scenes = [dataclasses.replace(ref_scene, seed=seed) for seed in (5, 6, 7)]
+    sequential = [radar_returns(data, ref_pattern, ref_cfg, scene) for scene in scenes]
+    concurrent = [None] * len(scenes)
+    barrier = threading.Barrier(len(scenes))
+
+    def synthesize(index):
+        barrier.wait()
+        concurrent[index] = radar_returns(data, ref_pattern, ref_cfg, scenes[index])
+
+    callers = [threading.Thread(target=synthesize, args=(index,)) for index in range(len(scenes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for got, expected in zip(concurrent, sequential):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("failing_half", ["worker", "caller"])
+def test_noise_failure_in_either_half_surfaces(monkeypatch, small_cfg, small_pattern, failing_half):
+    caller = threading.get_ident()
+    add_noise_of_package = scene_module.add_noise
+
+    def add_noise_failing_on_one_thread(out, sigma2, rng):
+        on_worker = threading.get_ident() != caller
+        if on_worker == (failing_half == "worker"):
+            raise RuntimeError(f"noise draw failed on the {failing_half} half")
+        add_noise_of_package(out, sigma2, rng)
+
+    monkeypatch.setattr(scene_module, "add_noise", add_noise_failing_on_one_thread)
+    data = qpsk_frame(small_cfg, seed=4)
+    with pytest.raises(RuntimeError, match=f"failed on the {failing_half} half"):
+        radar_returns(data, small_pattern, small_cfg, Scene((), seed=1, snr_db=10.0))
 
 
 def test_noiseless_empty_scene_is_exact_zeros(small_cfg, small_pattern):

@@ -22,11 +22,11 @@ from tmadfrc import (
     element_gains,
     harmonic_coefficients,
     scramble_symbols,
-    time_domain_demod,
 )
-from tmadfrc.tma import gate_matrix, harmonic_gate, snap_pattern
+from tmadfrc.tma import harmonic_gate
 
 from conftest import qpsk_frame
+from oracles import gate_matrix, snap_pattern, time_domain_demod
 
 
 def scalar_coefficient(pattern, cfg, m, theta_deg):
