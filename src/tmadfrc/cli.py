@@ -38,6 +38,7 @@ from .model import (
     range_resolution_m,
     signed_bin_index,
     velocity_resolution_mps,
+    wrap_velocity_mps,
     write_document,
 )
 from .refine import (
@@ -294,17 +295,24 @@ def _cmd_ber_sweep(args) -> int:
     return 0
 
 
-def _pair_rows(targets, rows, range_res: float, velocity_res: float) -> list:
+def _velocity_error(estimate: float, truth: float, cfg) -> float:
+    """|estimate - truth| in m/s, read modulo the 2w of the velocity window,
+    which the slow-time phase cannot tell apart."""
+    return abs(wrap_velocity_mps(estimate - truth, cfg))
+
+
+def _pair_rows(targets, rows, cfg) -> list:
     """The refined row paired with each target, in target order (None for a
     target left without one).  Pairs are taken in ascending score over every
     (target, row) pair, so the order of the targets only breaks ties.  The
     score adds the angle error in degrees to the range and velocity errors in
     resolution cells."""
+    range_res, velocity_res = range_resolution_m(cfg), velocity_resolution_mps(cfg)
     scores = sorted(
         (
             abs(row.angle_deg - target.angle_deg)
             + abs(row.range_m - target.range_m) / range_res
-            + abs(row.velocity_mps - target.velocity_mps) / velocity_res,
+            + _velocity_error(row.velocity_mps, target.velocity_mps, cfg) / velocity_res,
             t,
             r,
         )
@@ -344,7 +352,7 @@ def _cmd_reproduce(args) -> int:
             f"expected {len(scene.targets)} refined targets, got {len(estimates.refined)}"
         )
     report_rows = []
-    paired = _pair_rows(scene.targets, estimates.refined, range_res, velocity_res)
+    paired = _pair_rows(scene.targets, estimates.refined, cfg)
     for target, row in zip(scene.targets, paired):
         expected_angle = round(target.angle_deg / MUSIC_STEP_DEG) * MUSIC_STEP_DEG
         range_bin = int(np.rint(target.range_m / range_res))
@@ -352,13 +360,13 @@ def _cmd_reproduce(args) -> int:
         range_grid = candidate_range_grid([range_bin], cfg)
         velocity_grid = candidate_velocity_grid(velocity_bin, cfg)
         expected_range = float(range_grid[np.argmin(np.abs(range_grid - target.range_m))])
-        expected_velocity = float(
-            velocity_grid[np.argmin(np.abs(velocity_grid - target.velocity_mps))]
+        expected_velocity = wrap_velocity_mps(
+            float(velocity_grid[np.argmin(np.abs(velocity_grid - target.velocity_mps))]), cfg
         )
         good = row is not None and (
             abs(row.angle_deg - expected_angle) <= 0.1 + 1e-9
             and abs(row.range_m - expected_range) <= 0.2
-            and abs(row.velocity_mps - expected_velocity) <= velocity_step + 1e-9
+            and _velocity_error(row.velocity_mps, expected_velocity, cfg) <= velocity_step + 1e-9
         )
         ok = ok and good
         status = "PASS" if good else "FAIL"

@@ -29,7 +29,6 @@ peaks and the tallest local maximum is always kept.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -58,28 +57,11 @@ class DegenerateBinError(RuntimeError):
 # profile.
 _MEDIAN_FACTOR = 3.0
 _MAX_FACTOR = 0.5
-# Descrambling guard: a reference symbol below _DESCRAMBLE_GUARD times the
-# median reference magnitude is zeroed instead of divided, and a direction with
-# more than _MAX_MASKED_FRACTION of its grid zeroed cannot be descrambled.
+# Descrambling guard: a reference symbol at or below _DESCRAMBLE_GUARD times the
+# upper median reference magnitude is zeroed instead of divided, and a direction
+# with more than _MAX_MASKED_FRACTION of its grid zeroed cannot be descrambled.
 _DESCRAMBLE_GUARD = 1e-3
 _MAX_MASKED_FRACTION = 0.10
-
-
-def median(values) -> float:
-    """``float(np.median(values))`` over all entries, bit for bit, from a
-    partition at the one index n // 2: the larger middle value sits there and
-    the smaller is the maximum of the part below it.  np.median partitions at
-    two indices (and probes for NaN), several times slower on a profile of
-    16 384 magnitudes."""
-    flat = np.asarray(values, dtype=float).ravel()
-    n = flat.size
-    if n == 0:
-        return float(np.median(flat))
-    part = np.partition(flat, n // 2)
-    upper = part[n // 2]
-    if np.isnan(part[n // 2 :].max()):  # NaN partitions to the end
-        return math.nan
-    return float(upper if n % 2 else (part[: n // 2].max() + upper) / 2.0)
 
 
 def peak_threshold(profile: np.ndarray, keep_tallest: bool = False) -> float:
@@ -88,7 +70,7 @@ def peak_threshold(profile: np.ndarray, keep_tallest: bool = False) -> float:
     qualifies — for stages that run inside an already-detected angle bin,
     where the question is not "is anything there?" but "how many?"."""
     top = float(np.max(profile, initial=0.0))
-    threshold = max(_MEDIAN_FACTOR * median(profile), _MAX_FACTOR * top)
+    threshold = max(_MEDIAN_FACTOR * float(np.median(profile)), _MAX_FACTOR * top)
     return min(threshold, top) if keep_tallest else threshold
 
 
@@ -155,14 +137,17 @@ def descramble(rows: np.ndarray, reference: np.ndarray, theta_deg: float) -> Des
     """Divide beamformed (N_s, N_p) rows by ``reference``, the payload
     scrambled toward ``theta_deg``.
 
-    Entries whose reference magnitude is at or below ``_DESCRAMBLE_GUARD``
-    times the median reference magnitude are zeroed instead of divided; if
-    more than ``_MAX_MASKED_FRACTION`` of the grid is affected the direction
-    is too close to a scrambling null to descramble at all.  A median of 0
-    therefore refuses the direction: at least half its symbols are 0.
+    Entries whose magnitude is at or below ``_DESCRAMBLE_GUARD`` times the
+    upper median of the n reference magnitudes, the one at index n // 2 once
+    sorted, are zeroed instead of divided; if more than
+    ``_MAX_MASKED_FRACTION`` of the grid is affected the direction is too
+    close to a scrambling null to descramble at all.  So at least n // 2 + 1
+    zero references, which make the upper median 0, refuse the direction.
     """
     magnitude = np.abs(reference)
-    masked = magnitude <= _DESCRAMBLE_GUARD * median(magnitude)
+    middle = magnitude.size // 2
+    scale = np.partition(magnitude, middle, axis=None)[middle]
+    masked = magnitude <= _DESCRAMBLE_GUARD * scale
     fraction = float(masked.mean())
     if fraction > _MAX_MASKED_FRACTION:
         raise DegenerateBinError(

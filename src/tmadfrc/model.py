@@ -210,6 +210,19 @@ def bin_to_velocity_mps(velocity_bin, cfg: SystemConfig):
     return np.asarray(velocity_bin, dtype=float) * velocity_resolution_mps(cfg)
 
 
+def wrap_velocity_mps(velocity_mps: float, cfg: SystemConfig) -> float:
+    """``velocity_mps`` moved into the signed window [-w, w) of w =
+    ``cfg.velocity_window_mps`` by -2w above it and +2w below it, the shift
+    that leaves its slow-time phase unchanged; a value inside comes back as
+    it is.  One shift suffices for the difference of two window values."""
+    window = cfg.velocity_window_mps
+    if velocity_mps >= window:
+        return velocity_mps - 2.0 * window
+    if velocity_mps < -window:
+        return velocity_mps + 2.0 * window
+    return velocity_mps
+
+
 # --- echo factors: a target at (theta, R, f_D) adds its scrambled symbol times
 # steering_vector[m] * range_ramp[s] * slow_time_rotation[mu] to receive element
 # m, subcarrier s, OFDM symbol mu.  Synthesis and both fits use only these.
@@ -289,31 +302,20 @@ def validate_target(target: Target, cfg: SystemConfig) -> Target:
     return target
 
 
-def _checked_grid(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+def _complex_grid(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     values = np.asarray(values)
     if values.shape != shape:
         raise ValueError(f"{what} shape {values.shape} != expected {shape}")
-    values = values.astype(np.complex128, copy=False)
-    # A finite sum proves every entry finite (inf and NaN never cancel back to
-    # a finite value), at half the cost of the element-wise test; only a sum
-    # that overflows falls through to that test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = values.sum()
-    if not (np.isfinite(total) or np.isfinite(values).all()):
-        raise ValueError(f"{what} contains non-finite values")
-    return values
+    return values.astype(np.complex128, copy=False)
 
 
 def check_symbol_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
     """Validate shape and finiteness of a (subcarrier, symbol) grid and return
     it as complex."""
-    return _checked_grid(values, cfg.grid_shape, "symbol grid")
-
-
-def check_antenna_grid(cfg: SystemConfig, values: np.ndarray) -> np.ndarray:
-    """Validate shape and finiteness of a per-receive-element grid and return
-    it as complex."""
-    return _checked_grid(values, cfg.returns_shape, "antenna grid")
+    values = _complex_grid(values, cfg.grid_shape, "symbol grid")
+    if not np.isfinite(values).all():
+        raise ValueError("symbol grid contains non-finite values")
+    return values
 
 
 # Snapshots (subcarrier-symbol pairs) per block of the covariance product: an
@@ -343,11 +345,12 @@ class Frame:
 
     Both grids are validated and converted to complex once, when the frame is
     built, so the estimation stages that take a frame need not check them
-    again.  The cube is then read once more, for ``covariance``, the spatial
-    sample covariance R over its N = N_s N_p snapshots
-    (:func:`sample_covariance`); ``energy`` = ||grid||^2 = N trace(R).  A
-    finite cube whose power overflows is refused with a ``ValueError``, so
-    every stage reads a finite covariance and energy.
+    again.  The cube is read once, for ``covariance``, the spatial sample
+    covariance R over its N = N_s N_p snapshots (:func:`sample_covariance`);
+    ``energy`` = ||grid||^2 = N trace(R).  R also proves the cube finite: a
+    NaN or infinite sample makes its row's R[m, m] = sum |y|^2 / N non-finite,
+    as does a finite cube whose power overflows, and either is refused with a
+    ``ValueError``, so every stage reads a finite covariance and energy.
     """
 
     grid: np.ndarray
@@ -358,7 +361,7 @@ class Frame:
     energy: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        grid = check_antenna_grid(self.cfg, self.grid)
+        grid = _complex_grid(self.grid, self.cfg.returns_shape, "antenna grid")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "data", check_symbol_grid(self.cfg, self.data))
         snapshots = grid.size // grid.shape[0]
@@ -366,7 +369,7 @@ class Frame:
             covariance = sample_covariance(grid)
             energy = float(snapshots * np.trace(covariance).real)
         if not (np.isfinite(energy) and np.isfinite(covariance).all()):
-            raise ValueError("antenna grid power overflows: its covariance is not finite")
+            raise ValueError("antenna grid is non-finite or its power overflows")
         object.__setattr__(self, "covariance", covariance)
         object.__setattr__(self, "energy", energy)
 

@@ -11,7 +11,9 @@ has the same, frame-global dimension, set once per frame by the minimum
 description length (MDL) of the covariance eigenvalues, with no tuned
 threshold: when several bins are occupied, sizing the subspace per bin would
 leave the other bins' signal eigenvectors inside the noise subspace and bias
-the peaks by a few tenths of a degree.
+the peaks by a few tenths of a degree.  One eigendecomposition of the
+covariance per frame gives MDL its eigenvalues and every bin's MUSIC its
+noise basis, so the split is decided and applied on the same vectors.
 
 Ranges and velocities follow by exhaustive least squares on candidate grids.
 The signal model for Q sources in one angle bin is
@@ -81,6 +83,7 @@ from .model import (
     slow_time_rotation,
     steering_vector,
     velocity_resolution_mps,
+    wrap_velocity_mps,
 )
 from .tma import SwitchingPattern, scramble_symbols
 from .transforms import dft
@@ -155,13 +158,9 @@ def music_search_grid(angle_bin: int, cfg: SystemConfig) -> np.ndarray:
     return np.arange(first, last + 1) * MUSIC_STEP_DEG
 
 
-def music_pseudospectrum(
-    covariance: np.ndarray, n_sources: int, cfg: SystemConfig, grid_deg: np.ndarray
-) -> np.ndarray:
-    """1 / ||E_noise^H a(theta)||^2 over ``grid_deg``, for 1 <= ``n_sources``
-    < num_rx_antennas and the finite covariance of a :class:`Frame`."""
-    _, vecs = np.linalg.eigh(covariance)  # ascending eigenvalues
-    noise = vecs[:, : cfg.num_rx_antennas - n_sources]
+def music_pseudospectrum(noise: np.ndarray, cfg: SystemConfig, grid_deg: np.ndarray) -> np.ndarray:
+    """1 / ||E_noise^H a(theta)||^2 over ``grid_deg`` for the (N_r, N_r - d)
+    orthonormal noise basis ``noise`` = E_noise of the frame's covariance."""
     proj = np.abs(noise.conj().T @ steering_vector(cfg, grid_deg).T) ** 2
     return 1.0 / np.maximum(proj.sum(axis=0), np.finfo(float).tiny)
 
@@ -330,7 +329,7 @@ def refine_ranges(
     symbol0 = scramble_symbols(frame.data[:, :1], frame.pattern, cfg, angles_deg)[:, :, 0]
     candidates = candidate_range_grid(range_bins, cfg)
     snapshot = frame.grid[:, :, 0]  # (N_r, N_s)
-    energy = float(np.sum(np.abs(snapshot) ** 2))
+    energy = float(np.vdot(snapshot, snapshot).real)
     steer = steering_vector(cfg, angles_deg)  # (Q, N_r)
     beamed = steer.conj() @ snapshot  # (Q, N_s)
     return _joint_fit(
@@ -367,7 +366,8 @@ def refine_velocities(
     # Beamform the whole cube with one BLAS product: (Q, N_r) @ (N_r, N_s * N_p).
     beamed = (steer.conj() @ frame.grid.reshape(cfg.num_rx_antennas, -1)).reshape(scrambled.shape)
     base = scrambled * range_ramp(cfg, ranges_m)[:, :, None]  # (Q, N_s, N_p): atoms sans slow time
-    h = np.einsum("qsp,qsp->qp", base.conj(), beamed)  # (Q, N_p)
+    base_h = base.conj()
+    h = np.einsum("qsp,qsp->qp", base_h, beamed)  # (Q, N_p)
     bins = np.unique([matched_velocity_bins(row, len(h)) for row in h])
     candidates = candidate_velocity_grid(bins, cfg)
     return _joint_fit(
@@ -375,7 +375,7 @@ def refine_velocities(
         steer,
         slow_time_rotation(cfg, 2.0 * candidates * cfg.carrier_freq_hz / cfg.c).T,  # (N_p, n_grid)
         h,
-        lambda q, p: np.einsum("sp,sp->p", base[q].conj(), base[p]),
+        lambda q, p: np.einsum("sp,sp->p", base_h[q], base[p]),
         frame.energy,
         candidates,
         bin_to_velocity_mps(bins, cfg),
@@ -428,7 +428,9 @@ def estimate_targets(
 
     The signal-subspace dimension is frame-global: the MDL order of the
     frame's covariance eigenvalues over its N_s N_p snapshots
-    (:func:`estimate_n_sources`), at least 1.  Each bin refines as many
+    (:func:`estimate_n_sources`), at least 1.  The covariance is decomposed
+    once; the eigenvectors of its N_r - dimension smallest eigenvalues are
+    the noise basis of every bin's pseudospectrum.  Each bin refines as many
     sources as its pseudospectrum window shows qualifying peaks, capped at
     the dimension, or exactly ``options.num_sources``; a forced count above
     the dimension raises :class:`SubspaceError`.  A counted bin whose range
@@ -439,7 +441,9 @@ def estimate_targets(
     The cube and payload are checked once, as one :class:`Frame`.  The stages
     behind it take what this function builds as it is, read only each coarse
     bin's ``angle_bin`` and ``range_bins``, and scramble the payload toward
-    their own angles.
+    their own angles.  A refined velocity is reported inside the signed
+    window [-w, w) (:func:`~tmadfrc.model.wrap_velocity_mps`): the most
+    negative slow-time bin's window reaches half a cell below -w.
     """
     frame = Frame(grid, data, pattern, cfg)
     try:
@@ -447,18 +451,19 @@ def estimate_targets(
     except NoPeaksError:
         return EstimateSet(coarse=[], refined=[])
 
-    order = estimate_n_sources(np.linalg.eigvalsh(frame.covariance), frame.grid[0].size)
-    dimension = max(order, 1)
+    eigenvalues, eigenvectors = np.linalg.eigh(frame.covariance)  # ascending
+    dimension = max(estimate_n_sources(eigenvalues, frame.grid[0].size), 1)
     if options.num_sources is not None and options.num_sources > dimension:
         raise SubspaceError(
             f"{options.num_sources} forced sources per bin exceed the frame's "
             f"signal-subspace dimension of {dimension}"
         )
 
+    noise = eigenvectors[:, : cfg.num_rx_antennas - dimension]
     refined = []
     for bin_result in coarse.bins:
         search = music_search_grid(bin_result.angle_bin, cfg)
-        spectrum = music_pseudospectrum(frame.covariance, dimension, cfg, search)
+        spectrum = music_pseudospectrum(noise, cfg, search)
         peaks = _local_maxima(spectrum, wrap=False)
         tall = np.count_nonzero(peaks & (spectrum >= _PEAK_REL_THRESHOLD * spectrum.max()))
         count = options.num_sources or _affordable_count(
@@ -473,7 +478,7 @@ def estimate_targets(
                     angle_bin=bin_result.angle_bin,
                     angle_deg=float(angle),
                     range_m=float(range_fit.values[q]),
-                    velocity_mps=float(velocity_fit.values[q]),
+                    velocity_mps=wrap_velocity_mps(float(velocity_fit.values[q]), cfg),
                 )
             )
     estimates = EstimateSet(coarse=list(coarse.estimates), refined=refined)

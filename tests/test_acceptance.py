@@ -277,8 +277,9 @@ def test_numerical_property_suite(monkeypatch, ref_cfg, ref_pattern, ref_frame, 
     # MUSIC peak position ignores covariance scale
     cov = sample_covariance(received)
     grid = music_search_grid(20, ref_cfg)
-    spec = music_pseudospectrum(cov, 3, ref_cfg, grid)
-    spec_scaled = music_pseudospectrum(9.1 * cov, 3, ref_cfg, grid)
+    noise = ref_cfg.num_rx_antennas - 3  # three sources
+    spec = music_pseudospectrum(np.linalg.eigh(cov)[1][:, :noise], ref_cfg, grid)
+    spec_scaled = music_pseudospectrum(np.linalg.eigh(9.1 * cov)[1][:, :noise], ref_cfg, grid)
     assert int(np.argmax(spec)) == int(np.argmax(spec_scaled))
     report_line("property: MUSIC scale invariance", True, f"argmax {np.argmax(spec)}")
 

@@ -703,6 +703,23 @@ def test_reproduce_pairs_each_truth_with_its_own_row(capsys, tmp_path, monkeypat
     ]
 
 
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+@pytest.mark.parametrize("velocity", [299.7, 299.95, 300.0, -300.0])
+def test_reproduce_passes_at_the_edges_of_the_velocity_window(capsys, tmp_path, velocity):
+    # the most negative slow-time bin's window reaches half a cell below
+    # -w = -300 m/s; a refined velocity there is the truth near +w modulo
+    # 2w, and the report reads both the row and its expectation in [-w, w)
+    scene_path = tmp_path / "edge.json"
+    targets = [{"angle_deg": -30.0, "range_m": 120.0, "velocity_mps": velocity}]
+    scene_path.write_text(json.dumps({"targets": targets, "seed": 3, "snr_db": 20.0}))
+    report = tmp_path / "repro.json"
+    code, out, _ = run(capsys, "reproduce-table2", "--scene", str(scene_path), "--out", str(report))
+    assert code == 0, out
+    (row,) = json.loads(report.read_text())["targets"]
+    velocities = [row["expected"]["velocity_mps"], row["refined"]["velocity_mps"]]
+    assert all(-300.0 <= v < 300.0 for v in velocities), velocities
+
+
 def test_reproduce_refuses_minus_infinite_snr(capsys):
     # used to run noise-free and print "reproduction: PASS"
     code, out, err = run(capsys, "reproduce-table2", "--set", "snr_db=-Infinity")

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import qpsk_frame
 from tmadfrc import (
@@ -35,7 +33,6 @@ from tmadfrc.coarse import (
     bin_to_velocity_mps,
     descramble,
     detect_peaks,
-    median,
     peak_threshold,
 )
 from tmadfrc import model
@@ -78,31 +75,6 @@ def on_grid(nb_cfg):
 
 # ---------------------------------------------------------------------------
 # peak detection
-
-
-# Small integers make ties and repeated middle values common.
-median_samples = st.one_of(
-    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40),
-)
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(median_samples, st.booleans())
-def test_median_equals_numpy_median(values, as_rows):
-    x = np.array(values)
-    if as_rows and x.size % 2 == 0:
-        x = x.reshape(2, -1)  # a 2-D input takes the median of every entry
-    got = median(x)
-    assert type(got) is float
-    assert got == float(np.median(x))
-
-
-def test_median_of_odd_and_even_lengths_and_nan():
-    assert median([3.0, 1.0, 2.0]) == 2.0
-    assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
-    assert median(np.full((4, 4), 7.0)) == 7.0
-    assert math.isnan(median([1.0, math.nan, 2.0, 0.0]))  # as np.median gives
 
 
 def test_peak_threshold_median_rule():
@@ -338,11 +310,26 @@ def test_descramble_rejects_degenerate_direction(small_cfg):
         descramble(rows, scramble_symbols(data, pattern, small_cfg, 0.0), 0.0)
 
 
+def test_descramble_guard_scales_by_the_upper_median(small_cfg):
+    # n is even; the sorted magnitudes' middle pair is (0.9, 1.1), so the
+    # guard is 1e-3 * 1.1: a symbol of magnitude 0.00105 is masked, which a
+    # guard on the mean of the pair (1e-3 * 1.0) would divide
+    n_s, n_p = small_cfg.grid_shape
+    reference = np.full(n_s * n_p, 1.1 + 0j)
+    reference[: n_s * n_p // 2] = 0.9j
+    reference[0] = -0.00105
+    reference = reference.reshape(n_s, n_p)
+    result = descramble(np.ones_like(reference), reference, 0.0)
+    assert np.flatnonzero(result.masked).tolist() == [0]
+    assert result.symbols[0, 0] == 0.0
+
+
 @pytest.mark.parametrize("nonzero", [0, 1])
 def test_descramble_refuses_a_reference_that_is_mostly_zero(small_cfg, nonzero):
-    # a median magnitude of 0 puts the guard at 0; the guard masks the zeros
-    # at or below it, at least half the grid, so an all-zero payload or a
-    # payload with one non-zero symbol is refused instead of divided by 0
+    # an upper median magnitude of 0 puts the guard at 0; the guard masks
+    # the zeros at or below it, at least half the grid, so an all-zero
+    # payload or a payload with one non-zero symbol is refused instead of
+    # divided by 0
     pattern = design_pattern(small_cfg, small_cfg.cu_angle_deg)
     data = np.zeros(small_cfg.grid_shape, dtype=complex)
     data[2, 3] = nonzero

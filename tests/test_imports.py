@@ -1,6 +1,6 @@
 """Every imported name is used by the module that imports it, and every
-public name of the package and every field of its stage results has a
-reader.
+public name of the package, every field of its stage results and every
+module-level function and class of its modules has a reader.
 
 No linter ships with the package, so these scans are the guard.
 ``__init__.py`` is skipped: it imports names only to re-export them.
@@ -116,3 +116,61 @@ def test_every_result_field_has_a_reader():
         if field.name not in read
     ]
     assert unread == []
+
+
+def unread_definitions(sources: dict, perfbench: list) -> list:
+    """``module.name`` for every module-level function and class of the
+    package ``sources`` (module name -> source) that nothing reads outside
+    its own definition.  A name is read when its module loads it, when
+    another package module imports it from that module or names it as
+    ``module.name``, or when a ``perfbench`` source names it as
+    ``module.name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    attribute_reads = {
+        (node.value.id, node.attr)
+        for tree in [*trees.values(), *(ast.parse(source) for source in perfbench)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    imported = {
+        (node.module.rpartition(".")[2], alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    unread = []
+    for module, tree in trees.items():
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for definition in (node for node in tree.body if isinstance(node, kinds)):
+            own = {id(node) for node in ast.walk(definition)}
+            loaded = any(
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id == definition.name
+                and id(node) not in own
+                for node in ast.walk(tree)
+            )
+            key = (module, definition.name)
+            if not (loaded or key in imported or key in attribute_reads):
+                unread.append(f"{module}.{definition.name}")
+    return unread
+
+
+def test_scan_finds_an_unread_definition():
+    sources = {
+        "a": "def f(): return f()\ndef g(): pass\ndef h(): pass\nclass C: pass\ng()\n",
+        "b": "from .a import h\n",
+    }
+    assert unread_definitions(sources, []) == ["a.f", "a.C"]
+    assert unread_definitions(sources, ["x = a.f"]) == ["a.C"]
+
+
+def test_every_package_definition_has_a_reader():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in (ROOT / "src" / "tmadfrc").glob("*.py")
+        if path.name != "__init__.py"
+    }
+    perfbench = [path.read_text(encoding="utf-8") for path in READERS if path.parent.name == "perfbench"]
+    assert unread_definitions(sources, perfbench) == []

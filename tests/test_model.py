@@ -29,11 +29,11 @@ from tmadfrc import coarse, model, refine
 from tmadfrc.model import (
     ROUNDED_SPEED_OF_LIGHT,
     SPEED_OF_LIGHT,
-    check_antenna_grid,
     check_symbol_grid,
     document_text,
     signed_bin_index,
     wrapped_bin_frequency,
+    wrap_velocity_mps,
     write_document,
 )
 
@@ -347,10 +347,6 @@ def test_grid_shape_checks(small_cfg):
     assert check_symbol_grid(small_cfg, good).shape == small_cfg.grid_shape
     with pytest.raises(ValueError):
         check_symbol_grid(small_cfg, good.T)
-    cube = np.zeros(small_cfg.returns_shape, dtype=np.complex128)
-    assert check_antenna_grid(small_cfg, cube).shape == small_cfg.returns_shape
-    with pytest.raises(ValueError):
-        check_antenna_grid(small_cfg, cube[:-1])
 
 
 def test_grid_checks_reject_non_finite_entries(small_cfg):
@@ -359,10 +355,20 @@ def test_grid_checks_reject_non_finite_entries(small_cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_symbol_grid(small_cfg, huge).shape == small_cfg.grid_shape
-    cube = np.ones(small_cfg.returns_shape, dtype=np.complex128)
-    cube[0, 0, 0], cube[1, 2, 3] = np.inf, -np.inf  # the pair sums to NaN
-    with pytest.raises(ValueError, match="non-finite"):
-        check_antenna_grid(small_cfg, cube)
     huge[2, 3] = complex(0.0, np.nan)
     with pytest.raises(ValueError, match="non-finite"):
         check_symbol_grid(small_cfg, huge)
+
+
+@pytest.mark.parametrize("velocity", [-300.0, -299.9, 0.0, 123.456, 299.99])
+def test_velocity_wrap_leaves_window_values_as_they_are(ref_cfg, velocity):
+    assert ref_cfg.velocity_window_mps == 300.0
+    assert wrap_velocity_mps(velocity, ref_cfg) is velocity
+
+
+@pytest.mark.parametrize(
+    "velocity,wrapped",
+    [(300.0, -300.0), (300.5, -299.5), (-300.25, 299.75), (-301.171875, 298.828125)],
+)
+def test_velocity_wrap_moves_outside_values_by_twice_the_window(ref_cfg, velocity, wrapped):
+    assert wrap_velocity_mps(velocity, ref_cfg) == wrapped

@@ -195,10 +195,15 @@ def analytic_covariance(cfg, angles_deg, noise_power):
     return cov
 
 
+def noise_basis(cov, n_sources):
+    """Eigenvectors of the N_r - ``n_sources`` smallest eigenvalues of ``cov``."""
+    return np.linalg.eigh(cov)[1][:, : cov.shape[0] - n_sources]
+
+
 def test_music_angles_exact_on_analytic_covariance(ref_cfg):
     cov = analytic_covariance(ref_cfg, [20.0, 22.0], noise_power=0.01)
     grid = music_search_grid(20, ref_cfg)
-    spectrum = music_pseudospectrum(cov, 2, ref_cfg, grid)
+    spectrum = music_pseudospectrum(noise_basis(cov, 2), ref_cfg, grid)
     inner = spectrum[1:-1]
     peaks = np.flatnonzero((inner > spectrum[:-2]) & (inner > spectrum[2:])) + 1
     angles = np.sort(grid[peaks[np.argsort(spectrum[peaks])[-2:]]])
@@ -210,8 +215,8 @@ def test_music_angles_exact_on_analytic_covariance(ref_cfg):
 def test_music_pseudospectrum_scale_invariant(ref_cfg):
     cov = analytic_covariance(ref_cfg, [20.0, 22.0], noise_power=0.01)
     grid = music_search_grid(20, ref_cfg)
-    base = music_pseudospectrum(cov, 2, ref_cfg, grid)
-    scaled = music_pseudospectrum(7.3 * cov, 2, ref_cfg, grid)
+    base = music_pseudospectrum(noise_basis(cov, 2), ref_cfg, grid)
+    scaled = music_pseudospectrum(noise_basis(7.3 * cov, 2), ref_cfg, grid)
     assert int(np.argmax(base)) == int(np.argmax(scaled))
     # compare the noise-subspace projections: the reciprocal peaks themselves
     # are 1/eps-sized and numerically irreproducible at the exact angles
@@ -867,15 +872,21 @@ def test_estimate_targets_rejects_non_finite_input(small_cfg, bad):
 
 
 def bad_grid(shape, how):
-    """A grid of ones of ``shape`` with one NaN, or one OFDM symbol short."""
+    """A grid of ones of ``shape`` with one NaN, with a +inf and a -inf (whose
+    sum is NaN), or one OFDM symbol short."""
     if how == "short":
         return np.ones((*shape[:-1], shape[-1] - 1), dtype=complex)
     values = np.ones(shape, dtype=complex)
-    values[(1,) * len(shape)] = np.nan
+    if how == "nan":
+        values[(1,) * len(shape)] = np.nan
+    else:
+        values[(0,) * len(shape)], values[(1,) * len(shape)] = np.inf, -np.inf
     return values
 
 
-@pytest.mark.parametrize("how, match", [("nan", "non-finite"), ("short", "shape")])
+@pytest.mark.parametrize(
+    "how, match", [("nan", "non-finite"), ("inf-pair", "non-finite"), ("short", "shape")]
+)
 @pytest.mark.parametrize("where", ["grid", "payload"])
 def test_frame_refuses_a_bad_grid_or_payload(small_cfg, where, how, match):
     pattern = pattern_for(small_cfg)
@@ -957,9 +968,9 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     monkeypatch, ref_cfg, ref_pattern, ref_frame
 ):
     data, received = ref_frame
-    scrambled_at, symbol0_at, cube_checks, covariances = [], [], [], []
-    scramble, check = refine.scramble_symbols, model.check_antenna_grid
-    covariance = model.sample_covariance
+    scrambled_at, symbol0_at, covariances, finite_scans = [], [], [], []
+    scramble, covariance = refine.scramble_symbols, model.sample_covariance
+    decompositions = {"eigh": 0, "eigvalsh": 0}
 
     def counting_scramble(data, pattern, cfg, theta_deg):
         # one entry per direction: a call may scramble a whole array of them;
@@ -968,13 +979,22 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
         at.extend(np.atleast_1d(theta_deg).tolist())
         return scramble(data, pattern, cfg, theta_deg)
 
-    def counting_check(cfg, values):
-        cube_checks.append(np.shape(values))
-        return check(cfg, values)
-
     def counting_covariance(grid):
         covariances.append(np.shape(grid))
         return covariance(grid)
+
+    def counting(name, function):
+        def call(matrix, *args, **kwargs):
+            decompositions[name] += 1
+            return function(matrix, *args, **kwargs)
+
+        return call
+
+    isfinite = np.isfinite
+
+    def scanning_isfinite(values, *args, **kwargs):
+        finite_scans.append(np.size(values))
+        return isfinite(values, *args, **kwargs)
 
     for module in (coarse, refine):
         monkeypatch.setattr(module, "scramble_symbols", counting_scramble)
@@ -985,9 +1005,11 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
         descrambled_at.append(theta_deg)
         return descramble_stage(rows, reference, theta_deg)
 
-    monkeypatch.setattr(model, "check_antenna_grid", counting_check)
     for module in (model, refine):
         monkeypatch.setattr(module, "sample_covariance", counting_covariance)
+    for name in decompositions:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "isfinite", scanning_isfinite)
     monkeypatch.setattr(coarse, "descramble", counting_descramble)
     with pytest.warns(RuntimeWarning, match="velocity hit the edge"):
         estimates = estimate_targets(received, data, ref_pattern, ref_cfg)
@@ -1000,9 +1022,12 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
     assert len(scrambled_at) == 5
     assert sorted(scrambled_at) == sorted([*bin_centers, *refined_angles])
     assert sorted(symbol0_at) == sorted(refined_angles)
-    assert cube_checks == [ref_cfg.returns_shape]
-    # one covariance, read by the angle stage and by MUSIC alike
+    # one covariance, read by the angle stage, MDL and MUSIC alike, and the
+    # one proof that the cube is finite: no element-wise scan reads the cube
     assert covariances == [ref_cfg.returns_shape]
+    assert finite_scans and max(finite_scans) < received.size
+    # one eigendecomposition gives MDL its eigenvalues and MUSIC its basis
+    assert decompositions == {"eigh": 1, "eigvalsh": 0}
     # only the coarse stage descrambles, once per bin center; the velocity
     # fit picks its bins from its own matched product
     assert sorted(descrambled_at) == sorted(bin_centers)
@@ -1281,6 +1306,21 @@ def test_valid_multi_target_frames_are_never_refused_as_bad_input(ref_cfg, ref_p
         over_budget += [str(w.message) for w in caught if "sources on" in str(w.message)]
     assert len(over_budget) >= 10
     assert all(message.endswith("refining the 2 tallest") for message in over_budget)
+
+
+@pytest.mark.filterwarnings("ignore:refined \\w+ hit the edge:RuntimeWarning")
+@pytest.mark.parametrize("velocity", [299.7, 299.95, 300.0, -300.0])
+def test_refined_velocities_stay_inside_the_signed_window(ref_cfg, ref_pattern, velocity):
+    # bin -128's window spans -301.17 .. -298.83 m/s; a target just below
+    # +w refines there and is reported modulo 2w, inside [-w, w)
+    window = ref_cfg.velocity_window_mps
+    step = derived_resolutions(ref_cfg)[1] / (refine.VELOCITY_POINTS - 1)
+    data = qpsk_frame(ref_cfg, 3)
+    scene = Scene((Target(-30.0, 120.0, velocity),), seed=3, snr_db=20.0)
+    grid = radar_returns(data, ref_pattern, ref_cfg, scene)
+    (row,) = estimate_targets(grid, data, ref_pattern, ref_cfg).refined
+    assert -window <= row.velocity_mps < window
+    assert abs(model.wrap_velocity_mps(row.velocity_mps - velocity, ref_cfg)) <= step
 
 
 @pytest.mark.parametrize("k", [3, 5])
