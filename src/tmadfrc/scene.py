@@ -17,14 +17,18 @@ simplification 2 v_k f_c / c when ``cfg.narrowband_doppler`` is set.
 
 Noise is complex white Gaussian, calibrated so that
 mean(|signal|^2) / sigma^2 equals the linear SNR (reference power 1.0 when
-the scene is empty).  The seed -> grid map: the flattened grid is split into
-two contiguous halves, ``flat[:size // 2]`` and ``flat[size // 2:]``, and
-half i gets :func:`comms.add_noise` from its own PCG64 stream,
-``np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[i])``
-(ziggurat-sampled normals).  The first half is drawn on a worker thread
-started and joined inside the call, the second on the calling thread; each
-half has its own generator, buffer and slice, so grids are bit-reproducible
-for a given seed whatever the thread timing.
+the scene is empty).  The seed -> grid map: the flattened grid is cut into
+chunks of ``_NOISE_CHUNK`` samples, chunk i being
+``flat[i * _NOISE_CHUNK:(i + 1) * _NOISE_CHUNK]`` (the last one may be short,
+and a grid smaller than one chunk is a single chunk).  Chunk i gets
+``sqrt(sigma^2 / 2) * (N[0::2] + 1j * N[1::2])``, where N is
+``2 * len(chunk)`` standard normals from its own SFC64 stream,
+``np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(n)[i]))``
+for any n > i (ziggurat-sampled normals, drawn as interleaved re, im pairs).
+The calling thread and one worker thread, started and joined inside the
+call, each take the next undrawn chunk until none is left; each chunk has
+its own generator and slice, so grids are bit-reproducible for a given seed
+whatever the thread timing.
 """
 
 import dataclasses
@@ -33,7 +37,7 @@ import threading
 
 import numpy as np
 
-from .comms import _mean_power, add_noise
+from .comms import _mean_power
 from .model import (
     SceneError,
     SystemConfig,
@@ -123,36 +127,56 @@ def radar_returns(
     snr_db = cfg.snr_db if scene.snr_db is None else scene.snr_db
     if snr_adds_noise(snr_db):
         signal_power = _mean_power(out)
+        if not np.isfinite(signal_power):  # +inf, or NaN from inf - inf
+            raise SceneError("the echo power overflows, so no noise power can be set from the SNR")
         reference = signal_power if signal_power > 0.0 else 1.0
         sigma2 = reference / 10.0 ** (snr_db / 10.0)
-        _add_noise_in_halves(out, sigma2, scene.seed)
+        _add_noise_in_chunks(out, sigma2, scene.seed)
     return out
 
 
-def _add_noise_in_halves(out: np.ndarray, sigma2: float, seed: int) -> None:
+_NOISE_CHUNK = 32_768  # samples per seeded noise chunk (a lane's buffer is 512 KB)
+
+
+def _add_noise_in_chunks(out: np.ndarray, sigma2: float, seed: int) -> None:
     """Add the noise of the module docstring's seed map to the C-contiguous
-    ``out``: the first half on a worker thread, the second on this one (both
-    draws release the GIL).  An exception of either half re-raises here,
-    after the worker has been joined."""
+    ``out``: a worker thread and this one share one iterator over the chunk
+    indices (``next`` on it is atomic under the GIL, and the normal draws and
+    in-place adds release the GIL).  An exception of either lane re-raises
+    here after the worker has been joined, this thread's own first."""
     flat = out.reshape(-1)
-    half = flat.size // 2
-    first, second = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    chunks = iter(range(-(-flat.size // _NOISE_CHUNK)))
     failed = []
 
-    def draw_first_half():
+    def worker_lane():
         try:
-            add_noise(flat[:half], sigma2, first)
+            _draw_noise_chunks(flat, sigma2, seed, chunks)
         except BaseException as exc:  # re-raised on the calling thread
             failed.append(exc)
 
-    worker = threading.Thread(target=draw_first_half)
+    worker = threading.Thread(target=worker_lane)
     worker.start()
     try:
-        add_noise(flat[half:], sigma2, second)
+        _draw_noise_chunks(flat, sigma2, seed, chunks)
     finally:
         worker.join()
     if failed:
         raise failed[0]
+
+
+def _draw_noise_chunks(flat: np.ndarray, sigma2: float, seed: int, chunks) -> None:
+    """One lane of :func:`_add_noise_in_chunks`: noise every chunk index it
+    takes from ``chunks`` through one reused buffer of interleaved re, im
+    normals."""
+    scale = np.sqrt(sigma2 / 2.0)
+    buf = np.empty(2 * min(flat.size, _NOISE_CHUNK))
+    for index in chunks:
+        chunk = flat[index * _NOISE_CHUNK : (index + 1) * _NOISE_CHUNK]
+        noise = buf[: 2 * chunk.size]
+        stream = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index,)))
+        np.random.Generator(stream).standard_normal(out=noise)
+        noise *= scale
+        chunk += noise.view(np.complex128)
 
 
 # --- scene serialization -----------------------------------------------------

@@ -4,11 +4,15 @@ module-level function and class of its modules has a reader.
 
 No linter ships with the package, so these scans are the guard.
 ``__init__.py`` is skipped: it imports names only to re-export them.
+A last check holds the package's import to a budget of modules.
 """
 
 import ast
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -174,3 +178,46 @@ def test_every_package_definition_has_a_reader():
     }
     perfbench = [path.read_text(encoding="utf-8") for path in READERS if path.parent.name == "perfbench"]
     assert unread_definitions(sources, perfbench) == []
+
+
+# Modules, besides NumPy's, the package's and private ``_*`` ones, that
+# importing ``tmadfrc`` loads into an interpreter that has imported NumPy.
+# Every program of the package pays for them at start-up (the benchmark's
+# ``setup_s``), so a new one, such as ``concurrent.futures`` or ``queue`` for
+# a thread pool, has to be added here on purpose.
+IMPORT_BUDGET = {
+    "base64",
+    "copy",
+    "cython_runtime",
+    "dataclasses",
+    "hashlib",
+    "hmac",
+    "json",
+    "json.decoder",
+    "json.encoder",
+    "json.scanner",
+    "secrets",
+}
+
+
+def test_package_import_stays_within_its_module_budget():
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import tmadfrc\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    outside = {
+        name
+        for name in loaded
+        if not name.startswith(("numpy.", "_")) and name.partition(".")[0] != "tmadfrc"
+    }
+    assert sorted(outside - IMPORT_BUDGET) == []

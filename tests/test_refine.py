@@ -1038,47 +1038,47 @@ def test_estimate_targets_validates_once_and_scrambles_each_angle_once(
 # gains.  Every value is a search-grid point, so the pins are exact.
 PINNED_REFINED = {
     0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    1: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    1: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
     2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    3: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    4: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    5: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    6: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    3: [(-30.0, 120.1171875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+    4: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    5: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    6: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
     7: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    8: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    9: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
-    10: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    11: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    12: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    13: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    14: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    15: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    16: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
-    17: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
-    18: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
-    19: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    8: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    9: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+    10: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    11: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    12: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    13: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    14: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    15: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    16: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    17: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    18: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    19: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
 }
 PINNED_REFINED_FIT_GAINS = {
-    0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    1: [(-30.0, 119.921875, 19.921875), (20.0, 50.390625, -10.078125), (22.0, 59.9609375, 10.078125)],
-    2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    3: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
-    4: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
-    5: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    6: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
-    7: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.3515625, 10.078125)],
-    8: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    9: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-    10: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
-    11: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
-    12: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    13: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.3515625, 10.078125)],
-    14: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    15: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.765625, 10.078125)],
-    16: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    17: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-    18: [(-30.0, 119.921875, 19.921875), (20.0, 50.390625, -10.078125), (22.0, 59.9609375, 10.078125)],
-    19: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+    0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    1: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+    2: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
+    3: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    4: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    5: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    6: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    7: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    8: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+    9: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
+    10: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+    11: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+    12: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    13: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.765625, 10.078125)],
+    14: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    15: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+    16: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+    17: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+    18: [(-30.0, 120.1171875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+    19: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.3515625, 10.078125)],
 }
 
 
@@ -1104,75 +1104,75 @@ def test_estimate_targets_pinned_reference_estimates(ref_cfg, ref_scene, ref_pat
 PINNED_BETA_SCENES = {
     (0.5, 1.0, 1.0): {
         0: [(-30.0, 119.921875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.375, 9.84375)],
-        1: [(-30.0, 119.921875, 19.921875), (20.0, 49.4140625, -10.078125), (22.0, 59.375, 9.84375)],
-        2: [(-30.0, 119.921875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.375, 9.84375)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 49.4140625, -10.078125), (22.0, 59.375, 9.84375)],
-        4: [(-30.0, 120.1171875, 19.921875), (20.0, 49.4140625, -10.078125), (22.0, 59.375, 9.84375)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.375, 9.84375)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 49.4140625, -10.078125), (22.0, 59.375, 9.84375)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 49.21875, -10.078125), (22.0, 59.1796875, 9.84375)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 49.4140625, -10.078125), (22.0, 59.1796875, 9.84375)],
     },
     (1.0, 0.5, 1.0): {
-        0: [(-30.0, 119.921875, 19.921875), (20.0, 50.9765625, -9.84375), (22.0, 60.7421875, 10.078125)],
-        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.546875, 10.078125)],
-        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.546875, 10.078125)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.7421875, 10.078125)],
-        4: [(-30.0, 120.1171875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.7421875, 10.078125)],
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.9765625, -9.84375), (22.0, 60.7421875, 10.078125)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.7421875, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.7421875, 10.078125)],
+        3: [(-30.0, 120.1171875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.546875, 10.078125)],
+        4: [(-30.0, 120.1171875, 19.921875), (20.0, 50.78125, -9.84375), (22.0, 60.546875, 10.078125)],
     },
     (1.0, 1.0, 0.3): {
         0: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
         1: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        2: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        2: [(20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
         3: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
         4: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     },
     (1.0, 1.0, 0.5): {
         0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
         1: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        4: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+        3: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     },
     (-1.0, 1.0, 1.0): {
         0: [(-30.0, 119.921875, 19.921875), (20.0, 64.2578125, -10.546875), (22.0, 60.7421875, 10.078125)],
-        1: [(-30.0, 119.921875, 19.921875), (20.0, 64.2578125, -10.546875), (22.0, 60.7421875, 10.078125)],
+        1: [(-30.0, 119.921875, 19.921875), (20.0, 64.2578125, -10.546875), (22.0, 60.9375, 10.078125)],
         2: [(-30.0, 119.921875, 19.921875), (20.0, 64.453125, -10.546875), (22.0, 60.7421875, 10.078125)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 64.2578125, -10.546875), (22.0, 60.7421875, 10.078125)],
-        4: [(-30.0, 120.1171875, 19.921875), (20.0, 64.453125, -10.546875), (22.0, 60.7421875, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 64.453125, -10.546875), (22.0, 60.7421875, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 64.453125, -10.546875), (22.0, 60.546875, 10.078125)],
     },
 }
 PINNED_BETA_SCENES_FIT_GAINS = {
     (0.5, 1.0, 1.0): {
-        0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.5859375, -10.078125), (22.0, 59.9609375, 10.078125)],
-        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
-        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+        1: [(-30.0, 120.1171875, 19.921875), (20.0, 50.390625, -10.078125), (22.0, 59.9609375, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
     },
     (1.0, 0.5, 1.0): {
-        0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
-        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.390625, -10.078125), (22.0, 59.9609375, 10.078125)],
-        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.765625, 10.078125)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.3515625, 10.078125)],
-        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        1: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.3515625, 10.078125)],
+        3: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     },
     (1.0, 1.0, 0.3): {
         0: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
         1: [(20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
-        2: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        3: [(20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
-        4: [(20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+        2: [(20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+        3: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     },
     (1.0, 1.0, 0.5): {
-        0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        1: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
-        2: [(-30.0, 119.7265625, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
-        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        1: [(-30.0, 120.1171875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 59.9609375, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 60.15625, 10.078125)],
+        3: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     },
     (-1.0, 1.0, 1.0): {
-        0: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        1: [(-30.0, 119.921875, 19.921875), (20.0, 49.609375, -10.078125), (22.0, 59.9609375, 10.078125)],
-        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
-        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
-        4: [(-30.0, 119.921875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 60.15625, 10.078125)],
+        0: [(-30.0, 120.1171875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        1: [(-30.0, 120.1171875, 19.921875), (20.0, 49.8046875, -10.078125), (22.0, 59.9609375, 10.078125)],
+        2: [(-30.0, 119.921875, 19.921875), (20.0, 50.1953125, -10.078125), (22.0, 60.15625, 10.078125)],
+        3: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
+        4: [(-30.0, 119.921875, 19.921875), (20.0, 50.0, -10.078125), (22.0, 59.9609375, 10.078125)],
     },
 }
 

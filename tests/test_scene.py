@@ -10,6 +10,7 @@ import dataclasses
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from tmadfrc import (
     write_grid,
 )
 from tmadfrc import scene as scene_module
-from tmadfrc.comms import add_noise
 from tmadfrc.model import write_document
 
 from conftest import qpsk_frame
@@ -186,19 +186,67 @@ def test_empty_scene_noise_calibration(ref_cfg, ref_pattern):
     assert np.mean(np.abs(got) ** 2) == pytest.approx(sigma2, rel=0.05)
 
 
+def documented_noise(shape, sigma2, seed, chunk):
+    """The seed -> noise map of the scene docstring, built chunk by chunk
+    from ``SeedSequence(seed).spawn(n)``: chunk i takes 2 * len normals from
+    the SFC64 stream of child i, even ones to the real rail, odd ones to the
+    imaginary rail."""
+    expected = np.zeros(shape, dtype=np.complex128)
+    flat = expected.reshape(-1)
+    children = np.random.SeedSequence(seed).spawn(-(-flat.size // chunk))
+    scale = np.sqrt(sigma2 / 2.0)
+    for index, child in enumerate(children):
+        part = flat[index * chunk : (index + 1) * chunk]
+        normals = np.random.Generator(np.random.SFC64(child)).standard_normal(2 * part.size)
+        part.real += scale * normals[0::2]
+        part.imag += scale * normals[1::2]
+    return expected
+
+
 def test_empty_scene_noise_follows_documented_seed_map(ref_cfg, ref_pattern):
-    # The seed -> noise map, bit for bit: the flattened grid in two contiguous
-    # halves, half i noised by add_noise from the i-th spawned child stream.
+    # The seed -> noise map, bit for bit, on the reference grid: 12 whole
+    # chunks, chunk i noised from the i-th spawned SFC64 child stream.
     data = qpsk_frame(ref_cfg, seed=24)
     got = radar_returns(data, ref_pattern, ref_cfg, Scene((), seed=3, snr_db=10.0))
     sigma2 = 1.0 / 10.0 ** (10.0 / 10.0)
-    expected = np.zeros(ref_cfg.returns_shape, dtype=np.complex128)
-    flat = expected.reshape(-1)
-    half = flat.size // 2
-    children = np.random.SeedSequence(3).spawn(2)
-    add_noise(flat[:half], sigma2, np.random.default_rng(children[0]))
-    add_noise(flat[half:], sigma2, np.random.default_rng(children[1]))
-    assert np.array_equal(got, expected)
+    assert got.size // scene_module._NOISE_CHUNK == 12
+    assert np.array_equal(got, documented_noise(got.shape, sigma2, 3, scene_module._NOISE_CHUNK))
+
+
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["single chunk", "ragged last chunk"])
+def test_small_grid_noise_follows_documented_seed_map(monkeypatch, small_cfg, small_pattern, chunk):
+    # The small grid (1024 samples) is one short chunk at the package's
+    # chunk size; at 1000 samples per chunk its second chunk holds 24.
+    if chunk is not None:
+        monkeypatch.setattr(scene_module, "_NOISE_CHUNK", chunk)
+    data = qpsk_frame(small_cfg, seed=24)
+    got = radar_returns(data, small_pattern, small_cfg, Scene((), seed=3, snr_db=10.0))
+    sigma2 = 1.0 / 10.0 ** (10.0 / 10.0)
+    assert np.array_equal(got, documented_noise(got.shape, sigma2, 3, scene_module._NOISE_CHUNK))
+
+
+@pytest.mark.parametrize("order", ["worker first", "worker last"])
+def test_noise_grid_is_the_same_whichever_lane_draws_the_chunks(
+    monkeypatch, ref_cfg, ref_pattern, ref_scene, order
+):
+    # The worker lane runs inline, before the caller's lane (it draws every
+    # chunk) or after it (it draws none); the grid is the threaded one.
+    class InlineWorker:
+        def __init__(self, target):
+            self.target = target
+
+        def start(self):
+            if order == "worker first":
+                self.target()
+
+        def join(self):
+            if order == "worker last":
+                self.target()
+
+    data = qpsk_frame(ref_cfg, seed=7)
+    threaded = radar_returns(data, ref_pattern, ref_cfg, ref_scene)
+    monkeypatch.setattr(scene_module, "threading", types.SimpleNamespace(Thread=InlineWorker))
+    assert np.array_equal(radar_returns(data, ref_pattern, ref_cfg, ref_scene), threaded)
 
 
 def test_concurrent_syntheses_match_sequential_ones(ref_cfg, ref_pattern, ref_scene):
@@ -230,20 +278,23 @@ def test_concurrent_syntheses_match_sequential_ones(ref_cfg, ref_pattern, ref_sc
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("failing_half", ["worker", "caller"])
-def test_noise_failure_in_either_half_surfaces(monkeypatch, small_cfg, small_pattern, failing_half):
+@pytest.mark.parametrize("failing", ["worker", "caller", "both"])
+def test_noise_failure_in_either_lane_surfaces(monkeypatch, small_cfg, small_pattern, failing):
+    # A lane that fails before drawing any chunk: its exception re-raises
+    # after the join, the calling thread's own first when both fail.
     caller = threading.get_ident()
-    add_noise_of_package = scene_module.add_noise
+    draw_noise_chunks = scene_module._draw_noise_chunks
 
-    def add_noise_failing_on_one_thread(out, sigma2, rng):
-        on_worker = threading.get_ident() != caller
-        if on_worker == (failing_half == "worker"):
-            raise RuntimeError(f"noise draw failed on the {failing_half} half")
-        add_noise_of_package(out, sigma2, rng)
+    def draw_failing_on_one_lane(flat, sigma2, seed, chunks):
+        lane = "worker" if threading.get_ident() != caller else "caller"
+        if failing in (lane, "both"):
+            raise RuntimeError(f"noise draw failed on the {lane} lane")
+        draw_noise_chunks(flat, sigma2, seed, chunks)
 
-    monkeypatch.setattr(scene_module, "add_noise", add_noise_failing_on_one_thread)
+    monkeypatch.setattr(scene_module, "_draw_noise_chunks", draw_failing_on_one_lane)
     data = qpsk_frame(small_cfg, seed=4)
-    with pytest.raises(RuntimeError, match=f"failed on the {failing_half} half"):
+    surfaced = "caller" if failing == "both" else failing
+    with pytest.raises(RuntimeError, match=f"failed on the {surfaced} lane"):
         radar_returns(data, small_pattern, small_cfg, Scene((), seed=1, snr_db=10.0))
 
 
@@ -348,6 +399,19 @@ def test_radar_returns_refuses_non_finite_target(small_cfg, small_pattern):
     scene = Scene((Target(10.0, math.nan, 0.0),), snr_db=math.inf)
     with pytest.raises(SceneError, match="finite"):
         radar_returns(data, small_pattern, small_cfg, scene)
+
+
+@pytest.mark.parametrize("reflectivity", [1e300, 1e300j])
+def test_radar_returns_refuses_an_echo_whose_power_overflows(small_cfg, small_pattern, reflectivity):
+    # The echo is finite, but its mean power is not: no noise power can be
+    # set from the SNR.  An overflowing complex power reads NaN, which a
+    # `> 0` test alone would take for an empty scene's reference power of 1.
+    data = qpsk_frame(small_cfg, 0)
+    scene = Scene((Target(10.0, 50.0, 0.0, reflectivity=reflectivity),), snr_db=10.0)
+    with pytest.raises(SceneError, match="echo power overflows"):
+        radar_returns(data, small_pattern, small_cfg, scene)
+    noiseless = dataclasses.replace(scene, snr_db=math.inf)
+    assert np.isfinite(radar_returns(data, small_pattern, small_cfg, noiseless)).all()
 
 
 # --- the SNR rule: +inf is noise-free, NaN, -inf and beyond +-3082 dB name no noise level
